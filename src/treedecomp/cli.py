@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import __version__, apportionment, certificate, decomposition, groupaction
 from . import labeling as lb
-from . import trees
+from . import perms, trees
 from .errors import (
     InvalidPermutation,
     MalformedInput,
@@ -175,11 +175,13 @@ def _run_check(
 def _campaign_record(task) -> dict:
     n, g, code_hex, checks, xs = task
     t = trees.from_parent_map(n, g)
+    start = time.perf_counter()
     lab = lb.find_beta(t, "first")
     record = {
         "tree_code": code_hex,
         "n": n,
         "labeling": list(lab.sigma) if lab is not None else None,
+        "search_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "checks": {name: _run_check(name, t, lab, xs) for name in checks},
         "toolchain_version": __version__,
     }
@@ -265,6 +267,11 @@ def _read_arg_text(value: str) -> str:
 
 def _tree_arg(value: str) -> trees.FunctionalTree:
     return trees.tree_from_json(_read_arg_text(value))
+
+
+def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling | None:
+    """The --sigma labeling when given, else the first one the search finds."""
+    return labeling_from_json(value, t) if value else lb.find_beta(t, "first")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -430,11 +437,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t = _tree_arg(args.tree)
-    lab = (
-        labeling_from_json(args.sigma, t)
-        if args.sigma
-        else lb.find_beta(t, "first")
-    )
+    lab = _labeling_arg(args.sigma, t)
     if lab is None:
         _emit(json.dumps({"found": False}), None)
         return 1
@@ -536,11 +539,7 @@ def _cmd_group(args) -> int:
         return 0
     if args.subcommand == "from-tree":
         t = _tree_arg(args.tree)
-        lab = (
-            labeling_from_json(args.sigma, t)
-            if args.sigma
-            else lb.find_beta(t, "first")
-        )
+        lab = _labeling_arg(args.sigma, t)
         if lab is None:
             return 1
         ep = groupaction.sigma_from_labeled_tree(t, lab)
@@ -550,10 +549,15 @@ def _cmd_group(args) -> int:
         gens = []
         for text in args.perm:
             sigma = json.loads(_read_arg_text(text))
+            if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
+                raise MalformedInput("entry permutation must be a JSON array of ints")
             side = int(round(len(sigma) ** 0.5))
             if side * side != len(sigma):
                 raise MalformedInput("entry permutation length must be a square")
-            gens.append(groupaction.EntryPermutation(n=side, sigma=tuple(sigma)))
+            sigma = perms.check_perm(sigma)
+            if sigma[:1] != (0,):
+                raise MalformedInput("entry permutation must fix 0")
+            gens.append(groupaction.EntryPermutation(n=side, sigma=sigma))
         summary = groupaction.closure(gens)
         _emit(
             json.dumps(
@@ -572,11 +576,7 @@ def _cmd_group(args) -> int:
 def _cmd_apportion(args) -> int:
     if args.tree:
         t = _tree_arg(args.tree)
-        lab = (
-            labeling_from_json(args.sigma, t)
-            if args.sigma
-            else lb.find_beta(t, "first")
-        )
+        lab = _labeling_arg(args.sigma, t)
         if lab is None:
             return 1
         rep = apportionment.check_apportionment(t, lab, tol=args.tol)

@@ -11,13 +11,12 @@ the signed labels hit every element of Z_n exactly once.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import perms, trees
-from .errors import MalformedInput, ResourceLimit
+from .errors import MalformedInput, ResourceLimit, VerificationFailed
 
 DEFAULT_SEARCH_CAP = 16
 DEFAULT_PHI_CAP = 9
@@ -100,42 +99,26 @@ def _search_order(t: trees.FunctionalTree) -> list[int]:
         if v != t.root:
             kids[t.g[v]].append(v)
     order = [t.root]
-    queue = [t.root]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for c in kids[v]:
-                order.append(c)
-                nxt.append(c)
-        queue = nxt
+    for v in order:
+        order.extend(kids[v])
     return order
 
 
-def find_beta(
-    t: trees.FunctionalTree,
-    mode: str = "first",
-    cap: int = DEFAULT_SEARCH_CAP,
-    seed: int | None = None,
-) -> Labeling | list[Labeling] | None:
-    """Backtracking search over label assignments.
+def _search(
+    t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
+) -> list[tuple[int, ...]]:
+    """Backtracking search over label assignments; raw sigma tuples.
 
     Vertices are labeled root-first; a non-root vertex's label is forced by
     its parent's label and the chosen edge label (parent - e on the even
     partition, parent + e on the odd one), so pruning on used vertex labels
-    and used edge labels is immediate. Edge labels are tried largest-first.
-
-    mode="first" returns one Labeling (or None if the space is exhausted,
-    which would falsify the search, not the existence theorem).
-    mode="all" returns every labeling, sorted by sigma.
+    and used edge labels is immediate. Edge labels are tried largest-first,
+    root labels in ascending order; rng shuffles both. Returns the first
+    labeling found when first is set, else every labeling in search order.
     """
-    if mode not in ("first", "all"):
-        raise MalformedInput(f"unknown mode {mode!r}")
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the search cap {cap}")
     n = t.n
     order = _search_order(t)
     sign = [t.sign(v) for v in range(n)]
-    rng = random.Random(seed) if seed is not None else None
 
     label = [-1] * n
     used_label = [False] * n
@@ -146,7 +129,7 @@ def find_beta(
     def extend(i: int) -> bool:
         if i == n:
             found.append(tuple(label))
-            return mode == "first"
+            return first
         u = order[i]
         parent_label = label[t.g[u]]
         candidates = [e for e in range(n - 1, 0, -1) if not used_edge[e]]
@@ -166,43 +149,59 @@ def find_beta(
         rng.shuffle(root_labels)
     for rl in root_labels:
         label[t.root], used_label[rl] = rl, True
-        if extend(1) and mode == "first":
+        if extend(1) and first:
             break
         label[t.root], used_label[rl] = -1, False
+    # extend refers to itself through its closure; break that cycle so found
+    # is freed on return rather than at the next full garbage collection.
+    extend = None
+    return found
 
+
+def find_beta(
+    t: trees.FunctionalTree,
+    mode: str = "first",
+    cap: int = DEFAULT_SEARCH_CAP,
+    seed: int | None = None,
+) -> Labeling | list[Labeling] | None:
+    """Beta-labelings by the backtracking search, each checked by verify_beta.
+
+    mode="first" returns one Labeling (or None if the space is exhausted,
+    which would falsify the search, not the existence theorem).
+    mode="all" returns every labeling, sorted by sigma.
+    """
+    if mode not in ("first", "all"):
+        raise MalformedInput(f"unknown mode {mode!r}")
+    if t.n > cap:
+        raise ResourceLimit(f"n = {t.n} exceeds the search cap {cap}")
+    rng = random.Random(seed) if seed is not None else None
+    found = _search(t, mode == "first", rng)
+    labelings = [verify_beta(t, sigma) for sigma in sorted(found)]
+    assert all(isinstance(lab, Labeling) for lab in labelings)
     if mode == "first":
-        if not found:
-            return None
-        result = verify_beta(t, found[0])
-        assert isinstance(result, Labeling)
-        return result
-    labelings = []
-    for sigma in sorted(found):
-        result = verify_beta(t, sigma)
-        assert isinstance(result, Labeling)
-        labelings.append(result)
+        return labelings[0] if labelings else None
     return labelings
 
 
 def phi_set(t: trees.FunctionalTree, cap: int = DEFAULT_PHI_CAP) -> list[tuple[int, ...]]:
-    """All permutations passing verify_beta, by exhaustive lexicographic scan."""
+    """Phi, every beta-labeling sigma in lexicographic order, by the search.
+
+    Each member is re-checked independently: it must be a permutation whose
+    n signed labels set all n bits of a bitmask over Z_n.
+    """
     if t.n > cap:
         raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {cap}")
     n, g = t.n, t.g
     sign = [t.sign(v) for v in range(n)]
-    out = []
-    for p in itertools.permutations(range(n)):
+    out = sorted(_search(t, first=False))
+    for p in out:
         seen = 0
         for v in range(n):
             lbl = sign[v] * (p[g[v]] - p[v])
-            if lbl < 0 or lbl >= n:
-                break
-            bit = 1 << lbl
-            if seen & bit:
-                break
-            seen |= bit
-        else:
-            out.append(p)
+            if 0 <= lbl < n:
+                seen |= 1 << lbl
+        if seen != (1 << n) - 1 or not perms.is_perm(p):
+            raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
     return out
 
 

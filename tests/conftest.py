@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 from treedecomp import trees
 
@@ -51,3 +51,24 @@ def prufer_codes(n: int) -> frozenset[bytes]:
 @lru_cache(maxsize=None)
 def catalog(n: int) -> tuple[trees.TreeCatalogEntry, ...]:
     return tuple(trees.enumerate_free_trees(n))
+
+
+@lru_cache(maxsize=None)
+def phi_by_scan(t: trees.FunctionalTree) -> tuple[tuple[int, ...], ...]:
+    """Phi by testing all n! permutations in lexicographic order."""
+    n, g = t.n, t.g
+    sign = [t.sign(v) for v in range(n)]
+    out = []
+    for p in permutations(range(n)):
+        seen = 0
+        for v in range(n):
+            lbl = sign[v] * (p[g[v]] - p[v])
+            if lbl < 0 or lbl >= n:
+                break
+            bit = 1 << lbl
+            if seen & bit:
+                break
+            seen |= bit
+        else:
+            out.append(p)
+    return tuple(out)

@@ -180,6 +180,14 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["order"] == 3
 
+    @pytest.mark.parametrize(
+        "perm", ["[0, 0, 0, 0]", "[1, 0, 2, 3]", "[0, 1, 2]", "[0, 1.0, 2, 3]", '{"a": 1}']
+    )
+    def test_closure_rejects_non_permutation(self, capsys, perm):
+        # closure never terminates on a non-permutation, so the CLI must refuse it
+        code, out, err = run(capsys, "group", "closure", "--perm", perm)
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestApportion:
     def test_single_tree(self, capsys):
@@ -212,6 +220,7 @@ class TestCampaign:
         assert len(records) == 8
         mag = [r["checks"]["magnitude"] for r in records if r["n"] == 4]
         assert {m["expected"] for m in mag} == {str(6 * 24 * 240 * 4320)}
+        assert all(r["search_ms"] >= 0 for r in records)
 
     def test_empty_checks(self, capsys):
         code, out, _ = run(capsys, "campaign", "run", "--config", '{"checks": [], "n": 2}')

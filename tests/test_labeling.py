@@ -1,5 +1,7 @@
+import gc
+
 import pytest
-from conftest import catalog
+from conftest import catalog, phi_by_scan
 
 from treedecomp import (
     BetaFailure,
@@ -104,11 +106,27 @@ class TestFindBeta:
         with pytest.raises(MalformedInput):
             find_beta(from_parent_map(1, [0]), mode="some")
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_all_mode_matches_exhaustive_phi(self, n):
         for entry in catalog(n):
             sigmas = [lab.sigma for lab in find_beta(entry.tree, "all")]
-            assert sigmas == phi_set(entry.tree)
+            assert sigmas == list(phi_by_scan(entry.tree))
+
+    def test_search_leaves_no_garbage(self):
+        # the recursive search must not leave a reference cycle holding its
+        # result list until the next full collection
+        t = from_parent_map(6, [0, 0, 0, 1, 1, 2])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for call in (lambda: find_beta(t, "first"), lambda: find_beta(t, "all"),
+                         lambda: phi_set(t)):
+                assert call()
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_invariant_under_conjugation(self, n):
@@ -138,6 +156,15 @@ class TestPhiSet:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             phi_set(from_parent_map(10, [0] * 10))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_scan_oracle(self, n):
+        for entry in catalog(n):
+            assert phi_set(entry.tree) == list(phi_by_scan(entry.tree))
+
+    def test_star_at_cap(self):
+        # a star's root must carry label 0; its 8 leaves take 1..8 in any order
+        assert len(phi_set(from_parent_map(9, [0] * 9))) == 40320
 
 
 class TestGraceful:
