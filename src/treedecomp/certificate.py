@@ -284,33 +284,30 @@ def squaring_chain_ends_constant(t: trees.FunctionalTree) -> bool:
     return cur.is_constant()
 
 
-def check_composition_implication(n: int, cap: int = 6) -> list[ChainReport]:
-    """Chain mechanics for every catalog tree on n vertices.
+def chain_report(t: trees.FunctionalTree) -> ChainReport:
+    """Chain mechanics for one tree.
 
-    Along each collapse chain, Phi nonempty at the collapsed tree must imply
+    Along the collapse chain, Phi nonempty at the collapsed tree must imply
     Phi nonempty one step earlier; the squaring chain must end constant.
     """
+    chain, transitions = collapse_chain(t)
+    nonempty = tuple(lb.find_beta(tree, "first") is not None for tree in chain)
+    return ChainReport(
+        code=trees.canonical_code(t),
+        transitions=transitions,
+        phi_nonempty=nonempty,
+        implications_ok=all(
+            nonempty[i] or not nonempty[i + 1] for i in range(len(nonempty) - 1)
+        ),
+        squaring_ok=squaring_chain_ends_constant(t),
+    )
+
+
+def check_composition_implication(n: int, cap: int = 6) -> list[ChainReport]:
+    """chain_report for every catalog tree on n vertices."""
     if n > cap:
         raise ResourceLimit(f"n = {n} exceeds the chain cap {cap}")
-    reports = []
-    for entry in trees.enumerate_free_trees(n):
-        chain, transitions = collapse_chain(entry.tree)
-        nonempty = tuple(
-            lb.find_beta(tree, "first") is not None for tree in chain
-        )
-        implications_ok = all(
-            nonempty[i] or not nonempty[i + 1] for i in range(len(nonempty) - 1)
-        )
-        reports.append(
-            ChainReport(
-                code=entry.canonical_code,
-                transitions=transitions,
-                phi_nonempty=nonempty,
-                implications_ok=implications_ok,
-                squaring_ok=squaring_chain_ends_constant(entry.tree),
-            )
-        )
-    return reports
+    return [chain_report(entry.tree) for entry in trees.enumerate_free_trees(n)]
 
 
 @dataclass(frozen=True)

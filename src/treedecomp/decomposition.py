@@ -1,8 +1,11 @@
 """Cyclic decompositions of directed K_{n,n}, K_{2nx+1}, and K_{nx,nx}.
 
-Constructions place the labeled tree by modular shifts; verify_partition is
-the independent ground truth (exact cover of the host edge set plus a
-per-copy shape check), and every constructor runs it before returning.
+One builder serves all three hosts: it takes the beta-labeled tree as a base
+copy of (even-depth label, odd-depth label) pairs and develops it by cyclic
+shifts mod m; the hosts differ only in m and in where a shifted pair lands.
+verify_partition is the independent ground truth (exact cover of the host
+edge set plus a per-copy shape check); the builder runs it before returning
+and raises VerificationFailed, with the report's witness, on failure.
 """
 
 from __future__ import annotations
@@ -56,21 +59,7 @@ def unorient(o: OrientedBipartiteTree) -> trees.FunctionalTree:
             continue
         adj[x].append(y - n)
         adj[y - n].append(x)
-    g = [0] * n
-    g[root] = root
-    seen = [False] * n
-    seen[root] = True
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    g[u] = v
-                    nxt.append(u)
-        queue = nxt
-    return trees.from_parent_map(n, g)
+    return trees.from_parent_map(n, trees.bfs(adj, root)[1])
 
 
 @dataclass(frozen=True)
@@ -124,6 +113,53 @@ def _bipartite_tree_edges(labeled: trees.FunctionalTree) -> list[tuple[int, int]
     return sorted(pairs)
 
 
+def _build(
+    t: trees.FunctionalTree, lab: Labeling | Sequence[int], host: Host
+) -> Decomposition:
+    """Develop one base copy of the labeled tree by cyclic shifts mod m.
+
+    The base copy is the labeled tree's edge list as (even-depth label,
+    odd-depth label) pairs, plus the loop-derived pair (r, r) on directed
+    K_{n,n}. Copy (k, i) moves a pair (a, b) to (a+i, b+kn+i) mod m, with n
+    = host.n, and places it in the host: as (u, m+v) on the bipartite hosts
+    (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max) on K_{2nx+1} (m =
+    2nx+1). The result is checked by verify_partition before it is returned.
+    """
+    if host.kind != "knn" and t.n < 2:
+        raise MalformedInput("tree must have at least one edge")
+    if host.x < 1:
+        raise MalformedInput(f"x must be positive, got {host.x}")
+    lab = _as_labeling(t, lab)
+    labeled = trees.conjugate(t, lab.sigma)
+    pairs = _bipartite_tree_edges(labeled)
+    if host.kind == "knn":
+        m = host.n
+        pairs.append((labeled.root, labeled.root))
+    elif host.kind == "knxnx":
+        m = host.n * host.x
+    else:
+        m = 2 * host.n * host.x + 1
+    copies = []
+    shifts = []
+    for k in range(host.x):
+        stretched = [(a, b + k * host.n) for a, b in pairs]
+        for i in range(m):
+            moved = [((a + i) % m, (b + i) % m) for a, b in stretched]
+            if host.kind == "k2n1":
+                copy = [(u, v) if u < v else (v, u) for u, v in moved]
+            else:
+                copy = [(u, m + v) for u, v in moved]
+            copies.append(tuple(sorted(copy)))
+            shifts.append((k, i))
+    d = Decomposition(
+        host=host, copies=tuple(copies), tree=t, sigma=lab.sigma, shifts=tuple(shifts)
+    )
+    report = verify_partition(d)
+    if not report.ok:
+        raise VerificationFailed(f"{report.problem}; witness {report.witness}")
+    return d
+
+
 def decompose_directed_knn(
     t: trees.FunctionalTree, lab: Labeling | Sequence[int]
 ) -> Decomposition:
@@ -132,29 +168,7 @@ def decompose_directed_knn(
     Copy i sends (x, n+y) to ((x+i) mod n, n + (y-n+i) mod n); the frames of
     one full rotation cover Z_n x {n..2n-1} exactly once.
     """
-    lab = _as_labeling(t, lab)
-    n = t.n
-    oriented = orient(trees.conjugate(t, lab.sigma))
-    copies = []
-    for i in range(n):
-        copies.append(
-            tuple(
-                sorted(
-                    ((x + i) % n, n + (y - n + i) % n) for x, y in oriented.edges
-                )
-            )
-        )
-    d = Decomposition(
-        host=Host("knn", n, 1),
-        copies=tuple(copies),
-        tree=t,
-        sigma=lab.sigma,
-        shifts=tuple((0, i) for i in range(n)),
-    )
-    report = verify_partition(d)
-    if not report.ok:
-        raise VerificationFailed(report.problem)
-    return d
+    return _build(t, lab, Host("knn", t.n, 1))
 
 
 def decompose_k2n1(
@@ -166,36 +180,7 @@ def decompose_k2n1(
     label b at b+kn+i, mod 2nx+1. The stretch k spreads the edge differences
     over 1..nx, and the rotation i walks each difference class around Z_m.
     """
-    if t.n < 2:
-        raise MalformedInput("tree must have at least one edge")
-    if x < 1:
-        raise MalformedInput(f"x must be positive, got {x}")
-    lab = _as_labeling(t, lab)
-    n_edges = t.n - 1
-    m = 2 * n_edges * x + 1
-    pairs = _bipartite_tree_edges(trees.conjugate(t, lab.sigma))
-    copies = []
-    shifts = []
-    for k in range(x):
-        for i in range(m):
-            copy = []
-            for a, b in pairs:
-                u = (a + i) % m
-                v = (b + k * n_edges + i) % m
-                copy.append((min(u, v), max(u, v)))
-            copies.append(tuple(sorted(copy)))
-            shifts.append((k, i))
-    d = Decomposition(
-        host=Host("k2n1", n_edges, x),
-        copies=tuple(copies),
-        tree=t,
-        sigma=lab.sigma,
-        shifts=tuple(shifts),
-    )
-    report = verify_partition(d)
-    if not report.ok:
-        raise VerificationFailed(report.problem)
-    return d
+    return _build(t, lab, Host("k2n1", t.n - 1, x))
 
 
 def decompose_knxnx(
@@ -206,38 +191,7 @@ def decompose_knxnx(
     Copy (k, s) places an even-partition label a on the left at a+s and an
     odd-partition label b on the right at b+kn+s, mod nx.
     """
-    if t.n < 2:
-        raise MalformedInput("tree must have at least one edge")
-    if x < 1:
-        raise MalformedInput(f"x must be positive, got {x}")
-    lab = _as_labeling(t, lab)
-    n_edges = t.n - 1
-    side = n_edges * x
-    pairs = _bipartite_tree_edges(trees.conjugate(t, lab.sigma))
-    copies = []
-    shifts = []
-    for k in range(x):
-        for s in range(side):
-            copies.append(
-                tuple(
-                    sorted(
-                        ((a + s) % side, side + (b + k * n_edges + s) % side)
-                        for a, b in pairs
-                    )
-                )
-            )
-            shifts.append((k, s))
-    d = Decomposition(
-        host=Host("knxnx", n_edges, x),
-        copies=tuple(copies),
-        tree=t,
-        sigma=lab.sigma,
-        shifts=tuple(shifts),
-    )
-    report = verify_partition(d)
-    if not report.ok:
-        raise VerificationFailed(report.problem)
-    return d
+    return _build(t, lab, Host("knxnx", t.n - 1, x))
 
 
 @dataclass(frozen=True)
@@ -261,16 +215,7 @@ def _copy_is_tree_of_shape(
     for a, b in relabeled:
         adj[a].append(b)
         adj[b].append(a)
-    seen = [False] * len(verts)
-    seen[0] = True
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    if not all(seen):
+    if len(trees.bfs(adj, 0)[0]) != len(verts):
         return "copy is disconnected"
     code = trees.canonical_code_of_edges(len(verts), relabeled)
     if code != expected_code:

@@ -94,14 +94,7 @@ def verify_beta(
 
 def _search_order(t: trees.FunctionalTree) -> list[int]:
     """Root-first BFS ordering, children in ascending vertex order."""
-    kids: list[list[int]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        if v != t.root:
-            kids[t.g[v]].append(v)
-    order = [t.root]
-    for v in order:
-        order.extend(kids[v])
-    return order
+    return trees.bfs(t.adjacency(), t.root)[0]
 
 
 def _search(

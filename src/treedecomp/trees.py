@@ -65,15 +65,34 @@ class FunctionalTree:
         )
 
 
+def bfs(adj: Sequence[Sequence[int]], src: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from src, neighbours in adjacency-list order.
+
+    Also returns each vertex's BFS parent: parent[src] = src, and -1 for the
+    vertices src does not reach (which are absent from the order).
+    """
+    parent = [-1] * len(adj)
+    parent[src] = src
+    order = [src]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
 def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
     """Validate a parent map and compute its root and depth arrays."""
+    if type(n) is not int:
+        raise MalformedInput(f"vertex count must be an int, got {n!r}")
     if n < 1:
         raise MalformedInput(f"vertex count must be positive, got {n}")
     g = tuple(g)
     if len(g) != n:
         raise MalformedInput(f"parent map has length {len(g)}, expected {n}")
-    if any(not (0 <= gv < n) for gv in g):
-        raise MalformedInput(f"parent map entries must lie in Z_{n}: {list(g)}")
+    if any(type(gv) is not int or not (0 <= gv < n) for gv in g):
+        raise MalformedInput(f"parent map entries must be ints in Z_{n}: {list(g)}")
 
     image = set(range(n))
     for _ in range(n - 1):
@@ -89,14 +108,8 @@ def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
         if v != root:
             children[g[v]].append(v)
     depth = [0] * n
-    queue = [root]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for c in children[v]:
-                depth[c] = depth[v] + 1
-                nxt.append(c)
-        queue = nxt
+    for v in bfs(children, root)[0][1:]:
+        depth[v] = depth[g[v]] + 1
     return FunctionalTree(n=n, g=g, root=root, depth=tuple(depth))
 
 
@@ -106,22 +119,7 @@ def reroot(t: FunctionalTree, r: int) -> FunctionalTree:
         raise MalformedInput(f"root {r} not in Z_{t.n}")
     if r == t.root:
         return t
-    adj = t.adjacency()
-    g = [0] * t.n
-    g[r] = r
-    seen = [False] * t.n
-    seen[r] = True
-    queue = [r]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    g[u] = v
-                    nxt.append(u)
-        queue = nxt
-    return from_parent_map(t.n, g)
+    return from_parent_map(t.n, bfs(t.adjacency(), r)[1])
 
 
 def conjugate(t: FunctionalTree, sigma: Sequence[int]) -> FunctionalTree:
@@ -199,17 +197,10 @@ def normalize_for_collapse(t: FunctionalTree) -> FunctionalTree:
 
     adj = t.adjacency()
     ell = min(v for v in range(t.n) if len(adj[v]) == 1)
-    dist = [-1] * t.n
-    dist[ell] = 0
-    queue = [ell]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for u in adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        queue = nxt
+    order, parent = bfs(adj, ell)
+    dist = [0] * t.n
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     even = [v for v in range(t.n) if v != ell and dist[v] % 2 == 0]
     internal = [v for v in even if len(adj[v]) >= 2]
     r = min(internal) if internal else min(even)
@@ -254,22 +245,9 @@ def _centroids(adj: list[list[int]]) -> list[int]:
     if n == 1:
         return [0]
     size = [1] * n
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
+    order, parent = bfs(adj, 0)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
     best = n
     cents: list[int] = []
     for v in range(n):
@@ -365,10 +343,9 @@ def tree_to_json(t: FunctionalTree) -> str:
 def tree_from_json(text: str) -> FunctionalTree:
     try:
         obj = json.loads(text)
-        n, g = obj["n"], obj["g"]
+        return from_parent_map(obj["n"], obj["g"])
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise MalformedInput(f"bad tree JSON: {exc}") from exc
-    return from_parent_map(n, g)
 
 
 def tree_to_dot(t: FunctionalTree) -> str:

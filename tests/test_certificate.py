@@ -20,6 +20,7 @@ from treedecomp import (
 )
 from treedecomp import perms
 from treedecomp.certificate import (
+    chain_report,
     collapse_chain,
     lattice_points,
     squaring_chain_ends_constant,
@@ -226,6 +227,16 @@ class TestComposition:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             check_composition_implication(7)
+
+    def test_chain_report_keeps_catalog_code(self):
+        # The catalog's codes and the per-tree report's recomputed ones agree.
+        for n in range(1, 7):
+            codes = [r.code for r in check_composition_implication(n)]
+            assert codes == [entry.canonical_code for entry in catalog(n)]
+
+    def test_chain_report_above_the_chain_cap(self):
+        rep = chain_report(from_parent_map(8, [0, 0, 1, 2, 3, 4, 5, 6]))
+        assert rep.ok and rep.transitions > 0
 
 
 class TestMonomialSupport:

@@ -10,7 +10,9 @@ from treedecomp import (
     from_parent_map,
     tree_from_json,
 )
+from treedecomp import decomposition
 from treedecomp.cli import (
+    _campaign_record,
     export_object,
     labeling_from_json,
     labeling_to_json,
@@ -95,15 +97,36 @@ class TestLabel:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "tree",
+        ['{"n": "4", "g": [0, 0, 0, 0]}', '{"n": 4, "g": [0, 0.5, 0, 0]}', '{"n": 4, "g": 5}'],
+    )
+    def test_non_integer_tree_exit_two(self, capsys, tree):
+        code, _, err = run(capsys, "label", "find", "--tree", tree)
+        assert code == 2
+        assert "error" in err
+
 
 class TestDecompose:
     def test_knn_json(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "decompose", "--tree", FIGURE, "--target", "knn", "--verify"
         )
         assert code == 0
         d = decomposition_from_json(out)
         assert len(d.copies) == 4
+        assert json.loads(err) == {"ok": True, "copies": 4}
+
+    def test_verify_runs_partition_check_once(self, capsys, monkeypatch):
+        calls = []
+        real = decomposition.verify_partition
+        monkeypatch.setattr(
+            decomposition, "verify_partition", lambda d: calls.append(d) or real(d)
+        )
+        code, _, _ = run(
+            capsys, "decompose", "--tree", TREE4, "--target", "k2n1", "--verify"
+        )
+        assert code == 0 and len(calls) == 1
 
     def test_k2n1_dot_frames(self, capsys):
         code, out, _ = run(
@@ -250,6 +273,14 @@ class TestCampaign:
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "campaign", "run", "--config", '{"checks": ["nope"]}')
         assert code == 2
+
+    def test_record_above_search_cap_is_skipped(self):
+        # A 17-vertex path is over find_beta's cap; the record still comes back.
+        record = _campaign_record((17, [0] + list(range(16)), "00", ["beta", "knn"], [1]))
+        assert record["labeling"] is None
+        for result in record["checks"].values():
+            assert result["pass"] is None and result["skipped"]
+            assert "cap" in result["reason"]
 
     def test_skipped_checks_recorded(self):
         # invariance needs a sibling-leaf pair; the 3-path has none

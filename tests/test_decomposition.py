@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from treedecomp import (
     Decomposition,
     Host,
     MalformedInput,
+    VerificationFailed,
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
@@ -141,6 +143,17 @@ class TestKnxnx:
 
 
 class TestVerifyPartition:
+    def test_builder_failure_carries_witness(self, monkeypatch):
+        real = host_edges
+        monkeypatch.setattr(
+            "treedecomp.decomposition.host_edges",
+            lambda host: real(host) | {(0, 99)},
+        )
+        with pytest.raises(VerificationFailed) as exc:
+            decompose_k2n1(from_parent_map(2, [0, 0]), (0, 1), 1)
+        assert "do not tile" in str(exc.value)
+        assert "(0, 99)" in str(exc.value)
+
     def test_duplicate_edge_detected(self):
         t = from_parent_map(2, [0, 0])
         good = decompose_k2n1(t, (0, 1), 1)
@@ -240,3 +253,32 @@ class TestSerialization:
     def test_unknown_host(self):
         with pytest.raises(MalformedInput):
             host_edges(Host("mystery", 2, 1))
+
+
+def _catalog_decomposition_digest() -> str:
+    """SHA-256 over decomposition_to_json for every catalog tree, n <= 7:
+    knn, then k2n1 and knxnx at x = 1 and x = 2, one line each."""
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for entry in catalog(n):
+            t = entry.tree
+            lab = find_beta(t, "first")
+            ds = [decompose_directed_knn(t, lab)]
+            if n >= 2:
+                ds += [
+                    build(t, lab, x)
+                    for x in (1, 2)
+                    for build in (decompose_k2n1, decompose_knxnx)
+                ]
+            for d in ds:
+                h.update(decomposition_to_json(d).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    # Pins which copies come back, in which order and with which shifts;
+    # the validity tests alone would not notice a reordering.
+    def test_catalog_decompositions(self):
+        assert _catalog_decomposition_digest() == (
+            "d3c52a68ead870aa269fe3bb1ae16ab382800c5b1ebc9f33d40acb845b3d6c95"
+        )

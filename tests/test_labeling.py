@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 
 import pytest
 from conftest import catalog, phi_by_scan
@@ -235,3 +237,21 @@ class TestBipartitionConsistency:
             for lab in find_beta(entry.tree, "all")[:50]:
                 h_tree = from_parent_map(n, lab.h)
                 assert h_tree.depth[0] % 2 == 0
+
+
+def _first_sigma_digest() -> str:
+    """SHA-256 over the find_beta(t, "first") sigmas of the n <= 9 catalog."""
+    h = hashlib.sha256()
+    for n in range(1, 10):
+        for entry in catalog(n):
+            h.update(json.dumps(list(find_beta(entry.tree, "first").sigma)).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    # Pinned so that a change of search order, not only of validity, shows.
+    def test_first_sigmas(self):
+        assert _first_sigma_digest() == (
+            "e54b3daf9d8b770be9a3978a2e7b607183077046561ac91501cf9fed7b04dfcd"
+        )

@@ -49,6 +49,32 @@ class TestFromParentMap:
         with pytest.raises(MalformedInput):
             from_parent_map(0, [])
 
+    @pytest.mark.parametrize(
+        "n,g", [("4", [0, 0, 0, 0]), (4, [0, 0.5, 0, 0]), (4.0, [0, 0, 0, 0]),
+                (True, [0]), (2, [0, False])],
+    )
+    def test_non_integer_rejected(self, n, g):
+        with pytest.raises(MalformedInput):
+            from_parent_map(n, g)
+
+
+class TestBfs:
+    def test_order_and_parents(self):
+        adj = [[1, 2], [0, 3], [0], [1], []]
+        order, parent = trees.bfs(adj, 0)
+        assert order == [0, 1, 2, 3]
+        assert parent == [0, 0, 0, 1, -1]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_parents_are_the_tree_rooted_at_src(self, n):
+        for entry in catalog(n):
+            for r in range(n):
+                order, parent = trees.bfs(entry.tree.adjacency(), r)
+                t = from_parent_map(n, parent)
+                assert t.root == r
+                assert t.undirected_edges() == entry.tree.undirected_edges()
+                assert [t.depth[v] for v in order] == sorted(t.depth)
+
 
 class TestReroot:
     def test_bfs_recompute(self):
