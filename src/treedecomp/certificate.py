@@ -29,7 +29,7 @@ def eval_certificate(t: trees.FunctionalTree, f: Sequence[int]) -> int:
     """Exact integer value of the certificate at the lattice point f."""
     n = t.n
     f = tuple(f)
-    if len(f) != n or any(not (0 <= v < n) for v in f):
+    if len(f) != n or any(type(v) is not int or not (0 <= v < n) for v in f):
         raise MalformedInput(f"lattice point must be a length-{n} map into Z_{n}")
 
     vertex_factor = 1

@@ -52,10 +52,12 @@ def labeling_to_json(lab: lb.Labeling) -> str:
 def sigma_from_json(text: str) -> tuple[int, ...]:
     try:
         obj = json.loads(text)
-        sigma = obj["sigma"] if isinstance(obj, dict) else obj
-        return tuple(int(v) for v in sigma)
-    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+        sigma = tuple(obj["sigma"] if isinstance(obj, dict) else obj)
+    except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise MalformedInput(f"bad labeling JSON: {exc}") from exc
+    if any(type(v) is not int for v in sigma):
+        raise MalformedInput(f"labeling entries must be ints: {list(sigma)}")
+    return sigma
 
 
 def labeling_from_json(text: str, t: trees.FunctionalTree) -> lb.Labeling:
@@ -201,14 +203,23 @@ def _span(value, default_lo: int = 1) -> list[int]:
 
 def run_campaign(config: dict, out_path: str | None = None, workers: int | None = None):
     """Run the configured checks over the tree catalog; append JSONL records."""
+    if not isinstance(config, dict):
+        raise MalformedInput(f"campaign config must be a JSON object, got {config!r}")
     checks = config.get("checks", [])
+    if not isinstance(checks, list):
+        raise MalformedInput(f"checks must be a list of names, got {checks!r}")
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise MalformedInput(f"unknown checks: {unknown}")
     n_values = _span(config.get("n", [1, 6]))
     x_values = _span(config.get("x", [1, 1]))
-    workers = workers if workers is not None else int(config.get("workers", 1))
+    workers = workers if workers is not None else config.get("workers", 1)
+    if type(workers) is not int:
+        raise MalformedInput(f"workers must be an int, got {workers!r}")
     out_path = out_path if out_path is not None else config.get("out")
+    if out_path is not None and not isinstance(out_path, str):
+        # open() would take an int (or bool) as a file descriptor
+        raise MalformedInput(f"out must be a path, got {out_path!r}")
 
     tasks = []
     for n in n_values:

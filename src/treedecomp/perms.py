@@ -5,6 +5,7 @@ A permutation of Z_n is a tuple p of length n with p[i] = image of i.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidPermutation
@@ -30,7 +31,9 @@ def identity(n: int) -> tuple[int, ...]:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """(p . q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    if len(q) < 2:  # itemgetter returns a bare item for one index, fails on none
+        return tuple([p[i] for i in q])
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Sequence[int]) -> tuple[int, ...]:

@@ -224,19 +224,17 @@ class TreeCatalogEntry:
     index: int
 
 
-def _rooted_level_sequence(adj: list[list[int]], root: int) -> list[int]:
+def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
     """Canonical preorder depth sequence; children sorted descending."""
-
-    def walk(v: int, parent: int, d: int) -> list[int]:
-        subs = sorted(
-            (walk(u, v, d + 1) for u in adj[v] if u != parent), reverse=True
-        )
-        out = [d]
-        for s in subs:
-            out.extend(s)
-        return out
-
-    return walk(root, -1, 0)
+    order, parent = bfs(adj, root)
+    depth = [0] * len(adj)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    subs: list[list[bytes]] = [[] for _ in adj]
+    for v in reversed(order):  # children before parents; the root comes last
+        code = bytes((depth[v],)) + b"".join(sorted(subs[v], reverse=True))
+        subs[parent[v]].append(code)
+    return code
 
 
 def _centroids(adj: list[list[int]]) -> list[int]:
@@ -268,7 +266,7 @@ def canonical_code(t: FunctionalTree) -> bytes:
     For bicentroidal trees, the lexicographically smaller of the two rootings.
     """
     adj = t.adjacency()
-    return min(bytes(_rooted_level_sequence(adj, c)) for c in _centroids(adj))
+    return min(_rooted_level_sequence(adj, c) for c in _centroids(adj))
 
 
 def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
@@ -280,7 +278,7 @@ def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
         adj[a].append(b)
         adj[b].append(a)
     cents = _centroids(adj)
-    return min(bytes(_rooted_level_sequence(adj, c)) for c in cents)
+    return min(_rooted_level_sequence(adj, c) for c in cents)
 
 
 def tree_from_level_sequence(seq: Sequence[int]) -> FunctionalTree:
@@ -322,7 +320,7 @@ def enumerate_free_trees(
         for graph in nx.nonisomorphic_trees(n):
             adj: list[list[int]] = [sorted(graph.neighbors(v)) for v in range(n)]
             cents = _centroids(adj)
-            codes.append(min(bytes(_rooted_level_sequence(adj, c)) for c in cents))
+            codes.append(min(_rooted_level_sequence(adj, c) for c in cents))
         codes.sort()
         assert len(set(codes)) == len(codes), "duplicate isomorphism class"
     for index, code in enumerate(codes):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Sequence
 
-from treedecomp import trees
+import numpy as np
+
+from treedecomp import apportionment, trees
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -72,3 +75,27 @@ def phi_by_scan(t: trees.FunctionalTree) -> tuple[tuple[int, ...], ...]:
         else:
             out.append(p)
     return tuple(out)
+
+
+def rooted_level_sequence_by_recursion(adj: list[list[int]], root: int) -> list[int]:
+    """Canonical preorder depth sequence, children sorted descending, by
+    recursion over lists of depths."""
+
+    def walk(v: int, parent: int, d: int) -> list[int]:
+        subs = sorted((walk(u, v, d + 1) for u in adj[v] if u != parent), reverse=True)
+        out = [d]
+        for sub in subs:
+            out.extend(sub)
+        return out
+
+    return walk(root, -1, 0)
+
+
+def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
+    """The n^2 x n^2 matrix Q (I (x) A) Q*, Q = U (I (x) P), by dense products."""
+    n = t.n
+    eye = np.eye(n, dtype=complex)
+    q = apportionment.build_block_unitary(n) @ np.kron(
+        eye, apportionment.permutation_matrix(sigma)
+    )
+    return q @ np.kron(eye, apportionment.biadjacency(t)) @ q.conj().T

@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
-from conftest import catalog
+from conftest import apportion_dense, catalog
 
 from treedecomp import (
+    InvalidPermutation,
+    Labeling,
     biadjacency,
     build_block_unitary,
     check_allones_identity,
@@ -12,8 +16,9 @@ from treedecomp import (
     verify_beta,
 )
 from treedecomp.apportionment import (
+    _modulus_table,
+    _relabeled_adjacency,
     circulant,
-    permutation_matrix,
     unitarity_residual,
 )
 
@@ -106,14 +111,10 @@ class TestApportionment:
     def test_unitary_similarity_preserves_spectrum(self, n):
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            a = biadjacency(entry.tree)
-            p = permutation_matrix(lab.sigma)
-            u = build_block_unitary(n)
-            eye = np.eye(n, dtype=complex)
-            q = u @ np.kron(eye, p)
-            m = q @ np.kron(eye, a) @ q.conj().T
+            m = apportion_dense(entry.tree, lab.sigma)
+            kron = np.kron(np.eye(n), biadjacency(entry.tree))
             got = np.sort_complex(np.linalg.eigvals(m))
-            want = np.sort_complex(np.linalg.eigvals(np.kron(eye, a)))
+            want = np.sort_complex(np.linalg.eigvals(kron))
             assert np.abs(got - want).max() <= 1e-7
 
     def test_frobenius_norm_of_kron(self):
@@ -123,3 +124,74 @@ class TestApportionment:
                 a = biadjacency(entry.tree)
                 kron = np.kron(np.eye(n), a)
                 assert abs(np.linalg.norm(kron) ** 2 - n * n) <= 1e-9
+
+    @pytest.mark.parametrize("sigma", [[0, 0, 0, 0], [0, 1, 2], [0, 1, 2, 4], [3, 2, 1, 0, 4]])
+    def test_rejects_non_permutation(self, sigma):
+        with pytest.raises(InvalidPermutation):
+            check_apportionment(FIGURE_TREE, sigma)
+
+
+def _non_beta_sigmas(t, count, rng):
+    """Up to count distinct permutations of Z_n that are not beta-labelings."""
+    found: list[tuple[int, ...]] = []
+    for _ in range(50 * count):
+        sigma = tuple(rng.sample(range(t.n), t.n))
+        if sigma not in found and not isinstance(verify_beta(t, sigma), Labeling):
+            found.append(sigma)
+            if len(found) == count:
+                break
+    return found
+
+
+def _dense_report(t, sigma, tol=1e-9):
+    """(ok, kappa_max_error, frobenius_modulus, |m|, unitary) by dense products."""
+    n = t.n
+    mod = np.abs(apportion_dense(t, sigma))
+    unitary = unitarity_residual(build_block_unitary(n))
+    err = float(np.abs(mod - 1.0 / n).max())
+    frob = float(np.sqrt(np.square(mod).sum())) / (n * n)
+    return err <= tol and unitary <= tol, err, frob, mod, unitary
+
+
+class TestFftModuli:
+    """The FFT table of calA's diagonals against the dense n^2 x n^2 oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_matches_dense_oracle(self, n):
+        rng = random.Random(4000 + n)
+        i = np.arange(n)
+        f = (i[None, :] - i[:, None]) % n  # f[i, k] = k - i mod n
+        non_beta = 0
+        for entry in catalog(n):
+            t = entry.tree
+            sigmas = [find_beta(t, "first").sigma] + _non_beta_sigmas(t, 3, rng)
+            non_beta += len(sigmas) - 1
+            for sigma in sigmas:
+                table = _modulus_table(_relabeled_adjacency(t, sigma))
+                # dense[i, a, k, b] = |entry (i*n+a, k*n+b)|
+                dense = np.abs(apportion_dense(t, sigma)).reshape(n, n, n, n)
+                want = table[:, :, f].transpose(2, 0, 3, 1)
+                assert np.abs(dense - want).max() <= 1e-12
+        if n >= 4:
+            assert non_beta == 3 * len(catalog(n))
+
+    def test_report_matches_dense_route(self):
+        rng = random.Random(12)
+        non_beta = failed = 0
+        for n in range(1, 13):
+            for entry in catalog(n)[-4:]:  # path-like end; near-stars search slowly
+                t = entry.tree
+                extra = _non_beta_sigmas(t, 1, rng)
+                non_beta += len(extra)
+                for sigma in [find_beta(t, "first").sigma] + extra:
+                    rep = check_apportionment(t, sigma)
+                    ok, err, frob, mod, unitary = _dense_report(t, sigma)
+                    assert rep.ok == ok
+                    assert abs(rep.kappa_max_error - err) <= 1e-12
+                    assert abs(rep.frobenius_modulus - frob) <= 1e-12
+                    assert rep.unitary_residual == unitary
+                    # the witness is a real worst entry of the dense matrix
+                    assert abs(abs(mod[rep.worst_entry] - 1.0 / n) - err) <= 1e-12
+                    failed += not ok
+        # a non-beta sigma with distinct edge differences mod n still passes
+        assert non_beta >= 30 and failed >= 10

@@ -80,6 +80,14 @@ class TestLabel:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "sigma", ["[0, 1, 2, 3.5]", '{"sigma": [0, 3, 2, true]}', '[0, 3, 2, "1"]', '"0321"']
+    )
+    def test_non_integer_sigma_exit_two(self, capsys, sigma):
+        code, out, err = run(capsys, "label", "verify", "--tree", TREE4, "--sigma", sigma)
+        assert code == 2 and out == ""
+        assert err.startswith("error") and err.count("\n") == 1
+
     def test_phi(self, capsys):
         code, out, _ = run(capsys, "label", "phi", "--tree", TREE4)
         assert code == 0
@@ -152,6 +160,14 @@ class TestCertificate:
             "--point", "[0,1]",
         )
         assert code == 0 and json.loads(out)["value"] == "2"
+
+    @pytest.mark.parametrize("point", ["[0.5, 1, 2, 3]", "[0, 1, 2, true]", '[0, 1, 2, "3"]'])
+    def test_eval_non_integer_point_exit_two(self, capsys, point):
+        code, out, err = run(
+            capsys, "certificate", "eval", "--tree", TREE4, "--point", point
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error") and err.count("\n") == 1
 
     def test_magnitude(self, capsys):
         code, out, _ = run(capsys, "certificate", "magnitude", "--tree", TREE4)
@@ -273,6 +289,15 @@ class TestCampaign:
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "campaign", "run", "--config", '{"checks": ["nope"]}')
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        ["[1]", "[]", '{"workers": "x"}', '{"workers": 1.5}', '{"checks": 5}', '{"out": 2.5}'],
+    )
+    def test_bad_config_exit_two(self, capsys, config):
+        code, out, err = run(capsys, "campaign", "run", "--config", config)
+        assert code == 2 and out == ""
+        assert err.startswith("error") and err.count("\n") == 1
 
     def test_record_above_search_cap_is_skipped(self):
         # A 17-vertex path is over find_beta's cap; the record still comes back.

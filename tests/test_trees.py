@@ -1,5 +1,8 @@
+import hashlib
+import random
+
 import pytest
-from conftest import catalog, prufer_codes
+from conftest import catalog, prufer_codes, rooted_level_sequence_by_recursion
 
 from treedecomp import (
     InvalidPermutation,
@@ -212,6 +215,24 @@ class TestEnumeration:
         assert first == second == sorted(first)
         assert [e.index for e in catalog(7)] == list(range(len(first)))
 
+    def test_catalog_codes_golden(self):
+        # Pins the canonical codes byte for byte, n <= 13 (2,288 trees).
+        h = hashlib.sha256()
+        for n in range(1, 14):
+            for entry in trees.enumerate_free_trees(n):
+                h.update(entry.canonical_code + b"\n")
+        assert h.hexdigest() == (
+            "3590de2cc62e861a30fc81a58259de15f7b00871e1fe7a632ac85288694a7bb7"
+        )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_level_sequence_matches_recursion_at_every_root(self, n):
+        for entry in catalog(n):
+            adj = entry.tree.adjacency()
+            for root in range(n):
+                want = bytes(rooted_level_sequence_by_recursion(adj, root))
+                assert trees._rooted_level_sequence(adj, root) == want
+
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             list(trees.enumerate_free_trees(19))
@@ -263,6 +284,15 @@ class TestPerms:
         p = (2, 0, 1)
         assert perms.compose(p, perms.inverse(p)) == (0, 1, 2)
         assert perms.transposition(0, 2, 3) == (2, 1, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 2304])
+    def test_compose_matches_definition(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            p = tuple(rng.sample(range(n), n))
+            q = tuple(rng.sample(range(n), n))
+            assert perms.compose(p, q) == tuple(p[q[i]] for i in range(n))
+            assert perms.compose(list(p), list(q)) == perms.compose(p, q)
 
     def test_check_perm(self):
         with pytest.raises(InvalidPermutation):
