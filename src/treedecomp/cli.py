@@ -30,6 +30,8 @@ from .errors import (
 )
 
 USAGE_ERROR_TYPES = (
+    json.JSONDecodeError,
+    OSError,
     MalformedInput,
     NotAFunctionalTree,
     InvalidPermutation,
@@ -61,10 +63,7 @@ def sigma_from_json(text: str) -> tuple[int, ...]:
 
 
 def labeling_from_json(text: str, t: trees.FunctionalTree) -> lb.Labeling:
-    result = lb.verify_beta(t, sigma_from_json(text))
-    if not isinstance(result, lb.Labeling):
-        raise MalformedInput("sigma in JSON is not a beta-labeling of the tree")
-    return result
+    return decomposition._as_labeling(t, sigma_from_json(text))
 
 
 def labeling_to_dot(lab: lb.Labeling) -> str:
@@ -285,7 +284,9 @@ def _tree_arg(value: str) -> trees.FunctionalTree:
 
 def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling | None:
     """The --sigma labeling when given, else the first one the search finds."""
-    return labeling_from_json(value, t) if value else lb.find_beta(t, "first")
+    if value:
+        return labeling_from_json(_read_arg_text(value), t)
+    return lb.find_beta(t, "first")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -420,7 +421,7 @@ def _cmd_label(args) -> int:
         _emit(labeling_to_json(lab), args.out)
         return 0
     if args.subcommand == "verify":
-        result = lb.verify_beta(t, sigma_from_json(args.sigma))
+        result = lb.verify_beta(t, sigma_from_json(_read_arg_text(args.sigma)))
         if isinstance(result, lb.Labeling):
             _emit(
                 json.dumps(
@@ -629,29 +630,23 @@ def _cmd_campaign(args) -> int:
     return 0 if summary["all_pass"] else 1
 
 
+COMMANDS = {
+    "trees": _cmd_trees,
+    "label": _cmd_label,
+    "decompose": _cmd_decompose,
+    "certificate": _cmd_certificate,
+    "group": _cmd_group,
+    "apportion": _cmd_apportion,
+    "campaign": _cmd_campaign,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "trees":
-            return _cmd_trees(args)
-        if args.command == "label":
-            return _cmd_label(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "certificate":
-            return _cmd_certificate(args)
-        if args.command == "group":
-            return _cmd_group(args)
-        if args.command == "apportion":
-            return _cmd_apportion(args)
-        if args.command == "campaign":
-            return _cmd_campaign(args)
-        parser.error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except USAGE_ERROR_TYPES as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationFailed as exc:
@@ -660,7 +655,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TreeDecompError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -102,25 +102,14 @@ def _as_labeling(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> Labe
     return result
 
 
-def _bipartite_tree_edges(labeled: trees.FunctionalTree) -> list[tuple[int, int]]:
-    """Non-loop edges of the labeled tree as (even-depth label, odd-depth label)."""
-    pairs = []
-    for v in range(labeled.n):
-        if v == labeled.root:
-            continue
-        p = labeled.g[v]
-        pairs.append((v, p) if labeled.depth[v] % 2 == 0 else (p, v))
-    return sorted(pairs)
-
-
 def _build(
     t: trees.FunctionalTree, lab: Labeling | Sequence[int], host: Host
 ) -> Decomposition:
     """Develop one base copy of the labeled tree by cyclic shifts mod m.
 
-    The base copy is the labeled tree's edge list as (even-depth label,
-    odd-depth label) pairs, plus the loop-derived pair (r, r) on directed
-    K_{n,n}. Copy (k, i) moves a pair (a, b) to (a+i, b+kn+i) mod m, with n
+    The base copy is the labeled tree's orientation read as (even-depth
+    label, odd-depth label) pairs; only directed K_{n,n} keeps the
+    loop-derived pair (r, r). Copy (k, i) moves a pair (a, b) to (a+i, b+kn+i) mod m, with n
     = host.n, and places it in the host: as (u, m+v) on the bipartite hosts
     (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max) on K_{2nx+1} (m =
     2nx+1). The result is checked by verify_partition before it is returned.
@@ -130,11 +119,14 @@ def _build(
     if host.x < 1:
         raise MalformedInput(f"x must be positive, got {host.x}")
     lab = _as_labeling(t, lab)
-    labeled = trees.conjugate(t, lab.sigma)
-    pairs = _bipartite_tree_edges(labeled)
+    o = orient(trees.conjugate(t, lab.sigma))
+    pairs = [
+        (a, b - t.n)
+        for a, b in o.edges
+        if host.kind == "knn" or (a, b) != o.root_edge
+    ]
     if host.kind == "knn":
         m = host.n
-        pairs.append((labeled.root, labeled.root))
     elif host.kind == "knxnx":
         m = host.n * host.x
     else:
@@ -227,12 +219,10 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     """Exact cover of the host edge set by copies of the source shape."""
     if d.host.kind == "knn":
         # Copies carry the loop-derived edge, so the reference shape is the
-        # oriented bipartite tree (the source tree plus a pendant at the root).
-        oriented = orient(trees.conjugate(d.tree, d.sigma))
-        verts = sorted({v for e in oriented.edges for v in e})
-        index = {v: i for i, v in enumerate(verts)}
+        # source tree plus a pendant at the root.
+        t = d.tree
         expected_code = trees.canonical_code_of_edges(
-            len(verts), [(index[a], index[b]) for a, b in oriented.edges]
+            t.n + 1, sorted(t.undirected_edges()) + [(t.root, t.n)]
         )
     else:
         expected_code = trees.canonical_code(d.tree)

@@ -161,15 +161,16 @@ def find_beta(
 
     mode="first" returns one Labeling (or None if the space is exhausted,
     which would falsify the search, not the existence theorem).
-    mode="all" returns every labeling, sorted by sigma.
+    mode="all" returns every labeling, sorted by sigma: phi_set, under its
+    own (smaller) cap as well, since Phi grows like n! on stars.
     """
     if mode not in ("first", "all"):
         raise MalformedInput(f"unknown mode {mode!r}")
     if t.n > cap:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {cap}")
     rng = random.Random(seed) if seed is not None else None
-    found = _search(t, mode == "first", rng)
-    labelings = [verify_beta(t, sigma) for sigma in sorted(found)]
+    sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)
+    labelings = [verify_beta(t, sigma) for sigma in sigmas]
     assert all(isinstance(lab, Labeling) for lab in labelings)
     if mode == "first":
         return labelings[0] if labelings else None

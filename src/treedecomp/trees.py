@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import networkx as nx
-
 from . import perms
 from .errors import (
     MalformedInput,
@@ -22,6 +20,9 @@ from .errors import (
 )
 
 DEFAULT_ENUMERATION_CAP = 18
+# Level-sequence codes take one byte per depth below 255 and 0xff plus four
+# bytes above, so they stay prefix-decodable and ordered like the depths.
+_DEPTH_BYTES = [bytes((d,)) for d in range(255)]
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,9 @@ def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
         depth[v] = depth[parent[v]] + 1
     subs: list[list[bytes]] = [[] for _ in adj]
     for v in reversed(order):  # children before parents; the root comes last
-        code = bytes((depth[v],)) + b"".join(sorted(subs[v], reverse=True))
+        d = depth[v]
+        head = _DEPTH_BYTES[d] if d < 255 else b"\xff" + d.to_bytes(4, "big")
+        code = head + b"".join(sorted(subs[v], reverse=True))
         subs[parent[v]].append(code)
     return code
 
@@ -265,8 +268,7 @@ def canonical_code(t: FunctionalTree) -> bytes:
 
     For bicentroidal trees, the lexicographically smaller of the two rootings.
     """
-    adj = t.adjacency()
-    return min(_rooted_level_sequence(adj, c) for c in _centroids(adj))
+    return canonical_code_of_edges(t.n, sorted(t.undirected_edges()))
 
 
 def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
@@ -277,8 +279,7 @@ def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    cents = _centroids(adj)
-    return min(_rooted_level_sequence(adj, c) for c in cents)
+    return min(_rooted_level_sequence(adj, c) for c in _centroids(adj))
 
 
 def tree_from_level_sequence(seq: Sequence[int]) -> FunctionalTree:
@@ -298,6 +299,20 @@ def tree_from_level_sequence(seq: Sequence[int]) -> FunctionalTree:
     return from_parent_map(n, g)
 
 
+def _rooted_level_sequences(n: int) -> Iterator[bytes]:
+    """Every rooted tree on n vertices once, as its canonical level sequence,
+    from the path down to the star by Beyer & Hedetniemi's successor
+    ("Constant time generation of rooted trees", SIAM J. Comput. 1980)."""
+    code = bytes(range(n))
+    while True:
+        yield code
+        p = len(code.rstrip(b"\x01")) - 1  # the last vertex deeper than 1
+        if p == 0:
+            return
+        q = code.rindex(code[p] - 1, 0, p)  # the parent of p
+        code = code[:p] + (code[q:p] * n)[: n - p]  # repeat q's subtree
+
+
 def enumerate_free_trees(
     n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[TreeCatalogEntry]:
@@ -311,18 +326,17 @@ def enumerate_free_trees(
         raise MalformedInput(f"vertex count must be positive, got {n}")
     if n > cap:
         raise ResourceLimit(f"n = {n} exceeds the enumeration cap {cap}")
-    if n == 1:
-        codes = [bytes([0])]
-    elif n == 2:
-        codes = [bytes([0, 1])]
-    else:
-        codes = []
-        for graph in nx.nonisomorphic_trees(n):
-            adj: list[list[int]] = [sorted(graph.neighbors(v)) for v in range(n)]
-            cents = _centroids(adj)
-            codes.append(min(_rooted_level_sequence(adj, c) for c in cents))
-        codes.sort()
-        assert len(set(codes)) == len(codes), "duplicate isomorphism class"
+    codes = []
+    for code in _rooted_level_sequences(n):
+        # Keep it if its root is a centroid: no root subtree (each starts at
+        # a 1) exceeds n/2; at exactly n/2 the other centroid may code lower.
+        big = 1 + max(map(len, code.split(b"\x01")[1:]), default=-1)
+        if 2 * big < n or (
+            2 * big == n and canonical_code(tree_from_level_sequence(code)) == code
+        ):
+            codes.append(code)
+    codes.sort()
+    assert len(set(codes)) == len(codes), "duplicate isomorphism class"
     for index, code in enumerate(codes):
         yield TreeCatalogEntry(
             tree=tree_from_level_sequence(code), canonical_code=code, index=index

@@ -88,6 +88,20 @@ class TestLabel:
         assert code == 2 and out == ""
         assert err.startswith("error") and err.count("\n") == 1
 
+    def test_verify_sigma_from_file(self, capsys, tmp_path):
+        path = tmp_path / "sigma.json"
+        path.write_text('{"sigma": [0, 3, 2, 1]}')
+        code, out, _ = run(
+            capsys, "label", "verify", "--tree", TREE4, "--sigma", str(path)
+        )
+        assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_find_all_above_phi_cap_exit_two(self, capsys):
+        star = json.dumps({"n": 10, "g": [0] * 10})
+        code, out, err = run(capsys, "label", "find", "--tree", star, "--all")
+        assert code == 2 and out == ""
+        assert "cap" in err
+
     def test_phi(self, capsys):
         code, out, _ = run(capsys, "label", "phi", "--tree", TREE4)
         assert code == 0
@@ -124,6 +138,22 @@ class TestDecompose:
         d = decomposition_from_json(out)
         assert len(d.copies) == 4
         assert json.loads(err) == {"ok": True, "copies": 4}
+
+    def test_sigma_from_file(self, capsys, tmp_path):
+        path = tmp_path / "sigma.json"
+        path.write_text("[0, 3, 2, 1]")
+        code, out, _ = run(
+            capsys, "decompose", "--tree", TREE4, "--target", "knn", "--sigma", str(path)
+        )
+        assert code == 0
+        assert decomposition_from_json(out).sigma == (0, 3, 2, 1)
+
+    def test_missing_sigma_file_exit_two(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "decompose", "--tree", TREE4, "--target", "knn",
+            "--sigma", str(tmp_path / "absent.json"),
+        )
+        assert code == 2 and "no such file" in err
 
     def test_verify_runs_partition_check_once(self, capsys, monkeypatch):
         calls = []

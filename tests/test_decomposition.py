@@ -89,6 +89,14 @@ class TestDirectedKnn:
         with pytest.raises(MalformedInput):
             decompose_directed_knn(from_parent_map(3, [0, 0, 1]), (0, 1, 2))
 
+    def test_long_path_past_one_byte_depths(self):
+        # the reference shape's centroid-rooted depth reaches 300
+        n = 600
+        path = from_parent_map(n, [0] + list(range(n - 1)))
+        snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+        d = decompose_directed_knn(path, snake)
+        assert len(d.copies) == n and verify_partition(d).ok
+
 
 class TestK2n1:
     def test_two_edge_path_covers_k5(self):

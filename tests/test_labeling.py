@@ -104,6 +104,13 @@ class TestFindBeta:
         with pytest.raises(ResourceLimit):
             find_beta(from_parent_map(17, [0] * 17))
 
+    def test_all_mode_keeps_the_phi_cap(self):
+        # Phi of the 10-vertex star has 9! members; "all" fails closed on it
+        star = from_parent_map(10, [0] * 10)
+        with pytest.raises(ResourceLimit):
+            find_beta(star, "all")
+        assert isinstance(find_beta(star, "first"), Labeling)
+
     def test_bad_mode(self):
         with pytest.raises(MalformedInput):
             find_beta(from_parent_map(1, [0]), mode="some")

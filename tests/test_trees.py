@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import catalog, prufer_codes, rooted_level_sequence_by_recursion
@@ -23,7 +26,11 @@ from treedecomp import (
 from treedecomp import perms, trees
 from treedecomp.certificate import collapse_chain
 
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+FREE_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+    11: 235, 12: 551, 13: 1301, 14: 3159,
+}  # OEIS A000055
+ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]  # A000081
 
 
 class TestFromParentMap:
@@ -225,6 +232,37 @@ class TestEnumeration:
             "3590de2cc62e861a30fc81a58259de15f7b00871e1fe7a632ac85288694a7bb7"
         )
 
+    def test_catalog_codes_golden_n14(self):
+        # Pins the 3,159 codes at n = 14, as the networkx-backed catalog
+        # produced them, byte for byte and in order.
+        h = hashlib.sha256()
+        for entry in trees.enumerate_free_trees(14):
+            h.update(entry.canonical_code + b"\n")
+        assert h.hexdigest() == (
+            "a9b9f6b3cf32583c126b6977c11006cc5af231679da3df7e2e18a59866aa8e1f"
+        )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rooted_generator_counts(self, n):
+        seqs = list(trees._rooted_level_sequences(n))
+        assert len(seqs) == len(set(seqs)) == ROOTED_TREE_COUNTS[n - 1]
+        assert seqs[0] == bytes(range(n)) and seqs == sorted(seqs, reverse=True)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rooted_generator_yields_canonical_sequences(self, n):
+        for seq in trees._rooted_level_sequences(n):
+            adj = trees.tree_from_level_sequence(seq).adjacency()
+            assert trees._rooted_level_sequence(adj, 0) == seq
+
+    def test_import_does_not_load_networkx(self):
+        src = os.path.dirname(os.path.dirname(trees.__file__))
+        probe = "import sys, treedecomp; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_level_sequence_matches_recursion_at_every_root(self, n):
         for entry in catalog(n):
@@ -238,6 +276,36 @@ class TestEnumeration:
             list(trees.enumerate_free_trees(19))
         with pytest.raises(ResourceLimit):
             list(trees.enumerate_free_trees(5, cap=4))
+
+
+class TestDeepTrees:
+    """Centroid-rooted depths of 255 and more take a 5-byte escape."""
+
+    N = 600
+    PATH = from_parent_map(N, [0] + list(range(N - 1)))
+    # legs of 299, 299 and 1 vertices on one centre
+    SPIDER = from_parent_map(
+        N, [0, 0] + list(range(1, 299)) + [0] + list(range(300, 598)) + [0]
+    )
+
+    def test_path_code_is_relabeling_invariant(self):
+        code = canonical_code(self.PATH)
+        rng = random.Random(600)
+        for _ in range(3):
+            sigma = list(range(self.N))
+            rng.shuffle(sigma)
+            assert canonical_code(conjugate(self.PATH, sigma)) == code
+
+    def test_path_and_spider_codes_differ(self):
+        assert max(self.SPIDER.depth) == 299
+        assert canonical_code(self.PATH) != canonical_code(self.SPIDER)
+
+    def test_escape_layout(self):
+        adj = self.PATH.adjacency()
+        code = trees._rooted_level_sequence(adj, 0)
+        assert code[:255] == bytes(range(255))
+        assert code[255:265] == b"\xff\x00\x00\x00\xff\xff\x00\x00\x01\x00"
+        assert len(code) == 255 + 5 * (self.N - 255)
 
 
 class TestInvariants:
