@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -342,6 +343,35 @@ class TestCampaign:
         summary, records = run_campaign({"checks": ["invariance"], "n": 2})
         assert summary["skipped"] == 1
         assert records[0]["checks"]["invariance"]["pass"] is None
+
+
+ALL_CHECKS = [
+    "beta", "graceful", "phi", "knn", "k2n1", "knxnx",
+    "magnitude", "nonzero", "invariance", "composition", "allones", "apportion",
+]
+
+
+def _record_digest(records) -> str:
+    """SHA-256 over the campaign records with their timings dropped."""
+    lines = []
+    for r in records:
+        r = {k: v for k, v in r.items() if k != "search_ms"}
+        r["checks"] = {
+            name: {k: v for k, v in res.items() if k != "runtime_ms"}
+            for name, res in r["checks"].items()
+        }
+        lines.append(json.dumps(r))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGoldenRecords:
+    # Pinned so that a change to any check's record, not only to its pass, shows.
+    def test_all_checks_n_up_to_seven(self):
+        summary, records = run_campaign({"checks": ALL_CHECKS, "n": [1, 7], "x": [1, 2]})
+        assert summary["records"] == 25 and summary["skipped"] == 23
+        assert _record_digest(records) == (
+            "265474b7197d08028eab346b4c243384e963309a52e77ee1a6dd12327d7f0aad"
+        )
 
 
 class TestExportRoundTrip:
