@@ -1,13 +1,15 @@
 """Command-line interface and batch campaign driver.
 
-Exit codes: 0 all checks passed, 1 a verification failed or a labeling was
-not found, 2 usage or input error.
+Exit codes: 0 all checks passed; 1 a verification failed (no labeling found
+included) or a reduction diverged; 2 any other treedecomp error, bad JSON or
+an unreadable file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -16,29 +18,14 @@ from typing import Sequence
 
 from . import __version__, apportionment, certificate, decomposition, groupaction
 from . import labeling as lb
-from . import perms, trees
+from . import trees
 from .errors import (
-    InvalidPermutation,
     MalformedInput,
-    NotAFunctionalTree,
-    NotBijective,
-    PreconditionViolated,
+    ReductionDiverged,
     ResourceLimit,
     TreeDecompError,
     UnsupportedFormat,
     VerificationFailed,
-)
-
-USAGE_ERROR_TYPES = (
-    json.JSONDecodeError,
-    OSError,
-    MalformedInput,
-    NotAFunctionalTree,
-    InvalidPermutation,
-    PreconditionViolated,
-    ResourceLimit,
-    UnsupportedFormat,
-    NotBijective,
 )
 
 
@@ -94,78 +81,83 @@ def export_object(obj, fmt: str) -> str:
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = (
-    "beta",
-    "graceful",
-    "phi",
-    "knn",
-    "k2n1",
-    "knxnx",
-    "magnitude",
-    "nonzero",
-    "invariance",
-    "composition",
-    "allones",
-    "apportion",
-)
+def _knn(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    decomposition.decompose_directed_knn(t, lab)
+    return {}
 
 
-def _run_check(
-    name: str,
-    t: trees.FunctionalTree,
-    lab: lb.Labeling | None,
-    xs: Sequence[int],
-):
-    start = time.perf_counter()
-    result: dict = {"pass": True, "residual": None}
+def _for_each_x(build):
+    """A check that builds one decomposition per campaign x."""
+
+    def check(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+        if t.n < 2:
+            raise ResourceLimit("tree has no edges")
+        for x in xs:
+            build(t, lab, x)
+        return {}
+
+    return check
+
+
+def _magnitude(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    rep = certificate.certificate_magnitude_check(t)
+    return {"pass": rep.ok, "expected": str(rep.expected)}
+
+
+def _invariance(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    if not trees.sibling_leaf_pairs(t):
+        raise ResourceLimit("no sibling-leaf pair")
+    return {"pass": certificate.check_transposition_invariance(t).ok}
+
+
+def _composition(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    rep = certificate.chain_report(t)
+    return {"pass": rep.ok, "transitions": rep.transitions}
+
+
+def _allones(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    rep = apportionment.check_allones_identity(t, lab)
+    return {"pass": rep.ok, "residual": rep.max_deviation}
+
+
+def _apportion(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    rep = apportionment.check_apportionment(t, lab)
+    return {"pass": rep.ok, "residual": rep.kappa_max_error}
+
+
+# Each check maps (tree, its labeling, the campaign's xs) to the record fields
+# that differ from {"pass": True, "residual": None}. A check runs only on a
+# labeling the search found, so "beta" passes by being reached.
+CHECKS = {
+    "beta": lambda t, lab, xs: {},
+    "graceful": lambda t, lab, xs: {"pass": lb.verify_graceful(t, lab.sigma).ok},
+    "phi": lambda t, lab, xs: {"phi_size": len(lb.phi_set(t))},
+    "knn": _knn,
+    "k2n1": _for_each_x(decomposition.decompose_k2n1),
+    "knxnx": _for_each_x(decomposition.decompose_knxnx),
+    "magnitude": _magnitude,
+    "nonzero": lambda t, lab, xs: {"pass": certificate.nonvanishing_by_sweep(t)},
+    "invariance": _invariance,
+    "composition": _composition,
+    "allones": _allones,
+    "apportion": _apportion,
+}
+
+
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, the record entry of what it raised)."""
     try:
-        if name == "beta":
-            result["pass"] = lab is not None
-        elif name == "graceful":
-            result["pass"] = lab is not None and lb.verify_graceful(t, lab.sigma).ok
-        elif name == "phi":
-            result["phi_size"] = len(lb.phi_set(t))
-        elif name == "knn":
-            decomposition.decompose_directed_knn(t, lab)
-        elif name in ("k2n1", "knxnx"):
-            if t.n < 2:
-                raise ResourceLimit("tree has no edges")
-            build = (
-                decomposition.decompose_k2n1
-                if name == "k2n1"
-                else decomposition.decompose_knxnx
-            )
-            for x in xs:
-                build(t, lab, x)
-        elif name == "magnitude":
-            rep = certificate.certificate_magnitude_check(t)
-            result["pass"] = rep.ok
-            result["expected"] = str(rep.expected)
-        elif name == "nonzero":
-            result["pass"] = certificate.nonvanishing_by_sweep(t)
-        elif name == "invariance":
-            if not trees.sibling_leaf_pairs(t):
-                raise ResourceLimit("no sibling-leaf pair")
-            result["pass"] = certificate.check_transposition_invariance(t).ok
-        elif name == "composition":
-            rep = certificate.chain_report(t)
-            result["pass"] = rep.ok
-            result["transitions"] = rep.transitions
-        elif name == "allones":
-            rep = apportionment.check_allones_identity(t, lab)
-            result["pass"] = rep.ok
-            result["residual"] = rep.max_deviation
-        elif name == "apportion":
-            rep = apportionment.check_apportionment(t, lab)
-            result["pass"] = rep.ok
-            result["residual"] = rep.kappa_max_error
-        else:
-            raise MalformedInput(f"unknown check {name!r}")
+        return fn(*args), None
     except VerificationFailed as exc:
-        result["pass"] = False
-        result["detail"] = str(exc)
+        return None, {"pass": False, "residual": None, "detail": str(exc)}
     except ResourceLimit as exc:
-        result = {"pass": None, "skipped": True, "reason": str(exc)}
+        return None, {"pass": None, "skipped": True, "reason": str(exc)}
+
+
+def _run_check(name: str, t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]):
+    start = time.perf_counter()
+    fields, failed = _attempt(CHECKS[name], t, lab, xs)
+    result = failed or {"pass": True, "residual": None, **fields}
     result["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return result
 
@@ -174,25 +166,23 @@ def _campaign_record(task) -> dict:
     n, g, code_hex, checks, xs = task
     t = trees.from_parent_map(n, g)
     start = time.perf_counter()
-    try:
-        lab, skip = lb.find_beta(t, "first"), None
-    except ResourceLimit as exc:
-        # Above the search cap every check is recorded as skipped.
-        lab, skip = None, {"pass": None, "skipped": True, "reason": str(exc)}
+    # Without a labeling (above the search cap, or none found) every check
+    # records the search's outcome.
+    lab, failed = _attempt(_labeling_arg, None, t)
     return {
         "tree_code": code_hex,
         "n": n,
         "labeling": list(lab.sigma) if lab is not None else None,
         "search_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "checks": {
-            name: dict(skip, runtime_ms=0.0) if skip else _run_check(name, t, lab, xs)
+            name: dict(failed, runtime_ms=0.0) if failed else _run_check(name, t, lab, xs)
             for name in checks
         },
         "toolchain_version": __version__,
     }
 
 
-def _span(value, default_lo: int = 1) -> list[int]:
+def _span(value) -> list[int]:
     if isinstance(value, int):
         return [value]
     if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value):
@@ -207,7 +197,7 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise MalformedInput(f"checks must be a list of names, got {checks!r}")
-    unknown = [c for c in checks if c not in CHECK_NAMES]
+    unknown = [c for c in checks if not (isinstance(c, str) and c in CHECKS)]
     if unknown:
         raise MalformedInput(f"unknown checks: {unknown}")
     n_values = _span(config.get("n", [1, 6]))
@@ -282,11 +272,14 @@ def _tree_arg(value: str) -> trees.FunctionalTree:
     return trees.tree_from_json(_read_arg_text(value))
 
 
-def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling | None:
+def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling:
     """The --sigma labeling when given, else the first one the search finds."""
     if value:
         return labeling_from_json(_read_arg_text(value), t)
-    return lb.find_beta(t, "first")
+    lab = lb.find_beta(t, "first")
+    if lab is None:
+        raise VerificationFailed("no beta-labeling found")
+    return lab
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -295,6 +288,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+DECOMPOSERS = {
+    "knn": lambda t, lab, x: decomposition.decompose_directed_knn(t, lab),
+    "k2n1": decomposition.decompose_k2n1,
+    "knxnx": decomposition.decompose_knxnx,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="build and verify a decomposition")
     p_dec.add_argument("--tree", required=True)
-    p_dec.add_argument("--target", choices=("knn", "k2n1", "knxnx"), required=True)
+    p_dec.add_argument("--target", choices=tuple(DECOMPOSERS), required=True)
     p_dec.add_argument("--x", type=int, default=1)
     p_dec.add_argument("--sigma", help="labeling JSON; searched when omitted")
     p_dec.add_argument("--verify", action="store_true", help="print the partition report")
@@ -422,46 +422,23 @@ def _cmd_label(args) -> int:
         return 0
     if args.subcommand == "verify":
         result = lb.verify_beta(t, sigma_from_json(_read_arg_text(args.sigma)))
-        if isinstance(result, lb.Labeling):
-            _emit(
-                json.dumps(
-                    {"ok": True, "signed_labels": list(result.signed_labels)}
-                ),
-                None,
-            )
-            return 0
-        _emit(
-            json.dumps(
-                {
-                    "ok": False,
-                    "signed_labels": list(result.signed_labels),
-                    "duplicated": list(result.duplicated),
-                    "out_of_range": list(result.out_of_range),
-                    "offending": [list(p) for p in result.offending],
-                }
-            ),
-            None,
-        )
-        return 1
+        ok = isinstance(result, lb.Labeling)
+        fields = {"ok": ok, "signed_labels": list(result.signed_labels)}
+        if not ok:
+            fields["duplicated"] = list(result.duplicated)
+            fields["out_of_range"] = list(result.out_of_range)
+            fields["offending"] = [list(p) for p in result.offending]
+        _emit(json.dumps(fields), None)
+        return 0 if ok else 1
     if args.subcommand == "phi":
         phis = lb.phi_set(t)
         _emit(json.dumps({"count": len(phis), "phi": [list(p) for p in phis]}), args.out)
         return 0
-    raise MalformedInput(f"unknown label subcommand {args.subcommand!r}")
 
 
 def _cmd_decompose(args) -> int:
     t = _tree_arg(args.tree)
-    lab = _labeling_arg(args.sigma, t)
-    if lab is None:
-        _emit(json.dumps({"found": False}), None)
-        return 1
-    if args.target == "knn":
-        d = decomposition.decompose_directed_knn(t, lab)
-    elif args.target == "k2n1":
-        d = decomposition.decompose_k2n1(t, lab, args.x)
-    else:
-        d = decomposition.decompose_knxnx(t, lab, args.x)
+    d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
     _emit(export_object(d, args.format), args.out)
     if args.verify:
         # The constructor has run verify_partition and raises when it fails.
@@ -528,7 +505,6 @@ def _cmd_certificate(args) -> int:
             None,
         )
         return 0 if ok else 1
-    raise MalformedInput(f"unknown certificate subcommand {args.subcommand!r}")
 
 
 def _cmd_group(args) -> int:
@@ -551,10 +527,7 @@ def _cmd_group(args) -> int:
         return 0
     if args.subcommand == "from-tree":
         t = _tree_arg(args.tree)
-        lab = _labeling_arg(args.sigma, t)
-        if lab is None:
-            return 1
-        ep = groupaction.sigma_from_labeled_tree(t, lab)
+        ep = groupaction.sigma_from_labeled_tree(t, _labeling_arg(args.sigma, t))
         _emit(json.dumps({"n": ep.n, "sigma": list(ep.sigma)}), None)
         return 0
     if args.subcommand == "closure":
@@ -563,13 +536,9 @@ def _cmd_group(args) -> int:
             sigma = json.loads(_read_arg_text(text))
             if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
                 raise MalformedInput("entry permutation must be a JSON array of ints")
-            side = int(round(len(sigma) ** 0.5))
-            if side * side != len(sigma):
-                raise MalformedInput("entry permutation length must be a square")
-            sigma = perms.check_perm(sigma)
-            if sigma[:1] != (0,):
-                raise MalformedInput("entry permutation must fix 0")
-            gens.append(groupaction.EntryPermutation(n=side, sigma=sigma))
+            # closure rejects a length that is not a square
+            side = math.isqrt(len(sigma))
+            gens.append(groupaction.EntryPermutation(n=side, sigma=tuple(sigma)))
         summary = groupaction.closure(gens)
         _emit(
             json.dumps(
@@ -582,16 +551,12 @@ def _cmd_group(args) -> int:
             None,
         )
         return 0
-    raise MalformedInput(f"unknown group subcommand {args.subcommand!r}")
 
 
 def _cmd_apportion(args) -> int:
     if args.tree:
         t = _tree_arg(args.tree)
-        lab = _labeling_arg(args.sigma, t)
-        if lab is None:
-            return 1
-        rep = apportionment.check_apportionment(t, lab, tol=args.tol)
+        rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
         _emit(
             json.dumps(
                 {
@@ -608,7 +573,7 @@ def _cmd_apportion(args) -> int:
     all_ok = True
     for n in range(1, args.n_max + 1):
         for entry in trees.enumerate_free_trees(n):
-            lab = lb.find_beta(entry.tree, "first")
+            lab = _labeling_arg(None, entry.tree)
             rep = apportionment.check_apportionment(entry.tree, lab, tol=args.tol)
             all_ok = all_ok and rep.ok
             results.append(
@@ -646,15 +611,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except USAGE_ERROR_TYPES as exc:
+    except (VerificationFailed, ReductionDiverged) as exc:
+        kind = "verification failed" if isinstance(exc, VerificationFailed) else "error"
+        sys.stderr.write(f"{kind}: {exc}\n")
+        return 1
+    except (TreeDecompError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except VerificationFailed as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return 1
-    except TreeDecompError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
 
 
 if __name__ == "__main__":

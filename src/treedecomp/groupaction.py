@@ -113,7 +113,10 @@ def closure(
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise MalformedInput("generators must share the same n")
-    gens = [g.sigma for g in generators]
+    # element_order would never return on a map that is not a bijection
+    gens = [perms.check_perm(g.sigma, n * n) for g in generators]
+    if any(g[:1] != (0,) for g in gens):
+        raise MalformedInput("entry permutation must fix 0")
     ident = perms.identity(n * n)
     seen: set[tuple[int, ...]] = {ident}
     frontier = [ident]

@@ -95,21 +95,24 @@ def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
     if any(type(gv) is not int or not (0 <= gv < n) for gv in g):
         raise MalformedInput(f"parent map entries must be ints in Z_{n}: {list(g)}")
 
-    image = set(range(n))
-    for _ in range(n - 1):
-        image = {g[v] for v in image}
-    if len(image) != 1:
-        raise NotAFunctionalTree(
-            f"(n-1)-fold image is {sorted(image)}, expected a single fixed point"
-        )
-    root = image.pop()
+    # One fixed point that every vertex reaches is the same as the (n-1)-fold
+    # image being a single point.
+    fixed = [v for v in range(n) if g[v] == v]
+    if len(fixed) != 1:
+        raise NotAFunctionalTree(f"parent map has fixed points {fixed}, expected one")
+    root = fixed[0]
 
     children: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if v != root:
             children[g[v]].append(v)
+    order = bfs(children, root)[0]
+    if len(order) != n:
+        raise NotAFunctionalTree(
+            f"{n - len(order)} vertices never reach the fixed point {root}"
+        )
     depth = [0] * n
-    for v in bfs(children, root)[0][1:]:
+    for v in order[1:]:
         depth[v] = depth[g[v]] + 1
     return FunctionalTree(n=n, g=g, root=root, depth=tuple(depth))
 

@@ -11,7 +11,7 @@ from treedecomp import (
     from_parent_map,
     tree_from_json,
 )
-from treedecomp import decomposition
+from treedecomp import decomposition, labeling, trees
 from treedecomp.cli import (
     _campaign_record,
     export_object,
@@ -21,7 +21,13 @@ from treedecomp.cli import (
     run_campaign,
     sigma_from_json,
 )
-from treedecomp.errors import MalformedInput, UnsupportedFormat
+from treedecomp.errors import (
+    MalformedInput,
+    ReductionDiverged,
+    TreeDecompError,
+    UnsupportedFormat,
+    VerificationFailed,
+)
 
 TREE4 = '{"n": 4, "g": [0, 0, 1, 1]}'
 FIGURE = '{"n": 4, "g": [0, 3, 3, 0]}'
@@ -321,6 +327,10 @@ class TestCampaign:
         code, _, err = run(capsys, "campaign", "run", "--config", '{"checks": ["nope"]}')
         assert code == 2
 
+    def test_unhashable_check_name_rejected(self, capsys):
+        code, out, err = run(capsys, "campaign", "run", "--config", '{"checks": [[1]]}')
+        assert code == 2 and out == "" and err.startswith("error")
+
     @pytest.mark.parametrize(
         "config",
         ["[1]", "[]", '{"workers": "x"}', '{"workers": 1.5}', '{"checks": 5}', '{"out": 2.5}'],
@@ -404,6 +414,51 @@ class TestExportRoundTrip:
     def test_bad_sigma_json(self):
         with pytest.raises(MalformedInput):
             sigma_from_json("{bad")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error", TreeDecompError.__subclasses__() + [TreeDecompError, OSError]
+    )
+    def test_one_rule_for_every_error(self, capsys, monkeypatch, error):
+        def fail(n):
+            raise error("boom")
+
+        monkeypatch.setattr(trees, "enumerate_free_trees", fail)
+        code, out, err = run(capsys, "trees", "enumerate", "--n", "1")
+        assert code == (1 if error in (VerificationFailed, ReductionDiverged) else 2)
+        assert out == "" and err.endswith("boom\n") and err.count("\n") == 1
+
+    def test_json_decode_error_exit_two(self, capsys):
+        code, out, err = run(capsys, "campaign", "run", "--config", "{")
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+
+class TestNoLabelingFound:
+    # Criterion 01 finds a labeling for every tree up to 10 vertices, so the
+    # search is stubbed to reach this path.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--tree", TREE4, "--target", "knn"],
+            ["group", "from-tree", "--tree", TREE4],
+            ["apportion", "check", "--tree", TREE4],
+            ["apportion", "check", "--n-max", "2"],
+        ],
+    )
+    def test_exit_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(labeling, "find_beta", lambda t, mode: None)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "verification failed: no beta-labeling found\n"
+
+    def test_campaign_records_the_failure(self, monkeypatch):
+        monkeypatch.setattr(labeling, "find_beta", lambda t, mode: None)
+        record = _campaign_record((4, [0, 0, 1, 1], "00", ALL_CHECKS, [1]))
+        assert record["labeling"] is None
+        for result in record["checks"].values():
+            assert result["pass"] is False
+            assert result["detail"] == "no beta-labeling found"
 
 
 class TestVersionFlag:

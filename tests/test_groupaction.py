@@ -3,6 +3,7 @@ from conftest import catalog
 
 from treedecomp import (
     EntryPermutation,
+    InvalidPermutation,
     MalformedInput,
     NotBijective,
     closure,
@@ -102,6 +103,19 @@ class TestClosure:
         b = sigma_from_first_column(3, [0, 3, 6])
         with pytest.raises(MalformedInput):
             closure([a, b])
+
+    @pytest.mark.parametrize(
+        "sigma, error",
+        [
+            ((0, 0, 0, 0), InvalidPermutation),  # its powers never reach the identity
+            ((0, 1, 2), InvalidPermutation),
+            ((0, 1, 2, 3, 4), InvalidPermutation),
+            ((1, 0, 2, 3), MalformedInput),
+        ],
+    )
+    def test_non_permutation_rejected(self, sigma, error):
+        with pytest.raises(error):
+            closure([EntryPermutation(2, sigma)])
 
 
 class TestSigmaFromLabeledTree:

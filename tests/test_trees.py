@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -50,6 +51,24 @@ class TestFromParentMap:
     def test_two_fixed_points_rejected(self):
         with pytest.raises(NotAFunctionalTree):
             from_parent_map(2, [0, 1])
+
+    def test_cycle_beside_the_fixed_point_rejected(self):
+        with pytest.raises(NotAFunctionalTree):
+            from_parent_map(3, [0, 2, 1])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_accepts_exactly_the_maps_with_a_one_point_image(self, n):
+        # the definition: the (n-1)-fold image of Z_n is a single point
+        for g in itertools.product(range(n), repeat=n):
+            image = set(range(n))
+            for _ in range(n - 1):
+                image = {g[v] for v in image}
+            try:
+                t = from_parent_map(n, g)
+            except NotAFunctionalTree:
+                assert len(image) > 1
+            else:
+                assert image == {t.root}
 
     def test_malformed(self):
         with pytest.raises(MalformedInput):
