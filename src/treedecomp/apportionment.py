@@ -2,14 +2,16 @@
 
 The bi-adjacency matrix A of a tree's left-to-right orientation, relabeled
 by a beta-labeling into calA = P A P*, satisfies the circulant identity
-1_{nxn} = sum_j C^j calA C^{-j}. Conjugating I (x) A by the block unitary
+1_{nxn} = sum_j C^j calA C^{-j}. Conjugating I (x) A by the block unitary U
 built from C and the root-of-unity diagonal flattens every entry modulus to
-the apportionment constant 1/n. Those moduli are DFT coefficients of
-calA's diagonals, so the check costs O(n^3 log n), not O(n^6).
+the apportionment constant 1/n. Both identities read calA's diagonals
+j -> calA[a+j, b+j] (their sums and their DFTs), and U's unitarity is its
+n x n DFT factor's, so no n^2 x n^2 matrix is formed: O(n^3 log n), not O(n^6).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import perms, trees
 from .decomposition import orient
+from .errors import MalformedInput
 from .labeling import Labeling
 
 DEFAULT_TOL = 1e-9
@@ -36,42 +39,33 @@ def circulant(n: int) -> np.ndarray:
     return np.roll(np.eye(n, dtype=complex), 1, axis=1)
 
 
-def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
-    """P with P[sigma(i), i] = 1, so P A P* relabels vertex i to sigma(i)."""
-    n = len(sigma)
-    p = np.zeros((n, n), dtype=complex)
-    for i, si in enumerate(sigma):
-        p[si, i] = 1.0
-    return p
-
-
 def build_block_unitary(n: int) -> np.ndarray:
     """n^2 x n^2 block matrix with (i,j)-block C^j diag(w)^i / sqrt(n)."""
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    c = circulant(n)
-    c_pow = [np.eye(n, dtype=complex)]
-    for _ in range(n - 1):
-        c_pow.append(c_pow[-1] @ c)
-    u = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        d = np.diag(w**i)
-        for j in range(n):
-            u[i * n : (i + 1) * n, j * n : (j + 1) * n] = c_pow[j] @ d / np.sqrt(n)
-    return u
+    c_pow = [np.linalg.matrix_power(circulant(n), j) for j in range(n)]
+    return np.block([[c_j @ np.diag(w**i) for c_j in c_pow] for i in range(n)]) / np.sqrt(n)
 
 
 def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
-def _relabeled_adjacency(
-    t: trees.FunctionalTree, sigma: Sequence[int] | None
-) -> np.ndarray:
-    a = biadjacency(t)
-    if sigma is None:
-        return a
-    p = permutation_matrix(sigma)
-    return p @ a @ p.conj().T
+def _relabeled_adjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None) -> np.ndarray:
+    """calA = P A P* with P[sigma(i), i] = 1. Relabeling keeps depth parity,
+    so orienting the relabeled tree gives the relabeled orientation."""
+    return biadjacency(t if sigma is None else trees.conjugate(t, sigma))
+
+
+def _diagonals(cal_a: np.ndarray) -> np.ndarray:
+    """seq[a, b, j] = calA[a+j, b+j] = (C^j calA C^{-j})[a, b], indices mod n."""
+    n = cal_a.shape[0]
+    d = np.arange(n)
+    return cal_a[(d[:, None, None] + d) % n, (d[:, None] + d) % n]
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +82,15 @@ def check_allones_identity(
 ) -> AllOnesReport:
     """1_{nxn} = sum_j C^j calA C^{-j} for the (relabeled) bi-adjacency.
 
-    Pass lab=None to run the check on the raw, unlabeled matrix (it fails
-    whenever the raw orientation's differences collide mod n).
+    Entry (a, b) of the sum totals the diagonal j -> calA[a+j, b+j], exactly
+    on 0/1 entries. lab=None checks the raw, unlabeled matrix (it fails
+    whenever the raw orientation's differences collide mod n). Raises
+    InvalidPermutation unless sigma permutes Z_n, MalformedInput unless
+    0 <= tol < inf.
     """
+    _check_tol(tol)
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
-    cal_a = _relabeled_adjacency(t, sigma)
-    n = t.n
-    c = circulant(n)
-    total = np.zeros((n, n), dtype=complex)
-    c_j = np.eye(n, dtype=complex)
-    for _ in range(n):
-        total += c_j @ cal_a @ c_j.conj().T
-        c_j = c_j @ c
-    dev = np.abs(total - np.ones((n, n)))
+    dev = np.abs(_diagonals(_relabeled_adjacency(t, sigma)).sum(axis=2) - 1)
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
     return AllOnesReport(
         ok=float(dev.max()) <= tol,
@@ -127,10 +117,7 @@ def _modulus_table(cal_a: np.ndarray) -> np.ndarray:
     modulus is 1/n times the f-th DFT coefficient of the diagonal sequence
     j -> calA[a+j, b+j]: n^2 FFTs of length n instead of n^2 x n^2 products.
     """
-    n = cal_a.shape[0]
-    d = np.arange(n)
-    seq = cal_a[(d[:, None, None] + d) % n, (d[:, None] + d) % n]  # [a, b, j]
-    return np.abs(np.fft.fft(seq, axis=2)) / n
+    return np.abs(np.fft.fft(_diagonals(cal_a), axis=2)) / cal_a.shape[0]
 
 
 def check_apportionment(
@@ -143,20 +130,24 @@ def check_apportionment(
     Q (I (x) A) Q* = U (I (x) calA) U*, whose (i,k)-block is
     (1/n) sum_j C^j diag(w)^i calA diag(w)^{-k} C^{-j}: one unit-modulus
     term survives per entry once calA has one edge per difference class.
-    The moduli come from FFTs of calA's diagonals (see _modulus_table);
-    the n^2 x n^2 product is never formed. worst_entry is still a
-    (row, col) index into it: the worst table cell (a, b, f) is reported as
-    (a, f*n + b), the entry with i = 0 and k = f.
+    The moduli come from _modulus_table; worst_entry is still a (row, col)
+    index into Q (I (x) A) Q*: the worst table cell (a, b, f) is reported
+    as (a, f*n + b), the entry with i = 0 and k = f.
 
-    Raises InvalidPermutation unless sigma is a permutation of Z_n.
+    unitary_residual = max |U U* - I| = max |F F*/n - I| for F[d, m] = w^{dm}:
+    the (i, i')-block of U U*, (1/n) sum_j C^j diag(w)^{i-i'} C^{-j}, is
+    (F F*/n)[i, i'] times I. Raises InvalidPermutation unless sigma permutes
+    Z_n, MalformedInput unless 0 <= tol < inf.
     """
+    _check_tol(tol)
     n = t.n
     sigma = perms.check_perm(lab.sigma if isinstance(lab, Labeling) else lab, n)
     table = _modulus_table(_relabeled_adjacency(t, sigma))
     kappa = 1.0 / n
     err = np.abs(table - kappa)
     a, b, f = np.unravel_index(int(err.argmax()), err.shape)
-    unitary = unitarity_residual(build_block_unitary(n))
+    d = np.arange(n)
+    unitary = unitarity_residual(np.exp(2j * np.pi * (np.outer(d, d) % n) / n) / math.sqrt(n))
     # each table cell stands for the n entries with k - i = f
     frob = float(np.sqrt(n * np.square(table).sum())) / (n * n)
     return ApportionReport(

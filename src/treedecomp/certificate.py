@@ -320,6 +320,8 @@ class MonomialSupportReport:
 
 def check_monomial_support(n: int, cap: int = DEFAULT_SYMBOLIC_CAP) -> MonomialSupportReport:
     """Every monomial of every Lagrange basis misses at most one variable."""
+    if n < 1:
+        raise MalformedInput(f"n must be at least 1, got {n}")
     if n > cap:
         raise ResourceLimit(f"n = {n} exceeds the symbolic cap {cap}")
     violations = []

@@ -186,8 +186,9 @@ def _span(value) -> list[int]:
     if isinstance(value, int):
         return [value]
     if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value):
-        return list(range(value[0], value[1] + 1))
-    raise MalformedInput(f"expected an int or [lo, hi] span, got {value!r}")
+        if value[0] <= value[1]:
+            return list(range(value[0], value[1] + 1))
+    raise MalformedInput(f"expected an int or [lo, hi] span with lo <= hi, got {value!r}")
 
 
 def run_campaign(config: dict, out_path: str | None = None, workers: int | None = None):
@@ -569,6 +570,8 @@ def _cmd_apportion(args) -> int:
             None,
         )
         return 0 if rep.ok else 1
+    if args.n_max < 1:
+        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
     results = []
     all_ok = True
     for n in range(1, args.n_max + 1):

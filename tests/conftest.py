@@ -91,11 +91,44 @@ def rooted_level_sequence_by_recursion(adj: list[list[int]], root: int) -> list[
     return walk(root, -1, 0)
 
 
+def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
+    """P with P[sigma(i), i] = 1, so P A P* relabels vertex i to sigma(i)."""
+    n = len(sigma)
+    p = np.zeros((n, n), dtype=complex)
+    for i, si in enumerate(sigma):
+        p[si, i] = 1.0
+    return p
+
+
+def relabeled_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
+    """calA = P A P* by dense products."""
+    p = permutation_matrix(sigma)
+    return p @ apportionment.biadjacency(t) @ p.conj().T
+
+
 def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
     """The n^2 x n^2 matrix Q (I (x) A) Q*, Q = U (I (x) P), by dense products."""
     n = t.n
     eye = np.eye(n, dtype=complex)
-    q = apportionment.build_block_unitary(n) @ np.kron(
-        eye, apportionment.permutation_matrix(sigma)
-    )
+    q = apportionment.build_block_unitary(n) @ np.kron(eye, permutation_matrix(sigma))
     return q @ np.kron(eye, apportionment.biadjacency(t)) @ q.conj().T
+
+
+def allones_dense(
+    cal_a: np.ndarray, tol: float = apportionment.DEFAULT_TOL
+) -> apportionment.AllOnesReport:
+    """The all-ones identity sum_j C^j calA C^{-j} = 1 by 3n dense products."""
+    n = cal_a.shape[0]
+    c = apportionment.circulant(n)
+    total = np.zeros((n, n), dtype=complex)
+    c_j = np.eye(n, dtype=complex)
+    for _ in range(n):
+        total += c_j @ cal_a @ c_j.conj().T
+        c_j = c_j @ c
+    dev = np.abs(total - np.ones((n, n)))
+    worst = np.unravel_index(int(dev.argmax()), dev.shape)
+    return apportionment.AllOnesReport(
+        ok=float(dev.max()) <= tol,
+        max_deviation=float(dev.max()),
+        worst_entry=(int(worst[0]), int(worst[1])),
+    )

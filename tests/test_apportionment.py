@@ -1,18 +1,22 @@
+import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import apportion_dense, catalog
+from conftest import allones_dense, apportion_dense, catalog, relabeled_dense
 
 from treedecomp import (
     InvalidPermutation,
     Labeling,
+    MalformedInput,
     biadjacency,
     build_block_unitary,
     check_allones_identity,
     check_apportionment,
     find_beta,
     from_parent_map,
+    orient,
     verify_beta,
 )
 from treedecomp.apportionment import (
@@ -85,6 +89,20 @@ class TestAllOnes:
             lab = find_beta(entry.tree, "first")
             assert check_allones_identity(entry.tree, lab).ok
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_oracle(self, n):
+        rng = random.Random(5000 + n)
+        for entry in catalog(n):
+            t = entry.tree
+            for sigma in [find_beta(t, "first").sigma] + _non_beta_sigmas(t, 3, rng):
+                rep = check_allones_identity(t, sigma)
+                assert rep == allones_dense(relabeled_dense(t, sigma))
+
+    @pytest.mark.parametrize("sigma", [[0, 0, 0, 0], [0, 1, 2], [3, 2, 1, 0, 4]])
+    def test_rejects_non_permutation(self, sigma):
+        with pytest.raises(InvalidPermutation):
+            check_allones_identity(FIGURE_TREE, sigma)
+
 
 class TestApportionment:
     def test_figure_tree(self):
@@ -129,6 +147,33 @@ class TestApportionment:
     def test_rejects_non_permutation(self, sigma):
         with pytest.raises(InvalidPermutation):
             check_apportionment(FIGURE_TREE, sigma)
+
+    @pytest.mark.parametrize("check", [check_apportionment, check_allones_identity])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, check, tol):
+        with pytest.raises(MalformedInput):
+            check(FIGURE_TREE, (0, 1, 2, 3), tol=tol)
+
+    def test_unitary_residual_matches_dense(self):
+        for n in range(1, 25):
+            rep = check_apportionment(from_parent_map(n, [0] + list(range(n - 1))), range(n))
+            assert abs(rep.unitary_residual - unitarity_residual(build_block_unitary(n))) <= 1e-12
+
+    def test_ok_iff_edge_differences_distinct(self):
+        # Both identities hold exactly when the labeled oriented edges fall in
+        # n distinct difference classes mod n, beta-labeling or not.
+        passed = pairs = 0
+        for n in range(1, 7):
+            for entry in catalog(n):
+                t = entry.tree
+                edges = orient(t).edges
+                for sigma in permutations(range(n)):
+                    distinct = len({(sigma[y - n] - sigma[x]) % n for x, y in edges}) == n
+                    ones = check_allones_identity(t, sigma).ok
+                    assert ones == check_apportionment(t, sigma).ok == distinct
+                    passed += distinct
+                    pairs += 1
+        assert (pairs, passed) == (4737, 1433)
 
 
 def _non_beta_sigmas(t, count, rng):
@@ -189,7 +234,7 @@ class TestFftModuli:
                     assert rep.ok == ok
                     assert abs(rep.kappa_max_error - err) <= 1e-12
                     assert abs(rep.frobenius_modulus - frob) <= 1e-12
-                    assert rep.unitary_residual == unitary
+                    assert abs(rep.unitary_residual - unitary) <= 1e-12
                     # the witness is a real worst entry of the dense matrix
                     assert abs(abs(mod[rep.worst_entry] - 1.0 / n) - err) <= 1e-12
                     failed += not ok

@@ -249,6 +249,11 @@ class TestMonomialSupport:
         with pytest.raises(ResourceLimit):
             check_monomial_support(5)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(MalformedInput):
+            check_monomial_support(n)
+
 
 class TestVariableDependency:
     def test_square_of_x0(self):

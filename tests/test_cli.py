@@ -230,6 +230,11 @@ class TestCertificate:
         code, out, _ = run(capsys, "certificate", "monomial-support", "--n", "3")
         assert code == 0 and json.loads(out)["bases_checked"] == 6
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_monomial_support_empty_exit_two(self, capsys, n):
+        code, out, err = run(capsys, "certificate", "monomial-support", "--n", n)
+        assert code == 2 and out == "" and err.startswith("error")
+
     def test_composition(self, capsys):
         code, out, _ = run(capsys, "certificate", "composition", "--n", "4")
         assert code == 0
@@ -277,6 +282,17 @@ class TestApportion:
         assert code == 0
         obj = json.loads(out)
         assert obj["ok"] and len(obj["trees"]) == 5
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_empty_sweep_exit_two(self, capsys, n_max):
+        code, out, err = run(capsys, "apportion", "check", "--n-max", n_max)
+        assert code == 2 and out == "" and err.startswith("error")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("target", [["--tree", FIGURE], ["--n-max", "2"]])
+    def test_bad_tolerance_exit_two(self, capsys, target, tol):
+        code, out, err = run(capsys, "apportion", "check", *target, "--tol", tol)
+        assert code == 2 and out == "" and err.startswith("error")
 
 
 class TestCampaign:
@@ -333,7 +349,16 @@ class TestCampaign:
 
     @pytest.mark.parametrize(
         "config",
-        ["[1]", "[]", '{"workers": "x"}', '{"workers": 1.5}', '{"checks": 5}', '{"out": 2.5}'],
+        [
+            "[1]",
+            "[]",
+            '{"workers": "x"}',
+            '{"workers": 1.5}',
+            '{"checks": 5}',
+            '{"out": 2.5}',
+            '{"checks": ["beta"], "n": [5, 3]}',
+            '{"checks": ["k2n1", "knxnx"], "n": 3, "x": [2, 1]}',
+        ],
     )
     def test_bad_config_exit_two(self, capsys, config):
         code, out, err = run(capsys, "campaign", "run", "--config", config)
