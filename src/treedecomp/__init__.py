@@ -44,7 +44,6 @@ from .errors import (
     ReductionDiverged,
     ResourceLimit,
     TreeDecompError,
-    UnsupportedFormat,
     VerificationFailed,
 )
 from .groupaction import (
@@ -62,7 +61,7 @@ from .labeling import (
     verify_graceful,
     verify_rho,
 )
-from .polynomial import DensePolynomial, reduce_falling_factorial
+from .polynomial import Polynomial, reduce_falling_factorial
 from .trees import (
     FunctionalTree,
     TreeCatalogEntry,

@@ -63,11 +63,6 @@ def _diagonals(cal_a: np.ndarray) -> np.ndarray:
     return cal_a[(d[:, None, None] + d) % n, (d[:, None] + d) % n]
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:
-        raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class AllOnesReport:
     ok: bool
@@ -86,9 +81,10 @@ def check_allones_identity(
     on 0/1 entries. lab=None checks the raw, unlabeled matrix (it fails
     whenever the raw orientation's differences collide mod n). Raises
     InvalidPermutation unless sigma permutes Z_n, MalformedInput unless
-    0 <= tol < inf.
+    0 <= tol < inf (its sums are exact, so tol = 0 is attainable).
     """
-    _check_tol(tol)
+    if not 0 <= tol < math.inf:
+        raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
     dev = np.abs(_diagonals(_relabeled_adjacency(t, sigma)).sum(axis=2) - 1)
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
@@ -137,9 +133,11 @@ def check_apportionment(
     unitary_residual = max |U U* - I| = max |F F*/n - I| for F[d, m] = w^{dm}:
     the (i, i')-block of U U*, (1/n) sum_j C^j diag(w)^{i-i'} C^{-j}, is
     (F F*/n)[i, i'] times I. Raises InvalidPermutation unless sigma permutes
-    Z_n, MalformedInput unless 0 <= tol < inf.
+    Z_n, MalformedInput unless 0 < tol < inf: the residual is rounding-level,
+    not exact, so tol = 0 could never pass.
     """
-    _check_tol(tol)
+    if not 0 < tol < math.inf:
+        raise MalformedInput(f"tolerance must be finite and > 0, got {tol!r}")
     n = t.n
     sigma = perms.check_perm(lab.sigma if isinstance(lab, Labeling) else lab, n)
     table = _modulus_table(_relabeled_adjacency(t, sigma))

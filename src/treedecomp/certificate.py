@@ -18,11 +18,12 @@ from typing import Iterator, Sequence
 from . import labeling as lb
 from . import perms, trees
 from .errors import MalformedInput, PreconditionViolated, ResourceLimit
-from .polynomial import DensePolynomial, reduce_falling_factorial
+from .polynomial import Polynomial, reduce_falling_factorial
 
-DEFAULT_SWEEP_CAP = 7
-DEFAULT_FULL_LATTICE_CAP = 5
-DEFAULT_SYMBOLIC_CAP = 4
+SWEEP_CAP = 7
+FULL_LATTICE_CAP = 5
+SYMBOLIC_CAP = 4
+CHAIN_CAP = 6
 
 
 def eval_certificate(t: trees.FunctionalTree, f: Sequence[int]) -> int:
@@ -72,12 +73,10 @@ class MagnitudeReport:
     failures: tuple[tuple[int, ...], ...]
 
 
-def certificate_magnitude_check(
-    t: trees.FunctionalTree, cap: int = DEFAULT_SWEEP_CAP
-) -> MagnitudeReport:
+def certificate_magnitude_check(t: trees.FunctionalTree) -> MagnitudeReport:
     """|certificate| equals expected_magnitude(n) at every member of Phi."""
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {cap}")
+    if t.n > SWEEP_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {SWEEP_CAP}")
     expected = expected_magnitude(t.n)
     phi = lb.phi_set(t)
     failures = tuple(
@@ -93,19 +92,15 @@ def lattice_points(n: int, m: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(n), repeat=m)
 
 
-def nonvanishing_by_sweep(
-    t: trees.FunctionalTree,
-    full_lattice: bool = False,
-    cap: int = DEFAULT_SWEEP_CAP,
-) -> bool:
+def nonvanishing_by_sweep(t: trees.FunctionalTree, full_lattice: bool = False) -> bool:
     """True iff some lattice point gives a nonzero certificate.
 
     Default sweeps permutations only; the certificate vanishes off S_n (the
     vertex-distinctness factor), a fact the test suite checks by full
     sweeps at small n. full_lattice=True forces the n^n sweep.
     """
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the sweep cap {cap}")
+    if t.n > SWEEP_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the sweep cap {SWEEP_CAP}")
     points = (
         lattice_points(t.n, t.n)
         if full_lattice
@@ -119,16 +114,14 @@ def nonvanishing_by_sweep(
 # ---------------------------------------------------------------------------
 
 
-def lagrange_basis(
-    f: Sequence[int], n: int, cap: int = DEFAULT_SYMBOLIC_CAP
-) -> DensePolynomial:
+def lagrange_basis(f: Sequence[int], n: int) -> Polynomial:
     """The basis polynomial taking value 1 at f and 0 elsewhere on the lattice.
 
     Product over variables i of prod_{j != f(i)} (x_i - j) / (f(i) - j),
     expanded to an exact coefficient table (per-variable degree n-1).
     """
-    if n > cap:
-        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {cap}")
+    if n > SYMBOLIC_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     f = tuple(f)
     m = len(f)
     if any(not (0 <= v < n) for v in f):
@@ -158,22 +151,20 @@ def lagrange_basis(
                 if a:
                     nxt_table[e + (d,)] = c * a
         table = nxt_table
-    return DensePolynomial(m, table)
+    return Polynomial(m, table)
 
 
-def canonical_representative(
-    t: trees.FunctionalTree, cap: int = DEFAULT_SYMBOLIC_CAP
-) -> DensePolynomial:
+def canonical_representative(t: trees.FunctionalTree) -> Polynomial:
     """Exact coefficient table of sum over Phi of certificate(f) * basis_f.
 
     Agrees with eval_certificate on every lattice point; identically zero
     exactly when Phi is empty.
     """
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {cap}")
-    out = DensePolynomial.zero(t.n)
+    if t.n > SYMBOLIC_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {SYMBOLIC_CAP}")
+    out = Polynomial.zero(t.n)
     for f in lb.phi_set(t):
-        out = out + lagrange_basis(f, t.n, cap=cap).scale(eval_certificate(t, f))
+        out = out + lagrange_basis(f, t.n).scale(eval_certificate(t, f))
     return out
 
 
@@ -183,13 +174,11 @@ def canonical_representative(
 
 
 def transposition_invariance_sweep(
-    t: trees.FunctionalTree,
-    tau: Sequence[int],
-    cap: int = DEFAULT_FULL_LATTICE_CAP,
+    t: trees.FunctionalTree, tau: Sequence[int]
 ) -> tuple[int, ...] | None:
     """First lattice point with certificate(f o tau) != certificate(f), or None."""
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the full-lattice cap {cap}")
+    if t.n > FULL_LATTICE_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the full-lattice cap {FULL_LATTICE_CAP}")
     for f in lattice_points(t.n, t.n):
         f_tau = tuple(f[tau[i]] for i in range(t.n))
         if eval_certificate(t, f_tau) != eval_certificate(t, f):
@@ -206,30 +195,26 @@ class InvarianceReport:
     witness: tuple[int, ...] | None
 
 
-def check_transposition_invariance(
-    t: trees.FunctionalTree,
-    sweep_cap: int = DEFAULT_FULL_LATTICE_CAP,
-    table_cap: int = DEFAULT_SYMBOLIC_CAP,
-) -> InvarianceReport:
+def check_transposition_invariance(t: trees.FunctionalTree) -> InvarianceReport:
     """Both invariance claims for every sibling-leaf transposition of t.
 
     Claim I: the certificate value is unchanged by permuting any sibling-leaf
-    pair, at every point of the full lattice (n <= sweep_cap).
+    pair, at every point of the full lattice (n <= FULL_LATTICE_CAP).
     Claim II: the canonical coefficient table is fixed by the same variable
-    transposition (n <= table_cap).
+    transposition (n <= SYMBOLIC_CAP).
     """
     pairs = trees.sibling_leaf_pairs(t)
     if not pairs:
         raise PreconditionViolated("tree has no sibling-leaf pair")
-    sweep_checked = t.n <= sweep_cap
-    table_checked = t.n <= table_cap
+    sweep_checked = t.n <= FULL_LATTICE_CAP
+    table_checked = t.n <= SYMBOLIC_CAP
     if not (sweep_checked or table_checked):
         raise ResourceLimit(f"n = {t.n} exceeds both invariance caps")
     table = canonical_representative(t) if table_checked else None
     for a, b in pairs:
         tau = perms.transposition(a, b, t.n)
         if sweep_checked:
-            witness = transposition_invariance_sweep(t, tau, cap=sweep_cap)
+            witness = transposition_invariance_sweep(t, tau)
             if witness is not None:
                 return InvarianceReport(False, tuple(pairs), True, table_checked, witness)
         if table is not None and table.permute_variables(tau) != table:
@@ -303,10 +288,10 @@ def chain_report(t: trees.FunctionalTree) -> ChainReport:
     )
 
 
-def check_composition_implication(n: int, cap: int = 6) -> list[ChainReport]:
+def check_composition_implication(n: int) -> list[ChainReport]:
     """chain_report for every catalog tree on n vertices."""
-    if n > cap:
-        raise ResourceLimit(f"n = {n} exceeds the chain cap {cap}")
+    if n > CHAIN_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the chain cap {CHAIN_CAP}")
     return [chain_report(entry.tree) for entry in trees.enumerate_free_trees(n)]
 
 
@@ -318,17 +303,17 @@ class MonomialSupportReport:
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def check_monomial_support(n: int, cap: int = DEFAULT_SYMBOLIC_CAP) -> MonomialSupportReport:
+def check_monomial_support(n: int) -> MonomialSupportReport:
     """Every monomial of every Lagrange basis misses at most one variable."""
     if n < 1:
         raise MalformedInput(f"n must be at least 1, got {n}")
-    if n > cap:
-        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {cap}")
+    if n > SYMBOLIC_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     violations = []
     count = 0
     for sigma in itertools.permutations(range(n)):
         count += 1
-        basis = lagrange_basis(sigma, n, cap=cap)
+        basis = lagrange_basis(sigma, n)
         for e in basis.coeffs:
             if sum(1 for d in e if d == 0) > 1:
                 violations.append((sigma, e))
@@ -338,7 +323,7 @@ def check_monomial_support(n: int, cap: int = DEFAULT_SYMBOLIC_CAP) -> MonomialS
 
 
 def check_variable_dependency(
-    p: DensePolynomial, support: Sequence[int], t_power: int, n: int
+    p: Polynomial, support: Sequence[int], t_power: int, n: int
 ) -> bool:
     """Reduce p**t_power modulo the falling factorials and test its support.
 

@@ -24,18 +24,8 @@ from .errors import (
     ReductionDiverged,
     ResourceLimit,
     TreeDecompError,
-    UnsupportedFormat,
     VerificationFailed,
 )
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def labeling_to_json(lab: lb.Labeling) -> str:
-    return json.dumps({"sigma": list(lab.sigma)})
 
 
 def sigma_from_json(text: str) -> tuple[int, ...]:
@@ -51,30 +41,6 @@ def sigma_from_json(text: str) -> tuple[int, ...]:
 
 def labeling_from_json(text: str, t: trees.FunctionalTree) -> lb.Labeling:
     return decomposition._as_labeling(t, sigma_from_json(text))
-
-
-def labeling_to_dot(lab: lb.Labeling) -> str:
-    """The relabeled tree with each vertex's signed edge label annotated."""
-    lines = ["digraph labeled_tree {"]
-    for v, parent in enumerate(lab.h):
-        lines.append(f'  {v} -> {parent} [label="{lab.signed_labels[v]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export_object(obj, fmt: str) -> str:
-    """Stable serialization of a tree, labeling, or decomposition."""
-    if fmt not in ("json", "dot"):
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
-    if isinstance(obj, trees.FunctionalTree):
-        return trees.tree_to_json(obj) if fmt == "json" else trees.tree_to_dot(obj)
-    if isinstance(obj, lb.Labeling):
-        return labeling_to_json(obj) if fmt == "json" else labeling_to_dot(obj)
-    if isinstance(obj, decomposition.Decomposition):
-        if fmt == "json":
-            return decomposition.decomposition_to_json(obj)
-        return decomposition.decomposition_to_dot(obj)
-    raise UnsupportedFormat(f"cannot export object of type {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +149,10 @@ def _campaign_record(task) -> dict:
 
 
 def _span(value) -> list[int]:
-    if isinstance(value, int):
+    # type(), not isinstance(): a JSON true is a bool, which subclasses int
+    if type(value) is int:
         return [value]
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
         if value[0] <= value[1]:
             return list(range(value[0], value[1] + 1))
     raise MalformedInput(f"expected an int or [lo, hi] span with lo <= hi, got {value!r}")
@@ -204,8 +171,8 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     n_values = _span(config.get("n", [1, 6]))
     x_values = _span(config.get("x", [1, 1]))
     workers = workers if workers is not None else config.get("workers", 1)
-    if type(workers) is not int:
-        raise MalformedInput(f"workers must be an int, got {workers!r}")
+    if type(workers) is not int or workers < 1:
+        raise MalformedInput(f"workers must be a positive int, got {workers!r}")
     out_path = out_path if out_path is not None else config.get("out")
     if out_path is not None and not isinstance(out_path, str):
         # open() would take an int (or bool) as a file descriptor
@@ -218,6 +185,7 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
                 (n, list(entry.tree.g), entry.canonical_code.hex(), checks, x_values)
             )
 
+    workers = min(workers, len(tasks))
     if workers > 1:
         with Pool(workers) as pool:
             records = pool.map(_campaign_record, tasks)
@@ -283,12 +251,166 @@ def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling:
     return lab
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+# ---------------------------------------------------------------------------
+# Command handlers: each returns (output, ok), output a string or a JSON object
+# ---------------------------------------------------------------------------
+
+
+def _trees_enumerate(args):
+    entries = trees.enumerate_free_trees(args.n)
+    if args.format == "dot":
+        return "\n".join(trees.tree_to_dot(e.tree) for e in entries), True
+    lines = (
+        {"n": e.tree.n, "g": list(e.tree.g), "code": e.canonical_code.hex(), "index": e.index}
+        for e in entries
+    )
+    return "\n".join(map(json.dumps, lines)), True
+
+
+def _label_find(args):
+    t = _tree_arg(args.tree)
+    if args.all:
+        labs = lb.find_beta(t, "all", seed=args.seed)
+        return {"labelings": [list(l.sigma) for l in labs]}, bool(labs)
+    lab = lb.find_beta(t, "first", seed=args.seed)
+    if lab is None:
+        return {"found": False}, False
+    return {"sigma": list(lab.sigma)}, True
+
+
+def _label_verify(args):
+    result = lb.verify_beta(_tree_arg(args.tree), sigma_from_json(_read_arg_text(args.sigma)))
+    ok = isinstance(result, lb.Labeling)
+    fields = {"ok": ok, "signed_labels": list(result.signed_labels)}
+    if not ok:
+        fields["duplicated"] = list(result.duplicated)
+        fields["out_of_range"] = list(result.out_of_range)
+        fields["offending"] = [list(p) for p in result.offending]
+    return fields, ok
+
+
+def _label_phi(args):
+    phis = lb.phi_set(_tree_arg(args.tree))
+    return {"count": len(phis), "phi": [list(p) for p in phis]}, True
+
+
+def _decompose(args):
+    t = _tree_arg(args.tree)
+    d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
+    if args.verify:
+        # The constructor has run verify_partition and raises when it fails.
+        sys.stderr.write(json.dumps({"ok": True, "copies": len(d.copies)}) + "\n")
+    if args.format == "dot":
+        return decomposition.decomposition_to_dot(d), True
+    return decomposition.decomposition_to_json(d), True
+
+
+def _certificate_eval(args):
+    t = _tree_arg(args.tree)
+    point = json.loads(_read_arg_text(args.point))
+    return {"value": str(certificate.eval_certificate(t, point))}, True
+
+
+def _certificate_magnitude(args):
+    rep = certificate.certificate_magnitude_check(_tree_arg(args.tree))
+    return {"ok": rep.ok, "expected": str(rep.expected), "phi_size": rep.phi_size}, rep.ok
+
+
+def _certificate_nonzero(args):
+    t = _tree_arg(args.tree)
+    ok = certificate.nonvanishing_by_sweep(t, full_lattice=args.full_lattice)
+    return {"nonzero": ok}, ok
+
+
+def _certificate_invariance(args):
+    rep = certificate.check_transposition_invariance(_tree_arg(args.tree))
+    return {
+        "ok": rep.ok,
+        "pairs": [list(p) for p in rep.pairs],
+        "witness": list(rep.witness) if rep.witness else None,
+    }, rep.ok
+
+
+def _certificate_monomial_support(args):
+    rep = certificate.check_monomial_support(args.n)
+    return {"ok": rep.ok, "bases_checked": rep.bases_checked}, rep.ok
+
+
+def _certificate_composition(args):
+    reports = certificate.check_composition_implication(args.n)
+    ok = all(r.ok for r in reports)
+    return {
+        "ok": ok,
+        "trees": [
+            {
+                "code": r.code.hex(),
+                "transitions": r.transitions,
+                "phi_nonempty": list(r.phi_nonempty),
+            }
+            for r in reports
+        ],
+    }, ok
+
+
+def _group_example(args):
+    sigma1 = groupaction.sigma_from_first_column(3, [0, 3, 1])
+    summary = groupaction.closure([sigma1])
+    return {
+        "sigma1": list(sigma1.sigma),
+        "matrix": sigma1.matrix(),
+        "order": summary.order,
+        "cyclic": summary.cyclic,
+    }, True
+
+
+def _group_from_tree(args):
+    t = _tree_arg(args.tree)
+    ep = groupaction.sigma_from_labeled_tree(t, _labeling_arg(args.sigma, t))
+    return {"n": ep.n, "sigma": list(ep.sigma)}, True
+
+
+def _group_closure(args):
+    gens = []
+    for text in args.perm:
+        sigma = json.loads(_read_arg_text(text))
+        if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
+            raise MalformedInput("entry permutation must be a JSON array of ints")
+        # closure rejects a length that is not a square
+        side = math.isqrt(len(sigma))
+        gens.append(groupaction.EntryPermutation(n=side, sigma=tuple(sigma)))
+    group = groupaction.closure(gens)
+    return {"order": group.order, "cyclic": group.cyclic, "closed": group.closed_ok}, True
+
+
+def _apportion_check(args):
+    if args.tree:
+        t = _tree_arg(args.tree)
+        rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
+        return {
+            "ok": rep.ok,
+            "kappa": rep.kappa,
+            "kappa_max_error": rep.kappa_max_error,
+            "unitary_residual": rep.unitary_residual,
+        }, rep.ok
+    if args.n_max < 1:
+        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
+    results = []
+    for n in range(1, args.n_max + 1):
+        for entry in trees.enumerate_free_trees(n):
+            lab = _labeling_arg(None, entry.tree)
+            rep = apportionment.check_apportionment(entry.tree, lab, tol=args.tol)
+            code = entry.canonical_code.hex()
+            results.append(
+                {"code": code, "n": n, "ok": rep.ok, "kappa_max_error": rep.kappa_max_error}
+            )
+    ok = all(r["ok"] for r in results)
+    return {"ok": ok, "trees": results}, ok
+
+
+def _campaign_run(args):
+    config = json.loads(_read_arg_text(args.config))
+    summary, _records = run_campaign(config, out_path=args.records, workers=args.workers)
+    return summary, summary["all_pass"]
 
 
 DECOMPOSERS = {
@@ -296,6 +418,13 @@ DECOMPOSERS = {
     "k2n1": decomposition.decompose_k2n1,
     "knxnx": decomposition.decompose_knxnx,
 }
+
+
+def _leaf(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """A leaf command's parser, with the handler that runs it."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,26 +438,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trees = sub.add_parser("trees", help="tree catalog operations")
     trees_sub = p_trees.add_subparsers(dest="subcommand", required=True)
-    p_enum = trees_sub.add_parser("enumerate", help="one tree per isomorphism class")
+    p_enum = _leaf(
+        trees_sub, "enumerate", _trees_enumerate, help="one tree per isomorphism class"
+    )
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--format", choices=("json", "dot"), default="json")
     p_enum.add_argument("--out")
 
     p_label = sub.add_parser("label", help="beta-labeling search and verification")
     label_sub = p_label.add_subparsers(dest="subcommand", required=True)
-    p_find = label_sub.add_parser("find")
+    p_find = _leaf(label_sub, "find", _label_find)
     p_find.add_argument("--tree", required=True)
     p_find.add_argument("--all", action="store_true")
     p_find.add_argument("--seed", type=int)
     p_find.add_argument("--out")
-    p_verify = label_sub.add_parser("verify")
+    p_verify = _leaf(label_sub, "verify", _label_verify)
     p_verify.add_argument("--tree", required=True)
     p_verify.add_argument("--sigma", required=True)
-    p_phi = label_sub.add_parser("phi")
+    p_phi = _leaf(label_sub, "phi", _label_phi)
     p_phi.add_argument("--tree", required=True)
     p_phi.add_argument("--out")
 
-    p_dec = sub.add_parser("decompose", help="build and verify a decomposition")
+    p_dec = _leaf(sub, "decompose", _decompose, help="build and verify a decomposition")
     p_dec.add_argument("--tree", required=True)
     p_dec.add_argument("--target", choices=tuple(DECOMPOSERS), required=True)
     p_dec.add_argument("--x", type=int, default=1)
@@ -339,35 +470,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certificate", help="exact certificate operations")
     cert_sub = p_cert.add_subparsers(dest="subcommand", required=True)
-    p_eval = cert_sub.add_parser("eval")
+    p_eval = _leaf(cert_sub, "eval", _certificate_eval)
     p_eval.add_argument("--tree", required=True)
     p_eval.add_argument("--point", required=True, help="JSON list in Z_n^n")
-    p_mag = cert_sub.add_parser("magnitude")
+    p_mag = _leaf(cert_sub, "magnitude", _certificate_magnitude)
     p_mag.add_argument("--tree", required=True)
-    p_nz = cert_sub.add_parser("nonzero")
+    p_nz = _leaf(cert_sub, "nonzero", _certificate_nonzero)
     p_nz.add_argument("--tree", required=True)
     p_nz.add_argument("--full-lattice", action="store_true")
-    p_inv = cert_sub.add_parser("invariance")
+    p_inv = _leaf(cert_sub, "invariance", _certificate_invariance)
     p_inv.add_argument("--tree", required=True)
-    p_ms = cert_sub.add_parser("monomial-support")
+    p_ms = _leaf(cert_sub, "monomial-support", _certificate_monomial_support)
     p_ms.add_argument("--n", type=int, required=True)
-    p_comp = cert_sub.add_parser("composition")
+    p_comp = _leaf(cert_sub, "composition", _certificate_composition)
     p_comp.add_argument("--n", type=int, required=True)
 
     p_group = sub.add_parser("group", help="entry-permutation group actions")
     group_sub = p_group.add_subparsers(dest="subcommand", required=True)
-    p_gex = group_sub.add_parser("example")
-    p_gex.add_argument("--n", type=int, default=3)
-    p_gft = group_sub.add_parser("from-tree")
+    _leaf(group_sub, "example", _group_example)
+    p_gft = _leaf(group_sub, "from-tree", _group_from_tree)
     p_gft.add_argument("--tree", required=True)
     p_gft.add_argument("--sigma")
-    p_gcl = group_sub.add_parser("closure")
+    p_gcl = _leaf(group_sub, "closure", _group_closure)
     p_gcl.add_argument("--perm", action="append", required=True,
                        help="entry permutation as a JSON index array (repeatable)")
 
     p_app = sub.add_parser("apportion", help="unitary apportionment checks")
     app_sub = p_app.add_subparsers(dest="subcommand", required=True)
-    p_appc = app_sub.add_parser("check")
+    p_appc = _leaf(app_sub, "check", _apportion_check)
     p_appc.add_argument("--tree")
     p_appc.add_argument("--sigma")
     p_appc.add_argument("--tol", type=float, default=apportionment.DEFAULT_TOL)
@@ -375,245 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="batch sweeps over the catalog")
     camp_sub = p_camp.add_subparsers(dest="subcommand", required=True)
-    p_run = camp_sub.add_parser("run")
+    p_run = _leaf(camp_sub, "run", _campaign_run)
     p_run.add_argument("--config", required=True, help="campaign JSON (inline or file)")
-    p_run.add_argument("--out", help="JSONL record path (overrides config)")
+    p_run.add_argument("--out", dest="records", help="JSONL record path (overrides config)")
     p_run.add_argument("--workers", type=int)
 
     return parser
 
 
-# ---------------------------------------------------------------------------
-# Subcommand bodies
-# ---------------------------------------------------------------------------
-
-
-def _cmd_trees(args) -> int:
-    entries = list(trees.enumerate_free_trees(args.n))
-    if args.format == "json":
-        lines = [
-            json.dumps(
-                {
-                    "n": e.tree.n,
-                    "g": list(e.tree.g),
-                    "code": e.canonical_code.hex(),
-                    "index": e.index,
-                }
-            )
-            for e in entries
-        ]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit("\n".join(trees.tree_to_dot(e.tree) for e in entries), args.out)
-    return 0
-
-
-def _cmd_label(args) -> int:
-    t = _tree_arg(args.tree)
-    if args.subcommand == "find":
-        if args.all:
-            labs = lb.find_beta(t, "all", seed=args.seed)
-            _emit(json.dumps({"labelings": [list(l.sigma) for l in labs]}), args.out)
-            return 0 if labs else 1
-        lab = lb.find_beta(t, "first", seed=args.seed)
-        if lab is None:
-            _emit(json.dumps({"found": False}), None)
-            return 1
-        _emit(labeling_to_json(lab), args.out)
-        return 0
-    if args.subcommand == "verify":
-        result = lb.verify_beta(t, sigma_from_json(_read_arg_text(args.sigma)))
-        ok = isinstance(result, lb.Labeling)
-        fields = {"ok": ok, "signed_labels": list(result.signed_labels)}
-        if not ok:
-            fields["duplicated"] = list(result.duplicated)
-            fields["out_of_range"] = list(result.out_of_range)
-            fields["offending"] = [list(p) for p in result.offending]
-        _emit(json.dumps(fields), None)
-        return 0 if ok else 1
-    if args.subcommand == "phi":
-        phis = lb.phi_set(t)
-        _emit(json.dumps({"count": len(phis), "phi": [list(p) for p in phis]}), args.out)
-        return 0
-
-
-def _cmd_decompose(args) -> int:
-    t = _tree_arg(args.tree)
-    d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
-    _emit(export_object(d, args.format), args.out)
-    if args.verify:
-        # The constructor has run verify_partition and raises when it fails.
-        sys.stderr.write(json.dumps({"ok": True, "copies": len(d.copies)}) + "\n")
-    return 0
-
-
-def _cmd_certificate(args) -> int:
-    if args.subcommand == "eval":
-        t = _tree_arg(args.tree)
-        point = json.loads(_read_arg_text(args.point))
-        value = certificate.eval_certificate(t, point)
-        _emit(json.dumps({"value": str(value)}), None)
-        return 0
-    if args.subcommand == "magnitude":
-        rep = certificate.certificate_magnitude_check(_tree_arg(args.tree))
-        _emit(
-            json.dumps(
-                {"ok": rep.ok, "expected": str(rep.expected), "phi_size": rep.phi_size}
-            ),
-            None,
-        )
-        return 0 if rep.ok else 1
-    if args.subcommand == "nonzero":
-        ok = certificate.nonvanishing_by_sweep(
-            _tree_arg(args.tree), full_lattice=args.full_lattice
-        )
-        _emit(json.dumps({"nonzero": ok}), None)
-        return 0 if ok else 1
-    if args.subcommand == "invariance":
-        rep = certificate.check_transposition_invariance(_tree_arg(args.tree))
-        _emit(
-            json.dumps(
-                {
-                    "ok": rep.ok,
-                    "pairs": [list(p) for p in rep.pairs],
-                    "witness": list(rep.witness) if rep.witness else None,
-                }
-            ),
-            None,
-        )
-        return 0 if rep.ok else 1
-    if args.subcommand == "monomial-support":
-        rep = certificate.check_monomial_support(args.n)
-        _emit(json.dumps({"ok": rep.ok, "bases_checked": rep.bases_checked}), None)
-        return 0 if rep.ok else 1
-    if args.subcommand == "composition":
-        reports = certificate.check_composition_implication(args.n)
-        ok = all(r.ok for r in reports)
-        _emit(
-            json.dumps(
-                {
-                    "ok": ok,
-                    "trees": [
-                        {
-                            "code": r.code.hex(),
-                            "transitions": r.transitions,
-                            "phi_nonempty": list(r.phi_nonempty),
-                        }
-                        for r in reports
-                    ],
-                }
-            ),
-            None,
-        )
-        return 0 if ok else 1
-
-
-def _cmd_group(args) -> int:
-    if args.subcommand == "example":
-        if args.n != 3:
-            raise MalformedInput("the worked example is n=3")
-        sigma1 = groupaction.sigma_from_first_column(3, [0, 3, 1])
-        summary = groupaction.closure([sigma1])
-        _emit(
-            json.dumps(
-                {
-                    "sigma1": list(sigma1.sigma),
-                    "matrix": sigma1.matrix(),
-                    "order": summary.order,
-                    "cyclic": summary.cyclic,
-                }
-            ),
-            None,
-        )
-        return 0
-    if args.subcommand == "from-tree":
-        t = _tree_arg(args.tree)
-        ep = groupaction.sigma_from_labeled_tree(t, _labeling_arg(args.sigma, t))
-        _emit(json.dumps({"n": ep.n, "sigma": list(ep.sigma)}), None)
-        return 0
-    if args.subcommand == "closure":
-        gens = []
-        for text in args.perm:
-            sigma = json.loads(_read_arg_text(text))
-            if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
-                raise MalformedInput("entry permutation must be a JSON array of ints")
-            # closure rejects a length that is not a square
-            side = math.isqrt(len(sigma))
-            gens.append(groupaction.EntryPermutation(n=side, sigma=tuple(sigma)))
-        summary = groupaction.closure(gens)
-        _emit(
-            json.dumps(
-                {
-                    "order": summary.order,
-                    "cyclic": summary.cyclic,
-                    "closed": summary.closed_ok,
-                }
-            ),
-            None,
-        )
-        return 0
-
-
-def _cmd_apportion(args) -> int:
-    if args.tree:
-        t = _tree_arg(args.tree)
-        rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
-        _emit(
-            json.dumps(
-                {
-                    "ok": rep.ok,
-                    "kappa": rep.kappa,
-                    "kappa_max_error": rep.kappa_max_error,
-                    "unitary_residual": rep.unitary_residual,
-                }
-            ),
-            None,
-        )
-        return 0 if rep.ok else 1
-    if args.n_max < 1:
-        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
-    results = []
-    all_ok = True
-    for n in range(1, args.n_max + 1):
-        for entry in trees.enumerate_free_trees(n):
-            lab = _labeling_arg(None, entry.tree)
-            rep = apportionment.check_apportionment(entry.tree, lab, tol=args.tol)
-            all_ok = all_ok and rep.ok
-            results.append(
-                {
-                    "code": entry.canonical_code.hex(),
-                    "n": n,
-                    "ok": rep.ok,
-                    "kappa_max_error": rep.kappa_max_error,
-                }
-            )
-    _emit(json.dumps({"ok": all_ok, "trees": results}), None)
-    return 0 if all_ok else 1
-
-
-def _cmd_campaign(args) -> int:
-    config = json.loads(_read_arg_text(args.config))
-    summary, _records = run_campaign(config, out_path=args.out, workers=args.workers)
-    _emit(json.dumps(summary), None)
-    return 0 if summary["all_pass"] else 1
-
-
-COMMANDS = {
-    "trees": _cmd_trees,
-    "label": _cmd_label,
-    "decompose": _cmd_decompose,
-    "certificate": _cmd_certificate,
-    "group": _cmd_group,
-    "apportion": _cmd_apportion,
-    "campaign": _cmd_campaign,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its output goes to --out or stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        output, ok = args.handler(args)
+        text = output if isinstance(output, str) else json.dumps(output)
+        text = text if text.endswith("\n") else text + "\n"
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if ok else 1
     except (VerificationFailed, ReductionDiverged) as exc:
         kind = "verification failed" if isinstance(exc, VerificationFailed) else "error"
         sys.stderr.write(f"{kind}: {exc}\n")

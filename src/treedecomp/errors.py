@@ -35,7 +35,3 @@ class VerificationFailed(TreeDecompError):
 
 class ReductionDiverged(TreeDecompError):
     """Falling-factorial reduction failed to terminate (implementation bug)."""
-
-
-class UnsupportedFormat(TreeDecompError):
-    """Unknown export format or object kind."""

@@ -17,8 +17,11 @@ from .decomposition import _as_labeling, orient
 from .errors import MalformedInput, NotBijective, ResourceLimit
 from .labeling import Labeling
 
-DEFAULT_CLOSURE_CAP = 10**6
+CLOSURE_CAP = 10**6
 ELEMENT_LIST_THRESHOLD = 10_000
+# Up to this order, closure checks every product of two elements and
+# decides cyclicity; above it, only products with a generator.
+PAIRWISE_CHECK_ORDER = 300
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,7 @@ class GroupSummary:
     closed_ok: bool
 
 
-def closure(
-    generators: Sequence[EntryPermutation],
-    cap: int = DEFAULT_CLOSURE_CAP,
-    element_threshold: int = ELEMENT_LIST_THRESHOLD,
-) -> GroupSummary:
+def closure(generators: Sequence[EntryPermutation]) -> GroupSummary:
     """Breadth-first closure of the generated subgroup of S_{n^2}."""
     if not generators:
         raise MalformedInput("need at least one generator")
@@ -126,18 +125,18 @@ def closure(
             for g in gens:
                 b = perms.compose(g, a)
                 if b not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimit(f"closure exceeded cap {cap}")
+                    if len(seen) >= CLOSURE_CAP:
+                        raise ResourceLimit(f"closure exceeded cap {CLOSURE_CAP}")
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
 
     order = len(seen)
-    if order > element_threshold:
+    if order > ELEMENT_LIST_THRESHOLD:
         return GroupSummary(order=order, elements=None, cyclic=None, closed_ok=True)
     elements = tuple(sorted(seen))
     closed_ok = all(perms.inverse(a) in seen for a in elements)
-    if order <= 300:
+    if order <= PAIRWISE_CHECK_ORDER:
         closed_ok = closed_ok and all(
             perms.compose(a, b) in seen for a in elements for b in elements
         )
@@ -154,6 +153,8 @@ def closure(
         return k
 
     cyclic = (
-        any(element_order(p) == order for p in elements) if order <= 300 else None
+        any(element_order(p) == order for p in elements)
+        if order <= PAIRWISE_CHECK_ORDER
+        else None
     )
     return GroupSummary(order=order, elements=elements, cyclic=cyclic, closed_ok=closed_ok)

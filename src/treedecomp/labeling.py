@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 from . import perms, trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
 
-DEFAULT_SEARCH_CAP = 16
-DEFAULT_PHI_CAP = 9
+SEARCH_CAP = 16
+PHI_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,6 @@ def _search(
 def find_beta(
     t: trees.FunctionalTree,
     mode: str = "first",
-    cap: int = DEFAULT_SEARCH_CAP,
     seed: int | None = None,
 ) -> Labeling | list[Labeling] | None:
     """Beta-labelings by the backtracking search, each checked by verify_beta.
@@ -166,8 +165,8 @@ def find_beta(
     """
     if mode not in ("first", "all"):
         raise MalformedInput(f"unknown mode {mode!r}")
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the search cap {cap}")
+    if t.n > SEARCH_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
     rng = random.Random(seed) if seed is not None else None
     sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)
     labelings = [verify_beta(t, sigma) for sigma in sigmas]
@@ -177,14 +176,14 @@ def find_beta(
     return labelings
 
 
-def phi_set(t: trees.FunctionalTree, cap: int = DEFAULT_PHI_CAP) -> list[tuple[int, ...]]:
+def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
     """Phi, every beta-labeling sigma in lexicographic order, by the search.
 
     Each member is re-checked independently: it must be a permutation whose
     n signed labels set all n bits of a bitmask over Z_n.
     """
-    if t.n > cap:
-        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {cap}")
+    if t.n > PHI_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
     n, g = t.n, t.g
     sign = [t.sign(v) for v in range(n)]
     out = sorted(_search(t, first=False))

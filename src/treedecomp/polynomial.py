@@ -15,7 +15,7 @@ from .errors import ReductionDiverged
 Exponent = tuple[int, ...]
 
 
-class DensePolynomial:
+class Polynomial:
     """A polynomial in n_vars variables with exact rational coefficients."""
 
     __slots__ = ("n_vars", "coeffs")
@@ -34,15 +34,15 @@ class DensePolynomial:
                     self.coeffs[tuple(e)] = c
 
     @classmethod
-    def zero(cls, n_vars: int) -> "DensePolynomial":
+    def zero(cls, n_vars: int) -> "Polynomial":
         return cls(n_vars)
 
     @classmethod
-    def constant(cls, n_vars: int, c: Fraction | int) -> "DensePolynomial":
+    def constant(cls, n_vars: int, c: Fraction | int) -> "Polynomial":
         return cls(n_vars, {(0,) * n_vars: Fraction(c)})
 
     @classmethod
-    def variable(cls, n_vars: int, i: int) -> "DensePolynomial":
+    def variable(cls, n_vars: int, i: int) -> "Polynomial":
         e = [0] * n_vars
         e[i] = 1
         return cls(n_vars, {tuple(e): Fraction(1)})
@@ -51,14 +51,14 @@ class DensePolynomial:
         return not self.coeffs
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensePolynomial):
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.n_vars == other.n_vars and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "DensePolynomial") -> "DensePolynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, Fraction(0)) + c
@@ -66,22 +66,22 @@ class DensePolynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return DensePolynomial(self.n_vars, out)
+        return Polynomial(self.n_vars, out)
 
-    def __neg__(self) -> "DensePolynomial":
-        return DensePolynomial(self.n_vars, {e: -c for e, c in self.coeffs.items()})
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.n_vars, {e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, c: Fraction | int) -> "DensePolynomial":
+    def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
         if not c:
-            return DensePolynomial.zero(self.n_vars)
-        return DensePolynomial(self.n_vars, {e: c * v for e, v in self.coeffs.items()})
+            return Polynomial.zero(self.n_vars)
+        return Polynomial(self.n_vars, {e: c * v for e, v in self.coeffs.items()})
 
-    def __mul__(self, other: "DensePolynomial | Fraction | int") -> "DensePolynomial":
-        if not isinstance(other, DensePolynomial):
+    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.coeffs.items():
@@ -92,14 +92,14 @@ class DensePolynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return DensePolynomial(self.n_vars, out)
+        return Polynomial(self.n_vars, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "DensePolynomial":
+    def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        out = DensePolynomial.constant(self.n_vars, 1)
+        out = Polynomial.constant(self.n_vars, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -114,7 +114,7 @@ class DensePolynomial:
             total += term
         return total
 
-    def permute_variables(self, tau: Sequence[int]) -> "DensePolynomial":
+    def permute_variables(self, tau: Sequence[int]) -> "Polynomial":
         """Substitute x_i -> x_{tau(i)} in every monomial."""
         out: dict[Exponent, Fraction] = {}
         for e, c in self.coeffs.items():
@@ -122,7 +122,7 @@ class DensePolynomial:
             for i, d in enumerate(e):
                 e2[tau[i]] = d
             out[tuple(e2)] = c
-        return DensePolynomial(self.n_vars, out)
+        return Polynomial(self.n_vars, out)
 
     def variables_used(self) -> set[int]:
         return {i for e in self.coeffs for i, d in enumerate(e) if d}
@@ -134,7 +134,7 @@ class DensePolynomial:
         return all(d < n for e in self.coeffs for d in e)
 
     def __repr__(self) -> str:
-        return f"DensePolynomial(n_vars={self.n_vars}, terms={len(self.coeffs)})"
+        return f"Polynomial(n_vars={self.n_vars}, terms={len(self.coeffs)})"
 
 
 def falling_factorial_coeffs(n: int) -> list[int]:
@@ -149,7 +149,7 @@ def falling_factorial_coeffs(n: int) -> list[int]:
     return c
 
 
-def reduce_falling_factorial(p: DensePolynomial, n: int) -> DensePolynomial:
+def reduce_falling_factorial(p: Polynomial, n: int) -> Polynomial:
     """Canonical representative of p modulo the ideal {x_i^(falling n)}.
 
     Repeatedly rewrites x_i^n as x_i^n - x_i^(falling n) (a degree n-1
@@ -186,4 +186,4 @@ def reduce_falling_factorial(p: DensePolynomial, n: int) -> DensePolynomial:
                 work[key] = s
             else:
                 work.pop(key, None)
-    return DensePolynomial(p.n_vars, work)
+    return Polynomial(p.n_vars, work)

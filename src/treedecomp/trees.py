@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimit,
 )
 
-DEFAULT_ENUMERATION_CAP = 18
+ENUMERATION_CAP = 18
 # Level-sequence codes take one byte per depth below 255 and 0xff plus four
 # bytes above, so they stay prefix-decodable and ordered like the depths.
 _DEPTH_BYTES = [bytes((d,)) for d in range(255)]
@@ -316,9 +316,7 @@ def _rooted_level_sequences(n: int) -> Iterator[bytes]:
         code = code[:p] + (code[q:p] * n)[: n - p]  # repeat q's subtree
 
 
-def enumerate_free_trees(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[TreeCatalogEntry]:
+def enumerate_free_trees(n: int) -> Iterator[TreeCatalogEntry]:
     """One functional tree per isomorphism class of free trees on n vertices.
 
     Each tree is rooted at its canonical centroid with vertices numbered in
@@ -327,8 +325,8 @@ def enumerate_free_trees(
     """
     if n < 1:
         raise MalformedInput(f"vertex count must be positive, got {n}")
-    if n > cap:
-        raise ResourceLimit(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     codes = []
     for code in _rooted_level_sequences(n):
         # Keep it if its root is a centroid: no root subtree (each starts at

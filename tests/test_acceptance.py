@@ -34,7 +34,7 @@ from treedecomp import (
 from treedecomp import perms
 from treedecomp.apportionment import build_block_unitary, unitarity_residual
 from treedecomp.certificate import lattice_points, transposition_invariance_sweep
-from treedecomp.cli import export_object
+from treedecomp.decomposition import decomposition_to_dot
 from treedecomp.trees import sibling_leaf_pairs
 
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
@@ -73,7 +73,7 @@ def test_criterion_03_figure4_reproduction():
     edges = [e for copy in d.copies for e in copy]
     assert len(edges) == len(set(edges)) == 16
     assert set(edges) == {(x, y) for x in range(4) for y in range(4, 8)}
-    frames = export_object(d, "dot").count("digraph frame_")
+    frames = decomposition_to_dot(d).count("digraph frame_")
     assert frames == 4
     report(3, "4 copies tile Z_4 x {4..7} exactly; DOT export has 4 frames")
 

@@ -87,7 +87,8 @@ class TestAllOnes:
     def test_catalog(self, n):
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            assert check_allones_identity(entry.tree, lab).ok
+            # the diagonal sums are exact, so even tol = 0 passes
+            assert check_allones_identity(entry.tree, lab, tol=0.0).ok
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_dense_oracle(self, n):
@@ -153,6 +154,11 @@ class TestApportionment:
     def test_rejects_bad_tolerance(self, check, tol):
         with pytest.raises(MalformedInput):
             check(FIGURE_TREE, (0, 1, 2, 3), tol=tol)
+
+    def test_zero_tolerance_rejected(self):
+        # the unitarity residual is rounding-level, so tol = 0 could never pass
+        with pytest.raises(MalformedInput):
+            check_apportionment(FIGURE_TREE, (0, 1, 2, 3), tol=0.0)
 
     def test_unitary_residual_matches_dense(self):
         for n in range(1, 25):

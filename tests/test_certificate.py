@@ -26,7 +26,7 @@ from treedecomp.certificate import (
     squaring_chain_ends_constant,
     transposition_invariance_sweep,
 )
-from treedecomp.polynomial import DensePolynomial
+from treedecomp.polynomial import Polynomial
 
 
 class TestEvalCertificate:
@@ -106,7 +106,7 @@ class TestLagrange:
 
     def test_n1_constant(self):
         basis = lagrange_basis((0,), 1)
-        assert basis == DensePolynomial.constant(1, 1)
+        assert basis == Polynomial.constant(1, 1)
 
     def test_delta_property_n3(self):
         points = list(lattice_points(3, 3))
@@ -135,8 +135,8 @@ class TestLagrange:
                 )
                 for _ in range(4)
             }
-            p = DensePolynomial(n, coeffs)
-            by_interpolation = DensePolynomial.zero(n)
+            p = Polynomial(n, coeffs)
+            by_interpolation = Polynomial.zero(n)
             for f in lattice_points(n, n):
                 by_interpolation = by_interpolation + lagrange_basis(f, n).scale(
                     p.evaluate(f)
@@ -158,7 +158,7 @@ class TestCanonicalRepresentative:
 
     def test_single_vertex(self):
         assert canonical_representative(from_parent_map(1, [0])) == (
-            DensePolynomial.constant(1, 1)
+            Polynomial.constant(1, 1)
         )
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -190,6 +190,14 @@ class TestTranspositionInvariance:
     def test_no_sibling_pair_rejected(self):
         with pytest.raises(PreconditionViolated):
             check_transposition_invariance(from_parent_map(3, [0, 0, 1]))
+
+    def test_raised_symbolic_cap_reaches_the_table(self, monkeypatch):
+        # One constant bounds the table check and the canonical table it builds.
+        from treedecomp import certificate
+
+        monkeypatch.setattr(certificate, "SYMBOLIC_CAP", 5)
+        rep = check_transposition_invariance(from_parent_map(5, [0, 0, 0, 1, 1]))
+        assert rep.ok and rep.sweep_checked and rep.table_checked
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_catalog_sweeps(self, n):
@@ -257,19 +265,19 @@ class TestMonomialSupport:
 
 class TestVariableDependency:
     def test_square_of_x0(self):
-        p = DensePolynomial.variable(2, 0)
+        p = Polynomial.variable(2, 0)
         assert check_variable_dependency(p, [0], 2, 2)
 
     def test_constant(self):
-        p = DensePolynomial.constant(3, 7)
+        p = Polynomial.constant(3, 7)
         assert check_variable_dependency(p, [0], 4, 3)
 
     def test_product_two_vars(self):
-        p = DensePolynomial.variable(3, 0) * DensePolynomial.variable(3, 1)
+        p = Polynomial.variable(3, 0) * Polynomial.variable(3, 1)
         assert check_variable_dependency(p, [0, 1], 2, 3)
 
     def test_malformed(self):
-        p = DensePolynomial.variable(2, 0)
+        p = Polynomial.variable(2, 0)
         with pytest.raises(MalformedInput):
             check_variable_dependency(p, [0, 1], 2, 2)  # not a proper subset
         with pytest.raises(MalformedInput):

@@ -7,16 +7,16 @@ from treedecomp import (
     Labeling,
     decompose_directed_knn,
     decomposition_from_json,
+    decomposition_to_json,
     find_beta,
     from_parent_map,
     tree_from_json,
+    tree_to_json,
 )
-from treedecomp import decomposition, labeling, trees
+from treedecomp import cli, decomposition, labeling, trees
 from treedecomp.cli import (
     _campaign_record,
-    export_object,
     labeling_from_json,
-    labeling_to_json,
     main,
     run_campaign,
     sigma_from_json,
@@ -25,7 +25,6 @@ from treedecomp.errors import (
     MalformedInput,
     ReductionDiverged,
     TreeDecompError,
-    UnsupportedFormat,
     VerificationFailed,
 )
 
@@ -244,7 +243,7 @@ class TestCertificate:
 
 class TestGroup:
     def test_example(self, capsys):
-        code, out, _ = run(capsys, "group", "example", "--n", "3")
+        code, out, _ = run(capsys, "group", "example")
         assert code == 0
         obj = json.loads(out)
         assert obj["matrix"] == [[0, 5, 2], [3, 4, 6], [1, 7, 8]]
@@ -288,7 +287,7 @@ class TestApportion:
         code, out, err = run(capsys, "apportion", "check", "--n-max", n_max)
         assert code == 2 and out == "" and err.startswith("error")
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("target", [["--tree", FIGURE], ["--n-max", "2"]])
     def test_bad_tolerance_exit_two(self, capsys, target, tol):
         code, out, err = run(capsys, "apportion", "check", *target, "--tol", tol)
@@ -358,12 +357,44 @@ class TestCampaign:
             '{"out": 2.5}',
             '{"checks": ["beta"], "n": [5, 3]}',
             '{"checks": ["k2n1", "knxnx"], "n": 3, "x": [2, 1]}',
+            '{"checks": ["beta"], "n": [true, 2]}',
+            '{"checks": ["beta"], "n": true}',
+            '{"checks": ["k2n1"], "n": 3, "x": true}',
+            '{"checks": ["beta"], "n": 2, "workers": 0}',
         ],
     )
     def test_bad_config_exit_two(self, capsys, config):
         code, out, err = run(capsys, "campaign", "run", "--config", config)
         assert code == 2 and out == ""
         assert err.startswith("error") and err.count("\n") == 1
+
+    def test_workers_bad_flag_exit_two(self, capsys):
+        config = '{"checks": ["beta"], "n": 2}'
+        code, out, err = run(capsys, "campaign", "run", "--config", config, "--workers", "0")
+        assert code == 2 and out == "" and err.startswith("error")
+
+    @pytest.mark.parametrize(
+        "n,workers,sizes", [([1, 4], 64, [5]), ([1, 4], 2, [2]), (3, 8, [])]
+    )
+    def test_pool_no_larger_than_the_task_list(self, monkeypatch, n, workers, sizes):
+        asked = []
+
+        class FakePool:  # records the size; runs the tasks in this process
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        summary, _ = run_campaign({"checks": ["beta"], "n": n}, workers=workers)
+        assert summary["records"] == (5 if n == [1, 4] else 1) and asked == sizes
 
     def test_record_above_search_cap_is_skipped(self):
         # A 17-vertex path is over find_beta's cap; the record still comes back.
@@ -412,29 +443,19 @@ class TestGoldenRecords:
 class TestExportRoundTrip:
     def test_tree(self):
         t = from_parent_map(4, [0, 0, 1, 1])
-        assert tree_from_json(export_object(t, "json")) == t
+        assert tree_from_json(tree_to_json(t)) == t
 
     def test_labeling(self):
         t = from_parent_map(4, [0, 0, 1, 1])
         lab = find_beta(t, "first")
-        assert labeling_from_json(export_object(lab, "json"), t) == lab
-        assert sigma_from_json(labeling_to_json(lab)) == lab.sigma
+        text = json.dumps({"sigma": list(lab.sigma)})
+        assert labeling_from_json(text, t) == lab
+        assert sigma_from_json(text) == lab.sigma
 
     def test_decomposition(self):
         t = from_parent_map(4, [0, 3, 3, 0])
         d = decompose_directed_knn(t, (0, 1, 2, 3))
-        assert decomposition_from_json(export_object(d, "json")) == d
-
-    def test_labeling_dot(self):
-        t = from_parent_map(4, [0, 0, 1, 1])
-        dot = export_object(find_beta(t, "first"), "dot")
-        assert dot.startswith("digraph")
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedFormat):
-            export_object(from_parent_map(1, [0]), "yaml")
-        with pytest.raises(UnsupportedFormat):
-            export_object(42, "json")
+        assert decomposition_from_json(decomposition_to_json(d)) == d
 
     def test_bad_sigma_json(self):
         with pytest.raises(MalformedInput):
@@ -491,3 +512,287 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+STAR10 = json.dumps({"n": 10, "g": [0] * 10})
+STAR8 = json.dumps({"n": 8, "g": [0] * 8})
+STAR6 = json.dumps({"n": 6, "g": [0] * 6})
+PATH5 = '{"n": 5, "g": [0, 0, 1, 2, 3]}'
+SPIDER5 = '{"n": 5, "g": [0, 0, 0, 1, 1]}'
+SIGMA1 = "[0, 5, 2, 3, 4, 6, 1, 7, 8]"
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# name -> (argv, exit code, SHA-256 of stdout followed by the {out} file).
+# {records} is a campaign's JSONL path, whose records carry timings, so it is
+# not hashed; nor is stderr.
+GOLDEN_CLI = {
+    "version": (
+        ["--version"],
+        0,
+        "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67",
+    ),
+    "no-command": ([], 2, EMPTY),
+    "trees-json": (
+        ["trees", "enumerate", "--n", "5"],
+        0,
+        "eb264856deda514b43d5b2a84d3c378e294a3a72a085cf32d75e08d52450152e",
+    ),
+    "trees-dot": (
+        ["trees", "enumerate", "--n", "4", "--format", "dot"],
+        0,
+        "977af0002b2a8a7eaf18c22839a365106abdc3a1e655f12e4ca13758f4ff7e36",
+    ),
+    "trees-out": (
+        ["trees", "enumerate", "--n", "6", "--out", "{out}"],
+        0,
+        "635e8306ee84b3fd097691500129f233014d56be6abf93c70fc2d5a469332e0a",
+    ),
+    "trees-zero": (["trees", "enumerate", "--n", "0"], 2, EMPTY),
+    "trees-cap": (["trees", "enumerate", "--n", "19"], 2, EMPTY),
+    "trees-format": (["trees", "enumerate", "--n", "3", "--format", "yaml"], 2, EMPTY),
+    "find": (
+        ["label", "find", "--tree", TREE4],
+        0,
+        "449b72896758e77514b8949c21226797092fa5009aef078873f7e7080c3e8d7e",
+    ),
+    "find-seed": (
+        ["label", "find", "--tree", PATH5, "--seed", "7"],
+        0,
+        "639530b44b4e0cc3538e6c568da2e99c1b95e13d2b3ca2a2af2c3b7d08d6af35",
+    ),
+    "find-all": (
+        ["label", "find", "--tree", FIGURE, "--all"],
+        0,
+        "f6782eb3088a34dd1fda758e4c27822797956a7deccb02232403de5d2ce6badb",
+    ),
+    "find-out": (
+        ["label", "find", "--tree", SPIDER5, "--out", "{out}"],
+        0,
+        "2509c52de9e213522ac7225b32d1fd39289502ce86aee8ebd4edcf8b17ec4d55",
+    ),
+    "find-all-cap": (["label", "find", "--tree", STAR10, "--all"], 2, EMPTY),
+    "find-cap": (["label", "find", "--tree", json.dumps({"n": 17, "g": [0] * 17})], 2, EMPTY),
+    "find-not-tree": (["label", "find", "--tree", '{"n": 2, "g": [1, 0]}'], 2, EMPTY),
+    "verify": (
+        ["label", "verify", "--tree", TREE4, "--sigma", "[0, 3, 2, 1]"],
+        0,
+        "207256fb2c03d9990e67fa7f9350b34d90a32caf19eb26cb3fd59fd8d54aafb9",
+    ),
+    "verify-bad": (
+        ["label", "verify", "--tree", TREE4, "--sigma", "[0, 1, 2, 3]"],
+        1,
+        "b1b5a987917ed4673550538e44b57b6618862d76dce77435c86d18ef642de5c1",
+    ),
+    "verify-short": (["label", "verify", "--tree", TREE4, "--sigma", "[0, 1]"], 2, EMPTY),
+    "phi": (
+        ["label", "phi", "--tree", SPIDER5],
+        0,
+        "a3e85f8ca5ae9822a8bf52188e0f21944fec6dff06fdbe3e3c8e1959772ab0e6",
+    ),
+    "phi-out": (
+        ["label", "phi", "--tree", FIGURE, "--out", "{out}"],
+        0,
+        "ce1fd3e443e3b0fa5a97bb3de5c932752e8aa07e724c895ec72527b786eaf683",
+    ),
+    "phi-cap": (["label", "phi", "--tree", STAR10], 2, EMPTY),
+    "knn": (
+        ["decompose", "--tree", FIGURE, "--target", "knn", "--verify"],
+        0,
+        "a1a28a64257dd49aeb10d9c33ccd268f939a04afe94dc3e53470238e02dcfb3c",
+    ),
+    "knn-sigma": (
+        ["decompose", "--tree", TREE4, "--target", "knn", "--sigma", "[0, 3, 2, 1]"],
+        0,
+        "7419297799bcf96ec99a8be493781b0027566f8df445a3b3b42c7e007af0f2dc",
+    ),
+    "knn-not-beta": (
+        ["decompose", "--tree", TREE4, "--target", "knn", "--sigma", "[0, 1, 2, 3]"],
+        2,
+        EMPTY,
+    ),
+    "k2n1-dot": (
+        ["decompose", "--tree", PATH5, "--target", "k2n1", "--x", "2", "--format", "dot"],
+        0,
+        "02360f5e3f5a4bb0238f52efa69596aca6ab5000d5fdfa24c56958d8e52a3483",
+    ),
+    "knxnx-out": (
+        ["decompose", "--tree", TREE4, "--target", "knxnx", "--x", "2", "--out", "{out}"],
+        0,
+        "01c124618f5188724293508f6eef50a56815b30506be316fc179436f47cbde03",
+    ),
+    "k2n1-one-vertex": (
+        ["decompose", "--tree", '{"n": 1, "g": [0]}', "--target", "k2n1"],
+        2,
+        EMPTY,
+    ),
+    "knxnx-x-zero": (
+        ["decompose", "--tree", TREE4, "--target", "knxnx", "--x", "0"],
+        2,
+        EMPTY,
+    ),
+    "decompose-target": (["decompose", "--tree", TREE4, "--target", "k5"], 2, EMPTY),
+    "eval": (
+        ["certificate", "eval", "--tree", TREE4, "--point", "[0, 3, 2, 1]"],
+        0,
+        "a4dda9cc2224212e15dd6a5469bf5d27f0d748e6885c215944d62dfa9760d001",
+    ),
+    "eval-zero": (
+        ["certificate", "eval", "--tree", TREE4, "--point", "[0, 0, 2, 1]"],
+        0,
+        "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe",
+    ),
+    "eval-bad": (
+        ["certificate", "eval", "--tree", TREE4, "--point", "[0, 4, 2, 1]"],
+        2,
+        EMPTY,
+    ),
+    "magnitude": (
+        ["certificate", "magnitude", "--tree", SPIDER5],
+        0,
+        "ff91863335db4d3465c5fe43040a9474bb25c9bdf9b67762d7a09f2cde0f23bb",
+    ),
+    "magnitude-cap": (["certificate", "magnitude", "--tree", STAR8], 2, EMPTY),
+    "nonzero": (
+        ["certificate", "nonzero", "--tree", PATH5],
+        0,
+        "d89c486b1089a7e75810ab7f56b18beb2bf8a6603355c022a55f1ca5d28dd2a2",
+    ),
+    "nonzero-lattice": (
+        ["certificate", "nonzero", "--tree", TREE4, "--full-lattice"],
+        0,
+        "d89c486b1089a7e75810ab7f56b18beb2bf8a6603355c022a55f1ca5d28dd2a2",
+    ),
+    "nonzero-cap": (["certificate", "nonzero", "--tree", STAR8], 2, EMPTY),
+    "invariance": (
+        ["certificate", "invariance", "--tree", TREE4],
+        0,
+        "a72fe010041a6887ab7cf672fca3558b263827ad50f4573cdcfdb31666454952",
+    ),
+    "invariance-sweep-only": (
+        ["certificate", "invariance", "--tree", SPIDER5],
+        0,
+        "cb8431c2b5d204b81636a458fea5c87963ff77bebdace177acd2c5b8ea3b9f4b",
+    ),
+    "invariance-no-pair": (["certificate", "invariance", "--tree", PATH5], 2, EMPTY),
+    "invariance-cap": (["certificate", "invariance", "--tree", STAR6], 2, EMPTY),
+    "monomial-support": (
+        ["certificate", "monomial-support", "--n", "3"],
+        0,
+        "91851c6bbcc6e53430452a1ab149e8091dbf4a9aebc43f1300cf5c24cf1f9e2f",
+    ),
+    "monomial-support-zero": (["certificate", "monomial-support", "--n", "0"], 2, EMPTY),
+    "monomial-support-cap": (["certificate", "monomial-support", "--n", "5"], 2, EMPTY),
+    "composition": (
+        ["certificate", "composition", "--n", "5"],
+        0,
+        "8a9b72d70cfd24007efb7159d25901e36a76b85a4ec0e90a029c696ea9af059a",
+    ),
+    "composition-cap": (["certificate", "composition", "--n", "7"], 2, EMPTY),
+    "group-example": (
+        ["group", "example"],
+        0,
+        "33a56f23a8d11f922a283e34decce0a346222e129ce1e124a63542015892ec50",
+    ),
+    # the example has no --n: n = 3 is its only size
+    "group-example-n3": (
+        ["group", "example", "--n", "3"],
+        2,
+        EMPTY,
+    ),
+    "group-example-n4": (["group", "example", "--n", "4"], 2, EMPTY),
+    "from-tree": (
+        ["group", "from-tree", "--tree", FIGURE],
+        0,
+        "44497261bf03580347f7a2c91924fe6f1d9cf057c580777e87c5e6e55da0a5c4",
+    ),
+    "from-tree-sigma": (
+        ["group", "from-tree", "--tree", TREE4, "--sigma", "[0, 3, 2, 1]"],
+        0,
+        "44497261bf03580347f7a2c91924fe6f1d9cf057c580777e87c5e6e55da0a5c4",
+    ),
+    "closure": (
+        ["group", "closure", "--perm", SIGMA1],
+        0,
+        "c5200ec4ab4befcc2cd68351f3ffc6ee56305a9b545879696d238932db8ff320",
+    ),
+    "closure-two": (
+        ["group", "closure", "--perm", SIGMA1, "--perm", "[0, 2, 1, 3, 5, 4, 6, 8, 7]"],
+        0,
+        "f6889bffef53bedb26a5fd6eed7927246b7d179db62dea4afc2539f1ad5dca77",
+    ),
+    "closure-bad": (["group", "closure", "--perm", "[1, 0, 2, 3]"], 2, EMPTY),
+    "apportion-tree": (
+        ["apportion", "check", "--tree", FIGURE],
+        0,
+        "2f0baeecd91dcc88a0ca54f5b090471bd713183f09ec78c358a59d36547e14df",
+    ),
+    "apportion-sweep": (
+        ["apportion", "check", "--n-max", "4"],
+        0,
+        "2dae0dd8e6e86f78bd3b0d7e849b6eab02848a9da047826cafe9030023d6a3ba",
+    ),
+    "apportion-tiny-tol": (
+        ["apportion", "check", "--tree", FIGURE, "--tol", "1e-300"],
+        1,
+        "a9989c0ab1a4f264d2a310543c61fccbe356dfa77d552c37aed5639896160a82",
+    ),
+    # a rounding-level residual can never meet tol = 0
+    "apportion-tol-zero": (
+        ["apportion", "check", "--tree", FIGURE, "--tol", "0"],
+        2,
+        EMPTY,
+    ),
+    "apportion-tol-negative": (
+        ["apportion", "check", "--n-max", "2", "--tol", "-1"],
+        2,
+        EMPTY,
+    ),
+    "apportion-empty": (["apportion", "check", "--n-max", "0"], 2, EMPTY),
+    "campaign": (
+        [
+            "campaign", "run", "--config",
+            json.dumps({"checks": ALL_CHECKS, "n": [1, 5], "x": [1, 2]}),
+        ],
+        0,
+        "6621ffae2411dbfed49b66b242574cbd71aa43f28f899baceaef4b7ddf604252",
+    ),
+    "campaign-records": (
+        ["campaign", "run", "--config", '{"checks": ["beta"], "n": 3}', "--out", "{records}"],
+        0,
+        "6f4f977e82428fa32d274d4e0c9769ddbf227878e492b6bcdb98ff999afe49a7",
+    ),
+    "campaign-bad": (["campaign", "run", "--config", '{"checks": ["nope"]}'], 2, EMPTY),
+    # a JSON true is not the integer 1
+    "campaign-bool-span": (
+        ["campaign", "run", "--config", '{"checks": ["beta"], "n": [true, 2]}'],
+        2,
+        EMPTY,
+    ),
+    # workers must be positive
+    "campaign-workers-zero": (
+        ["campaign", "run", "--config", '{"checks": ["beta"], "n": 2, "workers": 0}'],
+        2,
+        EMPTY,
+    ),
+}
+
+
+def _golden_run(capsys, tmp_path, argv) -> tuple[int, str]:
+    out_path, records_path = tmp_path / "out.txt", tmp_path / "records.jsonl"
+    paths = {"{out}": str(out_path), "{records}": str(records_path)}
+    try:
+        code = main([paths.get(a, a) for a in argv])
+    except SystemExit as exc:  # argparse: --version and usage errors
+        code = exc.code
+    text = capsys.readouterr().out
+    if out_path.exists():
+        text += out_path.read_text()
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenCli:
+    # Pinned so that any change to what a command prints or how it exits shows.
+    @pytest.mark.parametrize("name", list(GOLDEN_CLI))
+    def test_output_pinned(self, capsys, tmp_path, name):
+        argv, code, digest = GOLDEN_CLI[name]
+        assert _golden_run(capsys, tmp_path, argv) == (code, digest)

@@ -92,11 +92,13 @@ class TestClosure:
         with pytest.raises(MalformedInput):
             closure([])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        from treedecomp import groupaction
         from treedecomp.errors import ResourceLimit
 
+        monkeypatch.setattr(groupaction, "CLOSURE_CAP", 1)
         with pytest.raises(ResourceLimit):
-            closure([sigma_from_first_column(3, [0, 3, 1])], cap=1)
+            closure([sigma_from_first_column(3, [0, 3, 1])])
 
     def test_mixed_sizes_rejected(self):
         a = sigma_from_first_column(2, [0, 2])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 from treedecomp.polynomial import (
-    DensePolynomial,
+    Polynomial,
     falling_factorial_coeffs,
     reduce_falling_factorial,
 )
@@ -14,43 +14,43 @@ def random_poly(rng, n_vars, max_deg, terms):
     for _ in range(terms):
         e = tuple(rng.randrange(max_deg + 1) for _ in range(n_vars))
         coeffs[e] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-    return DensePolynomial(n_vars, coeffs)
+    return Polynomial(n_vars, coeffs)
 
 
 class TestArithmetic:
     def test_zero_coefficients_never_stored(self):
-        p = DensePolynomial(2, {(0, 0): 1, (1, 0): 0})
+        p = Polynomial(2, {(0, 0): 1, (1, 0): 0})
         assert (1, 0) not in p.coeffs
-        q = DensePolynomial.variable(2, 0) - DensePolynomial.variable(2, 0)
+        q = Polynomial.variable(2, 0) - Polynomial.variable(2, 0)
         assert q.is_zero()
 
     def test_mul_and_eval(self):
-        x0 = DensePolynomial.variable(2, 0)
-        x1 = DensePolynomial.variable(2, 1)
+        x0 = Polynomial.variable(2, 0)
+        x1 = Polynomial.variable(2, 1)
         p = (x0 + x1) * (x0 - x1)
         for a, b in product(range(-3, 4), repeat=2):
             assert p.evaluate((a, b)) == a * a - b * b
 
     def test_pow(self):
-        x = DensePolynomial.variable(1, 0)
-        p = (x + DensePolynomial.constant(1, 1)) ** 3
+        x = Polynomial.variable(1, 0)
+        p = (x + Polynomial.constant(1, 1)) ** 3
         assert p.coeffs == {(0,): 1, (1,): 3, (2,): 3, (3,): 1}
 
     def test_scale(self):
-        x = DensePolynomial.variable(1, 0)
+        x = Polynomial.variable(1, 0)
         assert (x.scale(Fraction(1, 2)) * 2) == x
         assert x.scale(0).is_zero()
 
     def test_permute_variables(self):
-        x0 = DensePolynomial.variable(3, 0)
-        x1 = DensePolynomial.variable(3, 1)
+        x0 = Polynomial.variable(3, 0)
+        x1 = Polynomial.variable(3, 1)
         p = x0 * x0 + x1
         q = p.permute_variables((1, 0, 2))
         assert q.coeffs == {(0, 2, 0): 1, (1, 0, 0): 1}
         assert q.permute_variables((1, 0, 2)) == p
 
     def test_variables_used_and_degrees(self):
-        p = DensePolynomial(3, {(2, 0, 1): 1})
+        p = Polynomial(3, {(2, 0, 1): 1})
         assert p.variables_used() == {0, 2}
         assert p.max_degree(0) == 2 and p.max_degree(1) == 0
         assert p.per_variable_degree_below(3)

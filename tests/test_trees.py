@@ -293,8 +293,10 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             list(trees.enumerate_free_trees(19))
+    def test_cap_is_read_per_call(self, monkeypatch):
+        monkeypatch.setattr(trees, "ENUMERATION_CAP", 4)
         with pytest.raises(ResourceLimit):
-            list(trees.enumerate_free_trees(5, cap=4))
+            list(trees.enumerate_free_trees(5))
 
 
 class TestDeepTrees:
