@@ -295,6 +295,8 @@ def _label_phi(args):
 
 
 def _decompose(args):
+    if args.target == "knn" and args.x != 1:
+        raise MalformedInput(f"--x must be 1 for knn (directed K_{{n,n}}), got {args.x}")
     t = _tree_arg(args.tree)
     d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
     if args.verify:
@@ -383,6 +385,8 @@ def _group_closure(args):
 
 
 def _apportion_check(args):
+    if args.sigma is not None and not args.tree:
+        raise MalformedInput("--sigma needs --tree; the catalog sweep searches its own")
     if args.tree:
         t = _tree_arg(args.tree)
         rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)

@@ -92,46 +92,71 @@ def verify_beta(
     return Labeling(sigma=sigma, h=tuple(h), signed_labels=tuple(signed))
 
 
-def _search_order(t: trees.FunctionalTree) -> list[int]:
-    """Root-first BFS ordering, children in ascending vertex order."""
-    return trees.bfs(t.adjacency(), t.root)[0]
-
-
 def _search(
     t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
-) -> list[tuple[int, ...]]:
-    """Backtracking search over label assignments; raw sigma tuples.
+) -> tuple[list[tuple[int, ...]], int]:
+    """Backtracking search over label assignments; raw sigma tuples and the
+    number of search nodes (partial labelings) expanded.
 
-    Vertices are labeled root-first; a non-root vertex's label is forced by
-    its parent's label and the chosen edge label (parent - e on the even
-    partition, parent + e on the odd one), so pruning on used vertex labels
-    and used edge labels is immediate. Edge labels are tried largest-first,
-    root labels in ascending order; rng shuffles both. Returns the first
-    labeling found when first is set, else every labeling in search order.
+    Vertices are labeled root-first in BFS order, children in ascending
+    vertex order; a non-root vertex's label is forced by its parent's label
+    and the chosen edge label (parent - e on the even partition, parent + e
+    on the odd one), so pruning on used vertex labels and used edge labels is
+    immediate, and edge labels that would leave Z_n are never tried. Edge
+    labels are tried largest-first, root labels in ascending order; rng
+    shuffles both. Returns the first labeling found when first is set, else
+    every labeling in search order.
+
+    When first is set, the edge labels along each run of isomorphic sibling
+    subtrees must decrease. Swapping two such subtrees with their labels
+    keeps a beta-labeling (same depth parities, same parent label), so every
+    swap orbit keeps a member and the search stays complete. Without rng the
+    first labeling found is unchanged: the unpruned search meets the member
+    of its orbit with decreasing edge labels first, as largest-first puts a
+    larger label at the earlier twin ahead of any swap of it.
     """
-    n = t.n
-    order = _search_order(t)
-    sign = [t.sign(v) for v in range(n)]
+    n, g = t.n, t.g
+    adj = t.adjacency()
+    order = trees.bfs(adj, t.root)[0]
+    even = [t.sign(v) > 0 for v in range(n)]
+    # twin[u]: the previous child of g[u] in search order with u's subtree,
+    # or n when there is none (edge[n] = n then bounds nothing)
+    twin = [n] * n
+    if first:
+        codes = trees._subtree_codes(adj, t.root)
+        last_child: dict[tuple[int, bytes], int] = {}
+        for u in order[1:]:
+            key = (g[u], codes[u])
+            twin[u] = last_child.get(key, n)
+            last_child[key] = u
 
     label = [-1] * n
+    edge = [0] * n + [n]  # the edge label each placed vertex took
     used_label = [False] * n
     used_edge = [False] * n
     used_edge[0] = True  # the root loop always carries edge label 0
     found: list[tuple[int, ...]] = []
+    nodes = 0
 
     def extend(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
         if i == n:
             found.append(tuple(label))
             return first
         u = order[i]
-        parent_label = label[t.g[u]]
-        candidates = [e for e in range(n - 1, 0, -1) if not used_edge[e]]
+        p = label[g[u]]
+        # e must stay below the twin's edge label and keep p -/+ e in Z_n
+        top = min(edge[twin[u]], p + 1 if even[u] else n - p)
+        candidates = range(top - 1, 0, -1)
         if rng is not None:
+            candidates = list(candidates)
             rng.shuffle(candidates)
         for e in candidates:
-            lu = parent_label - e if sign[u] > 0 else parent_label + e
-            if 0 <= lu < n and not used_label[lu]:
+            lu = p - e if even[u] else p + e
+            if not used_edge[e] and not used_label[lu]:
                 label[u], used_label[lu], used_edge[e] = lu, True, True
+                edge[u] = e
                 if extend(i + 1):
                     return True
                 label[u], used_label[lu], used_edge[e] = -1, False, False
@@ -148,7 +173,7 @@ def _search(
     # extend refers to itself through its closure; break that cycle so found
     # is freed on return rather than at the next full garbage collection.
     extend = None
-    return found
+    return found, nodes
 
 
 def find_beta(
@@ -168,7 +193,7 @@ def find_beta(
     if t.n > SEARCH_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
     rng = random.Random(seed) if seed is not None else None
-    sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)
+    sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)[0]
     labelings = [verify_beta(t, sigma) for sigma in sigmas]
     assert all(isinstance(lab, Labeling) for lab in labelings)
     if mode == "first":
@@ -186,7 +211,7 @@ def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
         raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
     n, g = t.n, t.g
     sign = [t.sign(v) for v in range(n)]
-    out = sorted(_search(t, first=False))
+    out = sorted(_search(t, first=False)[0])
     for p in out:
         seen = 0
         for v in range(n):

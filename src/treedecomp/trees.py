@@ -23,6 +23,8 @@ ENUMERATION_CAP = 18
 # Level-sequence codes take one byte per depth below 255 and 0xff plus four
 # bytes above, so they stay prefix-decodable and ordered like the depths.
 _DEPTH_BYTES = [bytes((d,)) for d in range(255)]
+# Lowers every depth byte by one, re-rooting a depth-1 subtree's code at 0.
+_DEPTH_DOWN = bytes.maketrans(bytes(range(1, 256)), bytes(range(255)))
 
 
 @dataclass(frozen=True)
@@ -228,19 +230,27 @@ class TreeCatalogEntry:
     index: int
 
 
-def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
-    """Canonical preorder depth sequence; children sorted descending."""
+def _subtree_codes(adj: list[list[int]], root: int) -> list[bytes]:
+    """Canonical preorder depth sequence of every vertex's subtree, with the
+    tree rooted at root and depths counted from root; children sorted
+    descending. Two siblings' subtrees are isomorphic iff their codes match."""
     order, parent = bfs(adj, root)
     depth = [0] * len(adj)
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
     subs: list[list[bytes]] = [[] for _ in adj]
+    codes = [b""] * len(adj)
     for v in reversed(order):  # children before parents; the root comes last
         d = depth[v]
         head = _DEPTH_BYTES[d] if d < 255 else b"\xff" + d.to_bytes(4, "big")
-        code = head + b"".join(sorted(subs[v], reverse=True))
+        codes[v] = code = head + b"".join(sorted(subs[v], reverse=True))
         subs[parent[v]].append(code)
-    return code
+    return codes
+
+
+def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
+    """Canonical preorder depth sequence; children sorted descending."""
+    return _subtree_codes(adj, root)[root]
 
 
 def _centroids(adj: list[list[int]]) -> list[int]:
@@ -330,12 +340,18 @@ def enumerate_free_trees(n: int) -> Iterator[TreeCatalogEntry]:
     codes = []
     for code in _rooted_level_sequences(n):
         # Keep it if its root is a centroid: no root subtree (each starts at
-        # a 1) exceeds n/2; at exactly n/2 the other centroid may code lower.
-        big = 1 + max(map(len, code.split(b"\x01")[1:]), default=-1)
-        if 2 * big < n or (
-            2 * big == n and canonical_code(tree_from_level_sequence(code)) == code
-        ):
+        # a 1) exceeds n/2. At exactly n/2 the big subtree's root is the
+        # other centroid, and this rooting codes no higher than that one iff
+        # the big half's level sequence is no larger than the other half's.
+        subs = code.split(b"\x01")[1:]
+        big = max(subs, key=len, default=None)
+        if big is None or 2 * (1 + len(big)) < n:
             codes.append(code)
+        elif 2 * (1 + len(big)) == n:
+            half = (b"\x01" + big).translate(_DEPTH_DOWN)
+            rest = b"\x00" + b"".join(b"\x01" + sub for sub in subs if sub != big)
+            if half <= rest:
+                codes.append(code)
     codes.sort()
     assert len(set(codes)) == len(codes), "duplicate isomorphism class"
     for index, code in enumerate(codes):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
@@ -75,6 +76,58 @@ def phi_by_scan(t: trees.FunctionalTree) -> tuple[tuple[int, ...], ...]:
         else:
             out.append(p)
     return tuple(out)
+
+
+def unpruned_search(
+    t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
+) -> tuple[list[tuple[int, ...]], int]:
+    """The beta-labeling search without sibling pruning, and its node count.
+
+    labeling._search as it stood before isomorphic siblings were ordered,
+    verbatim save for the node counter: every ordering of isomorphic sibling
+    subtrees is explored.
+    """
+    n = t.n
+    order = trees.bfs(t.adjacency(), t.root)[0]
+    sign = [t.sign(v) for v in range(n)]
+
+    label = [-1] * n
+    used_label = [False] * n
+    used_edge = [False] * n
+    used_edge[0] = True  # the root loop always carries edge label 0
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def extend(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if i == n:
+            found.append(tuple(label))
+            return first
+        u = order[i]
+        parent_label = label[t.g[u]]
+        candidates = [e for e in range(n - 1, 0, -1) if not used_edge[e]]
+        if rng is not None:
+            rng.shuffle(candidates)
+        for e in candidates:
+            lu = parent_label - e if sign[u] > 0 else parent_label + e
+            if 0 <= lu < n and not used_label[lu]:
+                label[u], used_label[lu], used_edge[e] = lu, True, True
+                if extend(i + 1):
+                    return True
+                label[u], used_label[lu], used_edge[e] = -1, False, False
+        return False
+
+    root_labels = list(range(n))
+    if rng is not None:
+        rng.shuffle(root_labels)
+    for rl in root_labels:
+        label[t.root], used_label[rl] = rl, True
+        if extend(1) and first:
+            break
+        label[t.root], used_label[rl] = -1, False
+    extend = None
+    return found, nodes
 
 
 def rooted_level_sequence_by_recursion(adj: list[list[int]], root: int) -> list[int]:

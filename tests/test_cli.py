@@ -188,6 +188,15 @@ class TestDecompose:
         assert code == 0
         assert len(json.loads(out)["copies"]) == 12
 
+    @pytest.mark.parametrize("x", ["-5", "0", "2"])
+    def test_knn_rejects_x_other_than_one(self, capsys, x):
+        # directed K_{n,n} has no x; a value other than the default is a usage error
+        code, out, err = run(
+            capsys, "decompose", "--tree", TREE4, "--target", "knn", "--x", x
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error") and err.count("\n") == 1
+
 
 class TestCertificate:
     def test_eval(self, capsys):
@@ -286,6 +295,12 @@ class TestApportion:
     def test_empty_sweep_exit_two(self, capsys, n_max):
         code, out, err = run(capsys, "apportion", "check", "--n-max", n_max)
         assert code == 2 and out == "" and err.startswith("error")
+
+    @pytest.mark.parametrize("sigma", ["[9,9]", "[0, 3, 2, 1]"])
+    def test_sigma_without_tree_exit_two(self, capsys, sigma):
+        code, out, err = run(capsys, "apportion", "check", "--sigma", sigma, "--n-max", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("target", [["--tree", FIGURE], ["--n-max", "2"]])

@@ -1,10 +1,12 @@
 import gc
 import hashlib
 import json
+import random
 
 import pytest
-from conftest import catalog, phi_by_scan
+from conftest import catalog, phi_by_scan, unpruned_search
 
+from treedecomp import labeling
 from treedecomp import (
     BetaFailure,
     InvalidPermutation,
@@ -146,6 +148,54 @@ class TestFindBeta:
             lab = find_beta(relabeled, "first")
             assert isinstance(lab, Labeling)
             assert canonical_code(relabeled) == entry.canonical_code
+
+
+def _relabelings(entry, count):
+    """The catalog tree under count random relabelings, seeded by its code."""
+    rng = random.Random(entry.canonical_code)
+    out = []
+    for _ in range(count):
+        sigma = list(range(entry.tree.n))
+        rng.shuffle(sigma)
+        out.append(conjugate(entry.tree, sigma))
+    return out
+
+
+class TestSiblingPruning:
+    # The first-labeling search orders isomorphic siblings by decreasing edge
+    # label; the unpruned search in conftest is its oracle.
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_first_sigma_matches_unpruned(self, n):
+        for entry in catalog(n):
+            for t in _relabelings(entry, 3):
+                want = unpruned_search(t, first=True)[0]
+                assert [find_beta(t, "first").sigma] == want, t.g
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_seeded_search_stays_complete(self, n):
+        for entry in catalog(n):
+            for seed in range(3):
+                assert isinstance(find_beta(entry.tree, seed=seed), Labeling)
+
+    def test_prunes_no_more_nodes_than_unpruned(self):
+        for n in range(1, 10):
+            for entry in catalog(n):
+                pruned = labeling._search(entry.tree, True)
+                unpruned = unpruned_search(entry.tree, first=True)
+                assert pruned[0] == unpruned[0]
+                assert pruned[1] <= unpruned[1], entry.tree.g
+
+    def test_subdivided_star_nodes_drop(self):
+        # A star labels without backtracking, rooted anywhere. Subdividing one
+        # edge makes the unpruned search try every order of the other leaves
+        # at each failing branch; ordered, they leave one order per branch.
+        star = from_parent_map(10, [0] * 10)
+        assert labeling._search(star, True) == unpruned_search(star, first=True)
+        spider = from_parent_map(10, [0, 0, 1] + [0] * 7)
+        pruned = labeling._search(spider, True)
+        unpruned = unpruned_search(spider, first=True)
+        assert pruned[0] == unpruned[0]
+        assert 10 * pruned[1] < unpruned[1]
 
 
 class TestPhiSet:
