@@ -41,7 +41,6 @@ from .errors import (
     NotAFunctionalTree,
     NotBijective,
     PreconditionViolated,
-    ReductionDiverged,
     ResourceLimit,
     TreeDecompError,
     VerificationFailed,

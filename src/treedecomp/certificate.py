@@ -92,21 +92,16 @@ def lattice_points(n: int, m: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(n), repeat=m)
 
 
-def nonvanishing_by_sweep(t: trees.FunctionalTree, full_lattice: bool = False) -> bool:
+def nonvanishing_by_sweep(t: trees.FunctionalTree) -> bool:
     """True iff some lattice point gives a nonzero certificate.
 
-    Default sweeps permutations only; the certificate vanishes off S_n (the
-    vertex-distinctness factor), a fact the test suite checks by full
-    sweeps at small n. full_lattice=True forces the n^n sweep.
+    Sweeps permutations only: the certificate vanishes off S_n (the
+    vertex-distinctness factor), a fact the test suite checks against the
+    full n^n sweep at small n.
     """
     if t.n > SWEEP_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the sweep cap {SWEEP_CAP}")
-    points = (
-        lattice_points(t.n, t.n)
-        if full_lattice
-        else itertools.permutations(range(t.n))
-    )
-    return any(eval_certificate(t, f) != 0 for f in points)
+    return any(eval_certificate(t, f) != 0 for f in itertools.permutations(range(t.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Command-line interface and batch campaign driver.
 
 Exit codes: 0 all checks passed; 1 a verification failed (no labeling found
-included) or a reduction diverged; 2 any other treedecomp error, bad JSON or
-an unreadable file.
+included); 2 any other treedecomp error, bad JSON or an unreadable file.
 """
 
 from __future__ import annotations
@@ -19,13 +18,7 @@ from typing import Sequence
 from . import __version__, apportionment, certificate, decomposition, groupaction
 from . import labeling as lb
 from . import trees
-from .errors import (
-    MalformedInput,
-    ReductionDiverged,
-    ResourceLimit,
-    TreeDecompError,
-    VerificationFailed,
-)
+from .errors import MalformedInput, ResourceLimit, TreeDecompError, VerificationFailed
 
 
 def sigma_from_json(text: str) -> tuple[int, ...]:
@@ -158,10 +151,16 @@ def _span(value) -> list[int]:
     raise MalformedInput(f"expected an int or [lo, hi] span with lo <= hi, got {value!r}")
 
 
+CONFIG_KEYS = ("checks", "n", "x", "workers", "out")
+
+
 def run_campaign(config: dict, out_path: str | None = None, workers: int | None = None):
     """Run the configured checks over the tree catalog; append JSONL records."""
     if not isinstance(config, dict):
         raise MalformedInput(f"campaign config must be a JSON object, got {config!r}")
+    unknown = sorted(k for k in config if k not in CONFIG_KEYS)
+    if unknown:
+        raise MalformedInput(f"unknown config keys: {unknown}")
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise MalformedInput(f"checks must be a list of names, got {checks!r}")
@@ -170,6 +169,8 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
         raise MalformedInput(f"unknown checks: {unknown}")
     n_values = _span(config.get("n", [1, 6]))
     x_values = _span(config.get("x", [1, 1]))
+    if x_values[0] < 1:
+        raise MalformedInput(f"x must be at least 1, got {x_values[0]}")
     workers = workers if workers is not None else config.get("workers", 1)
     if type(workers) is not int or workers < 1:
         raise MalformedInput(f"workers must be a positive int, got {workers!r}")
@@ -298,10 +299,8 @@ def _decompose(args):
     if args.target == "knn" and args.x != 1:
         raise MalformedInput(f"--x must be 1 for knn (directed K_{{n,n}}), got {args.x}")
     t = _tree_arg(args.tree)
+    # The constructor runs verify_partition and raises when it fails.
     d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
-    if args.verify:
-        # The constructor has run verify_partition and raises when it fails.
-        sys.stderr.write(json.dumps({"ok": True, "copies": len(d.copies)}) + "\n")
     if args.format == "dot":
         return decomposition.decomposition_to_dot(d), True
     return decomposition.decomposition_to_json(d), True
@@ -319,8 +318,7 @@ def _certificate_magnitude(args):
 
 
 def _certificate_nonzero(args):
-    t = _tree_arg(args.tree)
-    ok = certificate.nonvanishing_by_sweep(t, full_lattice=args.full_lattice)
+    ok = certificate.nonvanishing_by_sweep(_tree_arg(args.tree))
     return {"nonzero": ok}, ok
 
 
@@ -385,30 +383,14 @@ def _group_closure(args):
 
 
 def _apportion_check(args):
-    if args.sigma is not None and not args.tree:
-        raise MalformedInput("--sigma needs --tree; the catalog sweep searches its own")
-    if args.tree:
-        t = _tree_arg(args.tree)
-        rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
-        return {
-            "ok": rep.ok,
-            "kappa": rep.kappa,
-            "kappa_max_error": rep.kappa_max_error,
-            "unitary_residual": rep.unitary_residual,
-        }, rep.ok
-    if args.n_max < 1:
-        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
-    results = []
-    for n in range(1, args.n_max + 1):
-        for entry in trees.enumerate_free_trees(n):
-            lab = _labeling_arg(None, entry.tree)
-            rep = apportionment.check_apportionment(entry.tree, lab, tol=args.tol)
-            code = entry.canonical_code.hex()
-            results.append(
-                {"code": code, "n": n, "ok": rep.ok, "kappa_max_error": rep.kappa_max_error}
-            )
-    ok = all(r["ok"] for r in results)
-    return {"ok": ok, "trees": results}, ok
+    t = _tree_arg(args.tree)
+    rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
+    return {
+        "ok": rep.ok,
+        "kappa": rep.kappa,
+        "kappa_max_error": rep.kappa_max_error,
+        "unitary_residual": rep.unitary_residual,
+    }, rep.ok
 
 
 def _campaign_run(args):
@@ -468,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--target", choices=tuple(DECOMPOSERS), required=True)
     p_dec.add_argument("--x", type=int, default=1)
     p_dec.add_argument("--sigma", help="labeling JSON; searched when omitted")
-    p_dec.add_argument("--verify", action="store_true", help="print the partition report")
     p_dec.add_argument("--format", choices=("json", "dot"), default="json")
     p_dec.add_argument("--out")
 
@@ -481,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mag.add_argument("--tree", required=True)
     p_nz = _leaf(cert_sub, "nonzero", _certificate_nonzero)
     p_nz.add_argument("--tree", required=True)
-    p_nz.add_argument("--full-lattice", action="store_true")
     p_inv = _leaf(cert_sub, "invariance", _certificate_invariance)
     p_inv.add_argument("--tree", required=True)
     p_ms = _leaf(cert_sub, "monomial-support", _certificate_monomial_support)
@@ -502,10 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_app = sub.add_parser("apportion", help="unitary apportionment checks")
     app_sub = p_app.add_subparsers(dest="subcommand", required=True)
     p_appc = _leaf(app_sub, "check", _apportion_check)
-    p_appc.add_argument("--tree")
+    p_appc.add_argument("--tree", required=True)
     p_appc.add_argument("--sigma")
     p_appc.add_argument("--tol", type=float, default=apportionment.DEFAULT_TOL)
-    p_appc.add_argument("--n-max", type=int, default=8)
 
     p_camp = sub.add_parser("campaign", help="batch sweeps over the catalog")
     camp_sub = p_camp.add_subparsers(dest="subcommand", required=True)
@@ -531,9 +510,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0 if ok else 1
-    except (VerificationFailed, ReductionDiverged) as exc:
-        kind = "verification failed" if isinstance(exc, VerificationFailed) else "error"
-        sys.stderr.write(f"{kind}: {exc}\n")
+    except VerificationFailed as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
         return 1
     except (TreeDecompError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

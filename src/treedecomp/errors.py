@@ -31,7 +31,3 @@ class NotBijective(TreeDecompError):
 
 class VerificationFailed(TreeDecompError):
     """A constructed object failed its own verifier; carries a witness."""
-
-
-class ReductionDiverged(TreeDecompError):
-    """Falling-factorial reduction failed to terminate (implementation bug)."""

@@ -195,7 +195,9 @@ def find_beta(
     rng = random.Random(seed) if seed is not None else None
     sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)[0]
     labelings = [verify_beta(t, sigma) for sigma in sigmas]
-    assert all(isinstance(lab, Labeling) for lab in labelings)
+    for lab in labelings:
+        if not isinstance(lab, Labeling):
+            raise VerificationFailed(f"search returned a non-beta sigma: {lab}")
     if mode == "first":
         return labelings[0] if labelings else None
     return labelings

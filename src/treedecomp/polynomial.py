@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ReductionDiverged
-
 Exponent = tuple[int, ...]
 
 
@@ -152,38 +150,23 @@ def falling_factorial_coeffs(n: int) -> list[int]:
 def reduce_falling_factorial(p: Polynomial, n: int) -> Polynomial:
     """Canonical representative of p modulo the ideal {x_i^(falling n)}.
 
-    Repeatedly rewrites x_i^n as x_i^n - x_i^(falling n) (a degree n-1
-    polynomial) until every exponent is below n. Each rewrite strictly
-    lowers the offending degree, so divergence signals a bug.
+    red[d] holds x^d reduced below degree n, as coefficients by power: it is
+    x * red[d-1] with that product's x^n term replaced by x^n - x^(falling n),
+    which has degree n-1. A monomial reduces to the product of its variables'
+    red[e_i], so every loop is bounded by the degrees of p.
     """
     ff = falling_factorial_coeffs(n)
-    replacement = {k: -ff[k] for k in range(n) if ff[k]}
-    work = dict(p.coeffs)
-    budget = 10_000 + 100 * sum(
-        sum(e) for e in work
-    ) * max(1, len(work))
-    steps = 0
-    while True:
-        hot = None
-        for e in work:
-            hot_var = next((i for i, d in enumerate(e) if d >= n), None)
-            if hot_var is not None:
-                hot = (e, hot_var)
-                break
-        if hot is None:
-            break
-        steps += 1
-        if steps > budget:
-            raise ReductionDiverged(f"reduction exceeded {budget} rewrites")
-        e, i = hot
-        c = work.pop(e)
-        for k, r in replacement.items():
-            e2 = list(e)
-            e2[i] = e[i] - n + k
-            key = tuple(e2)
-            s = work.get(key, Fraction(0)) + c * r
-            if s:
-                work[key] = s
-            else:
-                work.pop(key, None)
-    return Polynomial(p.n_vars, work)
+    red = [[int(k == 0) for k in range(n)]]
+    for _ in range(max((d for e in p.coeffs for d in e), default=0)):
+        up = [0] + red[-1]
+        red.append([up[k] - up[n] * ff[k] for k in range(n)])
+    out: dict[Exponent, Fraction] = {}
+    for e, c in p.coeffs.items():
+        terms: dict[Exponent, Fraction] = {(): c}
+        for d in e:
+            terms = {
+                t + (k,): a * r for t, a in terms.items() for k, r in enumerate(red[d]) if r
+            }
+        for t, a in terms.items():
+            out[t] = out.get(t, Fraction(0)) + a
+    return Polynomial(p.n_vars, out)

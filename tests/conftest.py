@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
 
-from treedecomp import apportionment, trees
+from treedecomp import apportionment, certificate, trees
+from treedecomp.polynomial import Polynomial, falling_factorial_coeffs
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -128,6 +130,46 @@ def unpruned_search(
         label[t.root], used_label[rl] = -1, False
     extend = None
     return found, nodes
+
+
+def reduce_by_rewriting(p: Polynomial, n: int) -> Polynomial:
+    """p modulo the falling factorials by rewriting x_i^n as x_i^n - x_i^(falling n).
+
+    polynomial.reduce_falling_factorial as it stood before the reduced-power
+    table, without its rewrite budget: each rewrite lowers one exponent, so
+    the loop ends, though the number of rewrites can grow exponentially.
+    """
+    ff = falling_factorial_coeffs(n)
+    replacement = {k: -ff[k] for k in range(n) if ff[k]}
+    work = dict(p.coeffs)
+    while True:
+        hot = None
+        for e in work:
+            hot_var = next((i for i, d in enumerate(e) if d >= n), None)
+            if hot_var is not None:
+                hot = (e, hot_var)
+                break
+        if hot is None:
+            break
+        e, i = hot
+        c = work.pop(e)
+        for k, r in replacement.items():
+            e2 = list(e)
+            e2[i] = e[i] - n + k
+            key = tuple(e2)
+            s = work.get(key, Fraction(0)) + c * r
+            if s:
+                work[key] = s
+            else:
+                work.pop(key, None)
+    return Polynomial(p.n_vars, work)
+
+
+def nonvanishing_on_lattice(t: trees.FunctionalTree) -> bool:
+    """True iff the certificate is nonzero at some point of the full n^n lattice."""
+    return any(
+        certificate.eval_certificate(t, f) != 0 for f in product(range(t.n), repeat=t.n)
+    )
 
 
 def rooted_level_sequence_by_recursion(adj: list[list[int]], root: int) -> list[int]:

@@ -1,5 +1,5 @@
 import pytest
-from conftest import catalog
+from conftest import catalog, nonvanishing_on_lattice
 
 from treedecomp import (
     MalformedInput,
@@ -93,9 +93,7 @@ class TestNonvanishing:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_full_lattice_agrees_with_permutation_sweep(self, n):
         for entry in catalog(n):
-            assert nonvanishing_by_sweep(entry.tree, full_lattice=True) == (
-                nonvanishing_by_sweep(entry.tree)
-            )
+            assert nonvanishing_on_lattice(entry.tree) == nonvanishing_by_sweep(entry.tree)
 
 
 class TestLagrange:
@@ -275,6 +273,11 @@ class TestVariableDependency:
     def test_product_two_vars(self):
         p = Polynomial.variable(3, 0) * Polynomial.variable(3, 1)
         assert check_variable_dependency(p, [0, 1], 2, 3)
+
+    def test_high_power_terminates(self):
+        # x0^39 x1^39 x2^39 ran past the old rewrite budget
+        p = Polynomial(4, {(3, 3, 3, 0): 1})
+        assert check_variable_dependency(p, [0, 1, 2], 13, 4)
 
     def test_malformed(self):
         p = Polynomial.variable(2, 0)

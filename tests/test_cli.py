@@ -21,12 +21,7 @@ from treedecomp.cli import (
     run_campaign,
     sigma_from_json,
 )
-from treedecomp.errors import (
-    MalformedInput,
-    ReductionDiverged,
-    TreeDecompError,
-    VerificationFailed,
-)
+from treedecomp.errors import MalformedInput, TreeDecompError, VerificationFailed
 
 TREE4 = '{"n": 4, "g": [0, 0, 1, 1]}'
 FIGURE = '{"n": 4, "g": [0, 3, 3, 0]}'
@@ -137,13 +132,10 @@ class TestLabel:
 
 class TestDecompose:
     def test_knn_json(self, capsys):
-        code, out, err = run(
-            capsys, "decompose", "--tree", FIGURE, "--target", "knn", "--verify"
-        )
-        assert code == 0
+        code, out, err = run(capsys, "decompose", "--tree", FIGURE, "--target", "knn")
+        assert code == 0 and err == ""
         d = decomposition_from_json(out)
         assert len(d.copies) == 4
-        assert json.loads(err) == {"ok": True, "copies": 4}
 
     def test_sigma_from_file(self, capsys, tmp_path):
         path = tmp_path / "sigma.json"
@@ -167,9 +159,7 @@ class TestDecompose:
         monkeypatch.setattr(
             decomposition, "verify_partition", lambda d: calls.append(d) or real(d)
         )
-        code, _, _ = run(
-            capsys, "decompose", "--tree", TREE4, "--target", "k2n1", "--verify"
-        )
+        code, _, _ = run(capsys, "decompose", "--tree", TREE4, "--target", "k2n1")
         assert code == 0 and len(calls) == 1
 
     def test_k2n1_dot_frames(self, capsys):
@@ -222,12 +212,6 @@ class TestCertificate:
 
     def test_nonzero(self, capsys):
         code, out, _ = run(capsys, "certificate", "nonzero", "--tree", TREE4)
-        assert code == 0 and json.loads(out)["nonzero"]
-
-    def test_nonzero_full_lattice(self, capsys):
-        code, out, _ = run(
-            capsys, "certificate", "nonzero", "--tree", TREE4, "--full-lattice"
-        )
         assert code == 0 and json.loads(out)["nonzero"]
 
     def test_invariance(self, capsys):
@@ -286,24 +270,25 @@ class TestApportion:
         assert obj["ok"] and obj["kappa"] == 0.25
 
     def test_sweep(self, capsys):
-        code, out, _ = run(capsys, "apportion", "check", "--n-max", "4")
+        # the catalog sweep is a campaign of the apportion check
+        config = '{"checks": ["apportion"], "n": [1, 4]}'
+        code, out, _ = run(capsys, "campaign", "run", "--config", config)
         assert code == 0
         obj = json.loads(out)
-        assert obj["ok"] and len(obj["trees"]) == 5
-
-    @pytest.mark.parametrize("n_max", ["0", "-3"])
-    def test_empty_sweep_exit_two(self, capsys, n_max):
-        code, out, err = run(capsys, "apportion", "check", "--n-max", n_max)
-        assert code == 2 and out == "" and err.startswith("error")
+        assert obj["all_pass"] and obj["records"] == 5
 
     @pytest.mark.parametrize("sigma", ["[9,9]", "[0, 3, 2, 1]"])
     def test_sigma_without_tree_exit_two(self, capsys, sigma):
-        code, out, err = run(capsys, "apportion", "check", "--sigma", sigma, "--n-max", "2")
-        assert code == 2 and out == ""
-        assert err.startswith("error") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["apportion", "check", "--sigma", sigma])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "required: --tree" in captured.err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    @pytest.mark.parametrize("target", [["--tree", FIGURE], ["--n-max", "2"]])
+    @pytest.mark.parametrize(
+        "target", [["--tree", FIGURE], ["--tree", TREE4, "--sigma", "[0, 3, 2, 1]"]]
+    )
     def test_bad_tolerance_exit_two(self, capsys, target, tol):
         code, out, err = run(capsys, "apportion", "check", *target, "--tol", tol)
         assert code == 2 and out == "" and err.startswith("error")
@@ -376,6 +361,8 @@ class TestCampaign:
             '{"checks": ["beta"], "n": true}',
             '{"checks": ["k2n1"], "n": 3, "x": true}',
             '{"checks": ["beta"], "n": 2, "workers": 0}',
+            '{"check": ["beta", "knn"], "n": [1, 4]}',
+            '{"checks": ["beta"], "n": 2, "x": [0, 1]}',
         ],
     )
     def test_bad_config_exit_two(self, capsys, config):
@@ -487,7 +474,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(trees, "enumerate_free_trees", fail)
         code, out, err = run(capsys, "trees", "enumerate", "--n", "1")
-        assert code == (1 if error in (VerificationFailed, ReductionDiverged) else 2)
+        assert code == (1 if error is VerificationFailed else 2)
         assert out == "" and err.endswith("boom\n") and err.count("\n") == 1
 
     def test_json_decode_error_exit_two(self, capsys):
@@ -504,7 +491,6 @@ class TestNoLabelingFound:
             ["decompose", "--tree", TREE4, "--target", "knn"],
             ["group", "from-tree", "--tree", TREE4],
             ["apportion", "check", "--tree", TREE4],
-            ["apportion", "check", "--n-max", "2"],
         ],
     )
     def test_exit_one(self, capsys, monkeypatch, argv):
@@ -520,6 +506,29 @@ class TestNoLabelingFound:
         for result in record["checks"].values():
             assert result["pass"] is False
             assert result["detail"] == "no beta-labeling found"
+
+
+class TestFaultySearch:
+    # find_beta re-checks every sigma the search returns; the stub returns the
+    # identity, which is not a beta-labeling of TREE4.
+    @pytest.fixture(autouse=True)
+    def identity_search(self, monkeypatch):
+        monkeypatch.setattr(
+            labeling, "_search", lambda t, first, rng=None: ([tuple(range(t.n))], 0)
+        )
+
+    def test_label_find_exit_one(self, capsys):
+        code, out, err = run(capsys, "label", "find", "--tree", TREE4)
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed: search returned a non-beta sigma")
+        assert err.count("\n") == 1
+
+    def test_campaign_records_the_failure(self):
+        record = _campaign_record((4, [0, 0, 1, 1], "00", ["beta", "knn"], [1]))
+        assert record["labeling"] is None
+        for result in record["checks"].values():
+            assert result["pass"] is False
+            assert "non-beta sigma" in result["detail"]
 
 
 class TestVersionFlag:
@@ -610,8 +619,9 @@ GOLDEN_CLI = {
         "ce1fd3e443e3b0fa5a97bb3de5c932752e8aa07e724c895ec72527b786eaf683",
     ),
     "phi-cap": (["label", "phi", "--tree", STAR10], 2, EMPTY),
+    # decompose always verifies its partition; there is no --verify
     "knn": (
-        ["decompose", "--tree", FIGURE, "--target", "knn", "--verify"],
+        ["decompose", "--tree", FIGURE, "--target", "knn"],
         0,
         "a1a28a64257dd49aeb10d9c33ccd268f939a04afe94dc3e53470238e02dcfb3c",
     ),
@@ -672,10 +682,12 @@ GOLDEN_CLI = {
         0,
         "d89c486b1089a7e75810ab7f56b18beb2bf8a6603355c022a55f1ca5d28dd2a2",
     ),
+    # no --full-lattice: the certificate vanishes off S_n, so the permutation
+    # sweep already gives the full lattice's answer
     "nonzero-lattice": (
         ["certificate", "nonzero", "--tree", TREE4, "--full-lattice"],
-        0,
-        "d89c486b1089a7e75810ab7f56b18beb2bf8a6603355c022a55f1ca5d28dd2a2",
+        2,
+        EMPTY,
     ),
     "nonzero-cap": (["certificate", "nonzero", "--tree", STAR8], 2, EMPTY),
     "invariance": (
@@ -741,11 +753,8 @@ GOLDEN_CLI = {
         0,
         "2f0baeecd91dcc88a0ca54f5b090471bd713183f09ec78c358a59d36547e14df",
     ),
-    "apportion-sweep": (
-        ["apportion", "check", "--n-max", "4"],
-        0,
-        "2dae0dd8e6e86f78bd3b0d7e849b6eab02848a9da047826cafe9030023d6a3ba",
-    ),
+    # --tree is required; the catalog sweep is a campaign of the apportion check
+    "apportion-sweep": (["apportion", "check", "--n-max", "4"], 2, EMPTY),
     "apportion-tiny-tol": (
         ["apportion", "check", "--tree", FIGURE, "--tol", "1e-300"],
         1,
@@ -757,12 +766,14 @@ GOLDEN_CLI = {
         2,
         EMPTY,
     ),
+    # on --tree, so that these reject a tolerance and an empty tree, not a
+    # missing flag
     "apportion-tol-negative": (
-        ["apportion", "check", "--n-max", "2", "--tol", "-1"],
+        ["apportion", "check", "--tree", FIGURE, "--tol", "-1"],
         2,
         EMPTY,
     ),
-    "apportion-empty": (["apportion", "check", "--n-max", "0"], 2, EMPTY),
+    "apportion-empty": (["apportion", "check", "--tree", '{"n": 0, "g": []}'], 2, EMPTY),
     "campaign": (
         [
             "campaign", "run", "--config",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from conftest import reduce_by_rewriting
+
 from treedecomp.polynomial import (
     Polynomial,
     falling_factorial_coeffs,
@@ -88,3 +90,15 @@ class TestFallingFactorial:
         rng = random.Random(7)
         p = random_poly(rng, 2, 2, 4)
         assert reduce_falling_factorial(p, 3) == p
+
+    def test_agrees_with_rewriting_oracle(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            p = random_poly(rng, rng.randrange(1, 5), n + 4, rng.randrange(1, 5))
+            assert reduce_falling_factorial(p, n) == reduce_by_rewriting(p, n)
+
+    def test_n_zero_gives_zero(self):
+        # the falling factorial of degree 0 is 1, which generates every polynomial
+        p = random_poly(random.Random(3), 2, 3, 4)
+        assert reduce_falling_factorial(p, 0) == Polynomial.zero(2) == reduce_by_rewriting(p, 0)
