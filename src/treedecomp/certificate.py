@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 from . import labeling as lb
 from . import perms, trees
 from .errors import MalformedInput, PreconditionViolated, ResourceLimit
-from .polynomial import Polynomial, reduce_falling_factorial
+from .polynomial import Polynomial, reduced_power
 
 SWEEP_CAP = 7
 FULL_LATTICE_CAP = 5
@@ -320,7 +320,8 @@ def check_monomial_support(n: int) -> MonomialSupportReport:
 def check_variable_dependency(
     p: Polynomial, support: Sequence[int], t_power: int, n: int
 ) -> bool:
-    """Reduce p**t_power modulo the falling factorials and test its support.
+    """Reduce p**t_power modulo the falling factorials, one product at a
+    time, and test its support.
 
     True iff the reduced table only touches variables in support.
     """
@@ -333,5 +334,4 @@ def check_variable_dependency(
         raise MalformedInput("p must have per-variable degree below n")
     if not p.variables_used() <= support_set:
         raise MalformedInput("p already depends on variables outside support")
-    reduced = reduce_falling_factorial(p**t_power, n)
-    return reduced.variables_used() <= support_set
+    return reduced_power(p, t_power, n).variables_used() <= support_set

@@ -170,3 +170,15 @@ def reduce_falling_factorial(p: Polynomial, n: int) -> Polynomial:
         for t, a in terms.items():
             out[t] = out.get(t, Fraction(0)) + a
     return Polynomial(p.n_vars, out)
+
+
+def reduced_power(p: Polynomial, k: int, n: int) -> Polynomial:
+    """p**k modulo {x_i^(falling n)}, reduced after each of the k products.
+
+    The reduced representative is unique, so this equals
+    reduce_falling_factorial(p**k, n) without ever holding p**k in full.
+    """
+    out = reduce_falling_factorial(p, n)
+    for _ in range(k - 1):
+        out = reduce_falling_factorial(out * p, n)
+    return out

@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from treedecomp import apportionment, certificate, trees
+from treedecomp.decomposition import Decomposition, PartitionReport, host_edges
 from treedecomp.polynomial import Polynomial, falling_factorial_coeffs
 
 
@@ -227,3 +228,57 @@ def allones_dense(
         max_deviation=float(dev.max()),
         worst_entry=(int(worst[0]), int(worst[1])),
     )
+
+
+def _copy_is_tree_of_shape_by_sorting(copy, expected_code: bytes) -> str | None:
+    """decomposition._copy_is_tree_of_shape as it stood before vertices were
+    indexed in order of appearance: vertices are sorted, so mixed types raise."""
+    verts = sorted({v for e in copy for v in e})
+    if len(verts) != len(copy) + 1:
+        return f"copy is not vertex-injective: {len(verts)} vertices, {len(copy)} edges"
+    index = {v: i for i, v in enumerate(verts)}
+    relabeled = [(index[a], index[b]) for a, b in copy]
+    adj: list[list[int]] = [[] for _ in verts]
+    for a, b in relabeled:
+        adj[a].append(b)
+        adj[b].append(a)
+    if len(trees.bfs(adj, 0)[0]) != len(verts):
+        return "copy is disconnected"
+    code = trees.canonical_code_of_edges(len(verts), relabeled)
+    if code != expected_code:
+        return "copy shape differs from the source tree"
+    return None
+
+
+def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
+    """decomposition.verify_partition as it stood before rotations: a full
+    shape check of every copy and the exact cover by a set of edge tuples
+    compared with host_edges."""
+    if d.host.kind == "knn":
+        t = d.tree
+        expected_code = trees.canonical_code_of_edges(
+            t.n + 1, sorted(t.undirected_edges()) + [(t.root, t.n)]
+        )
+    else:
+        expected_code = trees.canonical_code(d.tree)
+
+    seen: set = set()
+    for idx, copy in enumerate(d.copies):
+        shape_problem = _copy_is_tree_of_shape_by_sorting(copy, expected_code)
+        if shape_problem is not None:
+            return PartitionReport(False, shape_problem, (idx,), len(d.copies))
+        for edge in copy:
+            if edge in seen:
+                witness = (idx, edge)
+                return PartitionReport(False, "edge covered twice", witness, len(d.copies))
+            seen.add(edge)
+
+    expected_edges = host_edges(d.host)
+    if seen != expected_edges:
+        missing = sorted(expected_edges - seen)
+        extra = sorted(seen - expected_edges)
+        witness = (missing[:3], extra[:3])
+        return PartitionReport(
+            False, "copies do not tile the host edge set", witness, len(d.copies)
+        )
+    return PartitionReport(True, None, None, len(d.copies))

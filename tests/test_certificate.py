@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import catalog, nonvanishing_on_lattice
 
@@ -26,7 +28,7 @@ from treedecomp.certificate import (
     squaring_chain_ends_constant,
     transposition_invariance_sweep,
 )
-from treedecomp.polynomial import Polynomial
+from treedecomp.polynomial import Polynomial, reduce_falling_factorial, reduced_power
 
 
 class TestEvalCertificate:
@@ -278,6 +280,20 @@ class TestVariableDependency:
         # x0^39 x1^39 x2^39 ran past the old rewrite budget
         p = Polynomial(4, {(3, 3, 3, 0): 1})
         assert check_variable_dependency(p, [0, 1, 2], 13, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_reduced_per_product_equals_full_expansion(self, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            p = Polynomial(
+                3,
+                {
+                    tuple(rng.randrange(n) for _ in range(3)): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 5))
+                },
+            )
+            for k in range(1, 5):
+                assert reduced_power(p, k, n) == reduce_falling_factorial(p**k, n)
 
     def test_malformed(self):
         p = Polynomial.variable(2, 0)

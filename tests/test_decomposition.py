@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from conftest import catalog
+from conftest import catalog, verify_partition_by_sets
 
 from treedecomp import (
     Decomposition,
@@ -20,7 +20,8 @@ from treedecomp import (
     unorient,
     verify_partition,
 )
-from treedecomp.decomposition import decomposition_to_dot, host_edges
+from treedecomp import decomposition
+from treedecomp.decomposition import PartitionReport, decomposition_to_dot, host_edges
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 IDENTITY4 = (0, 1, 2, 3)
@@ -152,15 +153,19 @@ class TestKnxnx:
 
 class TestVerifyPartition:
     def test_builder_failure_carries_witness(self, monkeypatch):
-        real = host_edges
-        monkeypatch.setattr(
-            "treedecomp.decomposition.host_edges",
-            lambda host: real(host) | {(0, 99)},
-        )
+        t = from_parent_map(2, [0, 0])
+        dropped = decompose_k2n1(t, (0, 1), 1).copies[-1]
+        real = decomposition.Decomposition
+
+        def without_last_copy(**fields):
+            fields["copies"] = fields["copies"][:-1]
+            return real(**fields)
+
+        monkeypatch.setattr(decomposition, "Decomposition", without_last_copy)
         with pytest.raises(VerificationFailed) as exc:
-            decompose_k2n1(from_parent_map(2, [0, 0]), (0, 1), 1)
+            decompose_k2n1(t, (0, 1), 1)
         assert "do not tile" in str(exc.value)
-        assert "(0, 99)" in str(exc.value)
+        assert str(dropped[0]) in str(exc.value)
 
     def test_duplicate_edge_detected(self):
         t = from_parent_map(2, [0, 0])
@@ -216,6 +221,189 @@ class TestVerifyPartition:
                         decompose_knxnx(entry.tree, lab, x),
                     ):
                         assert len(d.copies) * (n - 1) == len(host_edges(d.host))
+
+
+def _side(host: Host) -> int:
+    """The rotation modulus: n, nx or 2nx+1."""
+    if host.kind == "knn":
+        return host.n
+    if host.kind == "knxnx":
+        return host.n * host.x
+    return 2 * host.n * host.x + 1
+
+
+def _star(host: Host, size: int) -> tuple:
+    m = _side(host)
+    if host.kind == "k2n1":
+        return tuple((0, j) for j in range(1, size + 1))
+    return tuple((0, m + j) for j in range(size))
+
+
+def _path(host: Host, size: int) -> tuple:
+    m = _side(host)
+    if host.kind == "k2n1":
+        return tuple((j, j + 1) for j in range(size))
+    return tuple(sorted(((j + 1) // 2, m + j // 2) for j in range(size)))
+
+
+def _turn(copy, s: int, host: Host) -> tuple:
+    """Each pair's ends moved by s mod m, as the host rotation moves an
+    in-host copy, applied blindly to whatever pairs the copy holds."""
+    m = _side(host)
+    if host.kind == "k2n1":
+        return tuple(sorted(tuple(sorted(((u + s) % m, (v + s) % m))) for u, v in copy))
+    return tuple(sorted(((u + s) % m, m + (v + s) % m) for u, v in copy))
+
+
+def _with(d: Decomposition, copies=None, shifts=None) -> Decomposition:
+    return Decomposition(
+        host=d.host,
+        copies=d.copies if copies is None else tuple(copies),
+        tree=d.tree,
+        sigma=d.sigma,
+        shifts=d.shifts if shifts is None else tuple(shifts),
+    )
+
+
+def _put(d: Decomposition, idx: int, copy) -> Decomposition:
+    copies = list(d.copies)
+    copies[idx] = tuple(copy)
+    return _with(d, copies)
+
+
+def _tampered(d: Decomposition):
+    """(name, decomposition) pairs, each a fault or a hint the verifier must
+    not trust; the first is the untouched decomposition."""
+    copies, host, size = d.copies, d.host, len(d.copies[0])
+    last = len(copies) - 1
+    yield "untouched", d
+    yield "copy 0 a star", _put(d, 0, _star(host, size))
+    yield "copy 0 a path", _put(d, 0, _path(host, size))
+    yield "out-of-host edge in copy 0", _put(d, 0, copies[0][:-1] + ((0, 99),))
+    yield "copy 0 as strings", _put(d, 0, [(str(u), str(v)) for u, v in copies[0]])
+    yield "copy 0 as integral floats", _put(
+        d, 0, [(float(u), float(v)) for u, v in copies[0]]
+    )
+    yield "last copy dropped", _with(d, copies[:-1])
+    yield "first copy repeated at the end", _with(d, copies + copies[:1])
+    yield "shifts empty", _with(d, shifts=())
+    yield "shifts one short", _with(d, shifts=d.shifts[:-1])
+    yield "shifts not ints", _with(d, shifts=[("a", 0.5)] * len(copies))
+    yield "shifts as lists", _with(d, shifts=[list(h) for h in d.shifts])
+    yield "shifts reversed", _with(d, shifts=d.shifts[::-1])
+    if last < 1:
+        return
+    reversed_edge = ((copies[1][0][1], copies[1][0][0]),) + copies[1][1:]
+    yield "copy 1 duplicates copy 0", _put(d, 1, copies[0])
+    yield "copy 1 a star", _put(d, 1, _star(host, size))
+    yield "copy 1 a path", _put(d, 1, _path(host, size))
+    yield "last copy a star", _put(d, last, _star(host, size))
+    yield "copy 1 empty", _put(d, 1, ())
+    yield "out-of-host edge in copy 1", _put(d, 1, copies[1][:-1] + ((0, 99),))
+    yield "out-of-host edge in copies 0 and 1", _put(
+        _put(d, 0, copies[0][:-1] + ((0, 99),)), 1, copies[1][:-1] + ((0, 99),)
+    )
+    yield "reversed edge in copy 1", _put(d, 1, reversed_edge)
+    yield "copies 1 and last swapped", _put(_put(d, 1, copies[last]), last, copies[1])
+    yield "copy 1 as the turn of a tampered copy 0", _put(
+        _put(d, 0, reversed_edge), 1, _turn(reversed_edge, 1, host)
+    )
+    yield "copy 1 with a half vertex", _put(
+        d, 1, ((0.5, copies[1][0][1]),) + copies[1][1:]
+    )
+    yield "copy 1 with True for 1", _put(
+        d, 1, [(True if u == 1 else u, v) for u, v in copies[1]]
+    )
+    yield "shifts reversed, copy 1 a star", _with(
+        _put(d, 1, _star(host, size)), shifts=d.shifts[::-1]
+    )
+    if last >= 2:
+        yield "copy 1 replaced by copy 2", _put(d, 1, copies[2])
+
+
+def _catalog_decompositions(n: int):
+    for entry in catalog(n):
+        t = entry.tree
+        lab = find_beta(t, "first")
+        yield decompose_directed_knn(t, lab)
+        if n >= 2:
+            for x in (1, 2):
+                yield decompose_k2n1(t, lab, x)
+                yield decompose_knxnx(t, lab, x)
+
+
+class TestVerifyPartitionOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reports_equal_the_set_oracle(self, n):
+        for d in _catalog_decompositions(n):
+            for name, variant in _tampered(d):
+                expected = verify_partition_by_sets(variant)
+                assert verify_partition(variant) == expected, (d.host, name)
+
+    def test_tampering_is_caught(self):
+        # On a tree that is neither a star nor a path, every wrong-shape
+        # copy fails, at a reference index and between references alike.
+        t = catalog(6)[2].tree
+        lab = find_beta(t, "first")
+        for d in (decompose_k2n1(t, lab, 2), decompose_knxnx(t, lab, 2)):
+            for idx in (0, 1, len(d.copies) - 1):
+                for copy in (_star(d.host, 5), _path(d.host, 5)):
+                    report = verify_partition(_put(d, idx, copy))
+                    assert report == PartitionReport(
+                        False, "copy shape differs from the source tree", (idx,), len(d.copies)
+                    )
+
+    def test_one_full_shape_check_per_stretch(self, monkeypatch):
+        calls = []
+        real = decomposition._copy_is_tree_of_shape
+        monkeypatch.setattr(
+            decomposition,
+            "_copy_is_tree_of_shape",
+            lambda copy, code: calls.append(copy) or real(copy, code),
+        )
+        t = catalog(6)[2].tree
+        lab = find_beta(t, "first")
+        for x in (1, 2, 3):
+            for build in (decompose_k2n1, decompose_knxnx):
+                calls.clear()
+                d = build(t, lab, x)
+                assert len(calls) == x
+                calls.clear()
+                assert verify_partition(_with(d, shifts=())).ok
+                assert len(calls) == len(d.copies)
+
+    def test_host_larger_than_its_copies(self):
+        # Too few edges for the host: the counts live in a dict, sized by the
+        # copies, so even a host of ~10^20 edges is answered at once.
+        t = from_parent_map(3, [0, 0, 1])
+        d = decompose_k2n1(t, find_beta(t, "first"), 1)
+        for n in (40, 10**10):
+            for variant in (_put(d, 1, d.copies[0]), d):
+                big = Decomposition(
+                    host=Host("k2n1", n, 1),
+                    copies=variant.copies,
+                    tree=d.tree,
+                    sigma=d.sigma,
+                    shifts=d.shifts,
+                )
+                report = verify_partition(big)
+                assert not report.ok
+                if n == 40:
+                    assert report == verify_partition_by_sets(big)
+
+    def test_json_vertices_the_oracle_cannot_sort_do_not_raise(self):
+        t = from_parent_map(4, [0, 0, 1, 2])
+        d = decompose_k2n1(t, find_beta(t, "first"), 2)
+        (u, v), rest = d.copies[1][0], d.copies[1][1:]
+        for odd in ("a", None, [u], {"u": u}, float("nan")):
+            for copy in (((odd, v),) + rest, ((u, odd),) + rest):
+                report = verify_partition(_put(d, 1, copy))
+                assert not report.ok and report.copies == len(d.copies)
+        bad = json.loads(decomposition_to_json(d))
+        bad["copies"][3][0] = [[1], {"a": 2}]
+        bad["copies"][5][0] = ["x", 3]
+        report = verify_partition(decomposition_from_json(json.dumps(bad)))
+        assert not report.ok
 
 
 class TestLabelSetFacts:
