@@ -90,7 +90,7 @@ def _apportion(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> 
 CHECKS = {
     "beta": lambda t, lab, xs: {},
     "graceful": lambda t, lab, xs: {"pass": lb.verify_graceful(t, lab.sigma).ok},
-    "phi": lambda t, lab, xs: {"phi_size": len(lb.phi_set(t))},
+    "phi": lambda t, lab, xs: {"phi_size": lb.phi_size(t)},
     "knn": _knn,
     "k2n1": _for_each_x(decomposition.decompose_k2n1),
     "knxnx": _for_each_x(decomposition.decompose_knxnx),

@@ -395,6 +395,14 @@ def decomposition_from_json(text: str) -> Decomposition:
         shifts = tuple((k, i) for k, i in prov["shifts"])
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise MalformedInput(f"bad decomposition JSON: {exc}") from exc
+    if (
+        host.kind not in ("knn", "k2n1", "knxnx")
+        or type(host.n) is not int
+        or type(host.x) is not int
+        or host.n < 1
+        or host.x < 1
+    ):
+        raise MalformedInput(f"bad decomposition host: {host}")
     return Decomposition(host=host, copies=copies, tree=tree, sigma=sigma, shifts=shifts)
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, pairwise, permutations
+from math import factorial, prod
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from . import perms, trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
@@ -92,6 +95,25 @@ def verify_beta(
     return Labeling(sigma=sigma, h=tuple(h), signed_labels=tuple(signed))
 
 
+def _twins(
+    t: trees.FunctionalTree, adj: list[list[int]]
+) -> tuple[list[int], list[bytes]]:
+    """twin[u], the previous child of g[u] in ascending vertex order (the
+    search's order) whose subtree has u's code, or n when there is none; and
+    every vertex's subtree code. The twins chain the runs of isomorphic
+    siblings."""
+    n, g = t.n, t.g
+    codes = trees._subtree_codes(adj, t.root)
+    twin = [n] * n
+    last_child: dict[tuple[int, bytes], int] = {}
+    for u in range(n):
+        if u != t.root:
+            key = (g[u], codes[u])
+            twin[u] = last_child.get(key, n)
+            last_child[key] = u
+    return twin, codes
+
+
 def _search(
     t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -105,30 +127,24 @@ def _search(
     immediate, and edge labels that would leave Z_n are never tried. Edge
     labels are tried largest-first, root labels in ascending order; rng
     shuffles both. Returns the first labeling found when first is set, else
-    every labeling in search order.
+    one labeling per orbit of the rooted automorphism group, in search order.
 
-    When first is set, the edge labels along each run of isomorphic sibling
-    subtrees must decrease. Swapping two such subtrees with their labels
-    keeps a beta-labeling (same depth parities, same parent label), so every
-    swap orbit keeps a member and the search stays complete. Without rng the
-    first labeling found is unchanged: the unpruned search meets the member
-    of its orbit with decreasing edge labels first, as largest-first puts a
-    larger label at the earlier twin ahead of any swap of it.
+    The edge labels along each run of isomorphic sibling subtrees must
+    decrease. The rooted automorphisms Aut_r (the swaps of isomorphic sibling
+    subtrees, which keep depth parities and parent labels) act freely on the
+    beta-labelings by sigma -> sigma.alpha, as sigma is a bijection. The edge
+    labels of a beta-labeling are pairwise distinct, so each orbit has
+    exactly one member whose twin runs decrease: the search finds one
+    labeling per orbit, and |Phi| = |found| * |Aut_r|. Without rng the first
+    labeling found is unchanged: the unpruned search meets the member of its
+    orbit with decreasing edge labels first, as largest-first puts a larger
+    label at the earlier twin ahead of any swap of it.
     """
     n, g = t.n, t.g
     adj = t.adjacency()
     order = trees.bfs(adj, t.root)[0]
     even = [t.sign(v) > 0 for v in range(n)]
-    # twin[u]: the previous child of g[u] in search order with u's subtree,
-    # or n when there is none (edge[n] = n then bounds nothing)
-    twin = [n] * n
-    if first:
-        codes = trees._subtree_codes(adj, t.root)
-        last_child: dict[tuple[int, bytes], int] = {}
-        for u in order[1:]:
-            key = (g[u], codes[u])
-            twin[u] = last_child.get(key, n)
-            last_child[key] = u
+    twin = _twins(t, adj)[0]  # n where u has no twin; edge[n] = n bounds nothing
 
     label = [-1] * n
     edge = [0] * n + [n]  # the edge label each placed vertex took
@@ -203,26 +219,145 @@ def find_beta(
     return labelings
 
 
-def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
-    """Phi, every beta-labeling sigma in lexicographic order, by the search.
+def _expand_orbits(
+    t: trees.FunctionalTree,
+    reps: list[tuple[int, ...]],
+    twin: list[int],
+    codes: list[bytes],
+) -> tuple[Iterator[tuple[int, ...]], int]:
+    """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit,
+    and |Aut_r|.
 
-    Each member is re-checked independently: it must be a permutation whose
-    n signed labels set all n bits of a bitmask over Z_n.
+    Aut_r is the product, over the runs of isomorphic siblings, of the
+    permutations of each run's subtrees. A subtree is listed as a block in
+    preorder, children taken in order of their codes, so the blocks of one
+    run line up: position j of one block maps to position j of another under
+    an isomorphism, and permuting whole blocks is a rooted automorphism.
+    Runs are applied by depth, shallowest first: runs at one depth move
+    disjoint subtrees, and a deeper run fixes every shallower vertex, so each
+    alpha is one product of run permutations in that order. (Applying a deep
+    run before and after its parent's run would meet some alphas twice.) The
+    automorphisms of the last run, the largest of the deepest, are made
+    afresh for each orbit and applied as they come, so no orbit is held
+    whole: the 8! labelings of the 9-vertex star stream past one at a time.
+    """
+    n = t.n
+    chains: dict[int, list[int]] = {}  # each run so far, by its last child
+    for u in range(n):
+        if twin[u] < n:
+            chains[u] = chains.pop(twin[u], [twin[u]]) + [u]
+    runs = sorted(chains.values(), key=lambda run: (t.depth[run[0]], len(run)))
+    if not runs:
+        return iter(reps), 1
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for u in sorted(range(n), key=codes.__getitem__):
+        if u != t.root:
+            kids[t.g[u]].append(u)
+
+    def block(v: int) -> list[int]:
+        out, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(kids[u])
+        return out
+
+    def automorphisms(run: list[int]) -> Iterator[itemgetter]:
+        blocks = [block(u) for u in run]
+        spots = [v for blk in blocks for v in blk]
+        rest = [v for v in range(n) if v not in spots]
+        # alpha[spots[i]] is the i-th vertex of the permuted blocks, and
+        # alpha fixes the rest: read alpha off that list at each v's index
+        index = itemgetter(*perms.inverse(spots + rest))
+        for perm in permutations(blocks):
+            yield itemgetter(*index((*chain.from_iterable(perm), *rest)))
+
+    inner = [list(automorphisms(run)) for run in runs[:-1]]
+
+    def members() -> Iterator[tuple[int, ...]]:
+        for rep in reps:
+            orbit = [rep]
+            for alphas in inner:
+                orbit = [alpha(s) for alpha in alphas for s in orbit]
+            for alpha in automorphisms(runs[-1]):
+                yield from map(alpha, orbit)
+
+    return members(), prod(factorial(len(run)) for run in runs)
+
+
+def _phi_members(
+    t: trees.FunctionalTree,
+) -> tuple[Iterator[tuple[int, ...]], int]:
+    """Phi as a stream, each member re-checked as it passes, and |Phi|.
+
+    The search finds one labeling per orbit of Aut_r, the rooted tree's
+    automorphism group, which acts freely on Phi (see _search), and each
+    orbit is then expanded: |Phi| = |orbits| * |Aut_r|. The search's results
+    must be distinct, each with decreasing edge labels along every run of
+    isomorphic siblings, so no two lie in one orbit. Each member is
+    re-checked independently: it must be a permutation whose n signed labels
+    set all n bits of a bitmask over Z_n.
     """
     if t.n > PHI_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
     n, g = t.n, t.g
     sign = [t.sign(v) for v in range(n)]
-    out = sorted(_search(t, first=False)[0])
-    for p in out:
-        seen = 0
-        for v in range(n):
-            lbl = sign[v] * (p[g[v]] - p[v])
-            if 0 <= lbl < n:
-                seen |= 1 << lbl
-        if seen != (1 << n) - 1 or not perms.is_perm(p):
-            raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
+    reps = _search(t, first=False)[0]
+    twin, codes = _twins(t, t.adjacency())
+    for rep in reps:
+        edge = [abs(rep[v] - rep[g[v]]) for v in range(n)]
+        if any(edge[twin[u]] <= edge[u] for u in range(n) if twin[u] < n):
+            raise VerificationFailed(
+                f"search returned {list(rep)}, not its orbit's pick"
+            )
+    if len(set(reps)) != len(reps):
+        raise VerificationFailed("search returned a labeling twice")
+    members, aut = _expand_orbits(t, reps, twin, codes)
+
+    def rechecked() -> Iterator[tuple[int, ...]]:
+        for p in members:
+            seen = 0
+            for v in range(n):
+                lbl = sign[v] * (p[g[v]] - p[v])
+                if 0 <= lbl < n:
+                    seen |= 1 << lbl
+            if seen != (1 << n) - 1 or not perms.is_perm(p):
+                raise VerificationFailed(
+                    f"search returned a non-beta sigma {list(p)}"
+                )
+            yield p
+
+    return rechecked(), len(reps) * aut
+
+
+def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
+    """Phi, every beta-labeling sigma in lexicographic order.
+
+    Every member is re-checked (see _phi_members), and the members must be
+    distinct and number |orbits| * |Aut_r|.
+    """
+    members, size = _phi_members(t)
+    out = sorted(members)
+    if len(out) != size or any(a == b for a, b in pairwise(out)):
+        raise VerificationFailed(
+            f"Phi expanded to {len(out)} labelings, not {size} distinct ones"
+        )
     return out
+
+
+def phi_size(t: trees.FunctionalTree) -> int:
+    """|Phi| = len(phi_set(t)), without holding Phi.
+
+    Every member streams past the same re-check as in phi_set, and their
+    count must be |orbits| * |Aut_r|. They are distinct because the search's
+    results are checked to lie in distinct orbits, on which Aut_r acts
+    freely; phi_set also checks it by sorting, which needs the whole list.
+    """
+    members, size = _phi_members(t)
+    count = sum(1 for _ in members)
+    if count != size:
+        raise VerificationFailed(f"Phi expanded to {count} labelings, not {size}")
+    return size
 
 
 @dataclass(frozen=True)

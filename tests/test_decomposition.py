@@ -446,6 +446,27 @@ class TestSerialization:
         with pytest.raises(MalformedInput):
             decomposition_from_json("[]")
 
+    @pytest.mark.parametrize(
+        "host",
+        [
+            {"kind": "k2n1", "n": "2", "x": 2},
+            {"kind": "k2n1", "n": 2.0, "x": 2},
+            {"kind": "k2n1", "n": True, "x": 2},
+            {"kind": "k2n1", "n": 0, "x": 2},
+            {"kind": "k2n1", "n": 2, "x": 0},
+            {"kind": "knxnx", "n": 2, "x": "2"},
+            {"kind": "mystery", "n": 2, "x": 2},
+        ],
+    )
+    def test_tampered_host(self, host):
+        # a host no decompose_* function writes is malformed input, not
+        # a TypeError inside verify_partition
+        t = from_parent_map(3, [0, 0, 1])
+        obj = json.loads(decomposition_to_json(decompose_k2n1(t, find_beta(t), 2)))
+        obj["host"] = host
+        with pytest.raises(MalformedInput):
+            decomposition_from_json(json.dumps(obj))
+
     def test_unknown_host(self):
         with pytest.raises(MalformedInput):
             host_edges(Host("mystery", 2, 1))

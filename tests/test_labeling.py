@@ -1,18 +1,22 @@
 import gc
 import hashlib
 import json
+import math
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from conftest import catalog, phi_by_scan, unpruned_search
 
-from treedecomp import labeling
+from treedecomp import labeling, perms, trees
 from treedecomp import (
     BetaFailure,
     InvalidPermutation,
     Labeling,
     MalformedInput,
     ResourceLimit,
+    VerificationFailed,
     canonical_code,
     conjugate,
     find_beta,
@@ -132,7 +136,7 @@ class TestFindBeta:
         try:
             gc.collect()
             for call in (lambda: find_beta(t, "first"), lambda: find_beta(t, "all"),
-                         lambda: phi_set(t)):
+                         lambda: phi_set(t), lambda: labeling.phi_size(t)):
                 assert call()
                 assert gc.collect() == 0
         finally:
@@ -161,6 +165,25 @@ def _relabelings(entry, count):
     return out
 
 
+@lru_cache(maxsize=None)
+def _unpruned_phi(t):
+    """Phi by the unpruned search, sorted, and that search's node count."""
+    found, nodes = unpruned_search(t, first=False)
+    return sorted(found), nodes
+
+
+def _rooted_automorphisms(t) -> int:
+    """|Aut_r| as the product over each vertex's children of (number of
+    children with one subtree code)!."""
+    codes = trees._subtree_codes(t.adjacency(), t.root)
+    classes = {}
+    for v in range(t.n):
+        if v != t.root:
+            key = (t.g[v], codes[v])
+            classes[key] = classes.get(key, 0) + 1
+    return math.prod(math.factorial(k) for k in classes.values())
+
+
 class TestSiblingPruning:
     # The first-labeling search orders isomorphic siblings by decreasing edge
     # label; the unpruned search in conftest is its oracle.
@@ -184,6 +207,14 @@ class TestSiblingPruning:
                 unpruned = unpruned_search(entry.tree, first=True)
                 assert pruned[0] == unpruned[0]
                 assert pruned[1] <= unpruned[1], entry.tree.g
+
+    def test_all_mode_prunes_no_more_nodes_than_unpruned(self):
+        for n in range(1, 10):
+            for entry in catalog(n):
+                reps, nodes = labeling._search(entry.tree, False)
+                phi, unpruned_nodes = _unpruned_phi(entry.tree)
+                assert set(reps) <= set(phi)
+                assert nodes <= unpruned_nodes, entry.tree.g
 
     def test_subdivided_star_nodes_drop(self):
         # A star labels without backtracking, rooted anywhere. Subdividing one
@@ -213,13 +244,77 @@ class TestPhiSet:
         assert phis == sorted(phis)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimit):
-            phi_set(from_parent_map(10, [0] * 10))
+        for enumerate_phi in (phi_set, labeling.phi_size):
+            with pytest.raises(ResourceLimit):
+                enumerate_phi(from_parent_map(10, [0] * 10))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_scan_oracle(self, n):
         for entry in catalog(n):
             assert phi_set(entry.tree) == list(phi_by_scan(entry.tree))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_unpruned_search(self, n):
+        # the oracle for n = 9, where the n! scan is too slow for tier-1
+        for entry in catalog(n):
+            assert phi_set(entry.tree) == _unpruned_phi(entry.tree)[0], entry.tree.g
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_relabeling_the_tree_relabels_phi(self, n):
+        # Phi(conjugate(t, s)) = {p . s^-1 : p in Phi(t)}. A relabeled tree
+        # numbers isomorphic subtrees in orders the catalog's never does, so
+        # the orbit expansion must line their vertices up by shape.
+        rng = random.Random(n)
+        for entry in catalog(n):
+            s = list(range(n))
+            rng.shuffle(s)
+            inverse = perms.inverse(s)
+            want = sorted(perms.compose(p, inverse) for p in phi_set(entry.tree))
+            assert phi_set(conjugate(entry.tree, s)) == want, (entry.tree.g, s)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_one_search_result_per_orbit(self, n):
+        # Aut_r acts freely on Phi, and the search keeps one member per orbit;
+        # phi_size counts the same members without holding them
+        for entry in catalog(n):
+            phi = phi_set(entry.tree)
+            reps = labeling._search(entry.tree, False)[0]
+            assert len(set(phi)) == len(phi)
+            assert len(phi) == len(reps) * _rooted_automorphisms(entry.tree)
+            assert labeling.phi_size(entry.tree) == len(phi)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_automorphism_count_by_scan(self, n):
+        for entry in catalog(n):
+            t = entry.tree
+            count = sum(
+                all(a[t.g[v]] == t.g[a[v]] for v in range(n))
+                for a in permutations(range(n))
+                if a[t.root] == t.root
+            )
+            assert count == _rooted_automorphisms(t), t.g
+
+    @pytest.mark.parametrize("found", [[(0, 3, 2, 1)] * 2, [(0, 1, 2, 3)]])
+    def test_search_results_outside_one_orbit_each_fail_closed(
+        self, monkeypatch, found
+    ):
+        # the star's one orbit twice, or a member of it with increasing edge
+        # labels along its leaves: either would count labelings twice
+        t = from_parent_map(4, [0, 0, 0, 0])
+        assert labeling._search(t, False)[0] == [(0, 3, 2, 1)]
+        monkeypatch.setattr(labeling, "_search", lambda t, first: (found, 0))
+        for enumerate_phi in (phi_set, labeling.phi_size):
+            with pytest.raises(VerificationFailed):
+                enumerate_phi(t)
+
+    def test_expansion_short_of_the_orbit_count_fails_closed(self, monkeypatch):
+        t = from_parent_map(4, [0, 0, 0, 0])
+        monkeypatch.setattr(
+            labeling, "_expand_orbits", lambda t, reps, twin, codes: (iter(reps), 6)
+        )
+        for enumerate_phi in (phi_set, labeling.phi_size):
+            with pytest.raises(VerificationFailed):
+                enumerate_phi(t)
 
     def test_star_at_cap(self):
         # a star's root must carry label 0; its 8 leaves take 1..8 in any order
