@@ -32,7 +32,6 @@ from .decomposition import (
     decomposition_from_json,
     decomposition_to_json,
     orient,
-    unorient,
     verify_partition,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .labeling import (
     phi_set,
     verify_beta,
     verify_graceful,
-    verify_rho,
 )
 from .polynomial import Polynomial, reduce_falling_factorial
 from .trees import (

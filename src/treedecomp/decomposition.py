@@ -55,19 +55,6 @@ def orient(t: trees.FunctionalTree) -> OrientedBipartiteTree:
     )
 
 
-def unorient(o: OrientedBipartiteTree) -> trees.FunctionalTree:
-    """Recover the parent map from an orientation (inverse of orient)."""
-    n = o.n
-    root = o.root_edge[0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for x, y in o.edges:
-        if (x, y) == o.root_edge:
-            continue
-        adj[x].append(y - n)
-        adj[y - n].append(x)
-    return trees.from_parent_map(n, trees.bfs(adj, root)[1])
-
-
 @dataclass(frozen=True)
 class Host:
     """Host graph descriptor. kind: knn (directed), k2n1, or knxnx."""

@@ -4,24 +4,21 @@ Index entries of an n x n matrix by k = n*i + j. A first column of n entry
 indices (starting with 0) generates a full permutation of Z_{n^2}: column j
 holds the j-fold diagonal shifts of the first-column entries, placed j rows
 further down. The permutations built this way fix 0 and form a subgroup of
-S_{n^2}; the worked n=3 orbit is pinned as a test vector.
+S_{n^2}; the worked n=3 orbit is pinned as a test vector. `closure` reads
+the generated group's order and cyclicity from a stabilizer chain
+(deterministic Schreier-Sims), without listing its elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import perms, trees
 from .decomposition import _as_labeling, orient
-from .errors import MalformedInput, NotBijective, ResourceLimit
+from .errors import MalformedInput, NotBijective
 from .labeling import Labeling
-
-CLOSURE_CAP = 10**6
-ELEMENT_LIST_THRESHOLD = 10_000
-# Up to this order, closure checks every product of two elements and
-# decides cyclicity; above it, only products with a generator.
-PAIRWISE_CHECK_ORDER = 300
 
 
 @dataclass(frozen=True)
@@ -100,61 +97,115 @@ def sigma_from_labeled_tree(
 @dataclass(frozen=True)
 class GroupSummary:
     order: int
-    elements: tuple[tuple[int, ...], ...] | None
-    cyclic: bool | None  # None when too large to decide cheaply
+    cyclic: bool
     closed_ok: bool
 
 
+@dataclass
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    (each with its inverse) that fix every earlier base point, and the
+    transversal of the base point's orbit under them. fwd[q] maps the base
+    point to q, and inv[q] is fwd[q]'s inverse."""
+
+    base: int
+    fwd: dict[int, tuple[int, ...]]
+    inv: dict[int, tuple[int, ...]]
+    gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
+
+
+def _sift(levels: list[_Level], g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+    """Divide g by transversal elements from level `start` on. Return what is
+    left and the level whose orbit missed the base point's image (the
+    chain's length when every level divided)."""
+    for j in range(start, len(levels)):
+        inv = levels[j].inv.get(g[levels[j].base])
+        if inv is None:
+            return g, j
+        g = perms.compose(inv, g)
+    return g, len(levels)
+
+
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Level]:
+    """A base and strong generating set, by deterministic Schreier-Sims.
+
+    Each (orbit point, strong generator) pair of a level is processed once:
+    it reaches a new orbit point or gives a Schreier generator, which is
+    sifted from the next level. A residue other than the identity fixes the
+    base points above the level where its sift stopped, so it joins the
+    strong generators of the levels from the next one down to that level
+    (a new level if the sift ran through), and only their pairs with it are
+    queued. Transversal elements are never replaced, so a Schreier
+    generator that once sifted to the identity still does. When no pair is
+    left, Schreier's lemma makes each level's stabilizer the next level's
+    group, so the order is the product of the orbit lengths.
+    """
+    ident = perms.identity(degree)
+    levels: list[_Level] = []
+    todo: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+
+    def add(r: tuple[int, ...], first: int, last: int) -> None:
+        r_inv = perms.inverse(r)
+        for m in range(first, last + 1):  # the deepest level's pairs pop first
+            if m == len(levels):
+                b = next(i for i, v in enumerate(r) if i != v)
+                levels.append(_Level(b, {b: ident}, {b: ident}))
+            levels[m].gens.append((r, r_inv))
+            todo.extend((m, p, r, r_inv) for p in levels[m].fwd)
+
+    for g in gens:
+        r, j = _sift(levels, g, 0)
+        if r != ident:
+            add(r, 0, j)
+        while todo:
+            m, p, s, s_inv = todo.pop()
+            lvl = levels[m]
+            sp = perms.compose(s, lvl.fwd[p])
+            q = s[p]
+            if q not in lvl.fwd:
+                lvl.fwd[q], lvl.inv[q] = sp, perms.compose(lvl.inv[p], s_inv)
+                todo.extend((m, q, t, t_inv) for t, t_inv in lvl.gens)
+                continue
+            r, j = _sift(levels, perms.compose(lvl.inv[q], sp), m + 1)
+            if r != ident:
+                add(r, m + 1, j)
+    return levels
+
+
+def _perm_order(p: Sequence[int]) -> int:
+    """The lcm of the cycle lengths."""
+    order, seen = 1, bytearray(len(p))
+    for start in range(len(p)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j], j, length = 1, p[j], length + 1
+        order = math.lcm(order, length or 1)
+    return order
+
+
 def closure(generators: Sequence[EntryPermutation]) -> GroupSummary:
-    """Breadth-first closure of the generated subgroup of S_{n^2}."""
+    """Order, cyclicity and a closure check of the generated subgroup of
+    S_{n^2}, from its stabilizer chain.
+
+    The group is cyclic iff the generators commute pairwise and the lcm of
+    their orders (an abelian group's exponent) equals the order. closed_ok
+    is checked apart from how the chain was built: every generator and
+    every product of two generators must sift to the identity.
+    """
     if not generators:
         raise MalformedInput("need at least one generator")
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise MalformedInput("generators must share the same n")
-    # element_order would never return on a map that is not a bijection
     gens = [perms.check_perm(g.sigma, n * n) for g in generators]
     if any(g[:1] != (0,) for g in gens):
         raise MalformedInput("entry permutation must fix 0")
+    levels = _stabilizer_chain(gens, n * n)
+    order = math.prod(len(lvl.fwd) for lvl in levels)
     ident = perms.identity(n * n)
-    seen: set[tuple[int, ...]] = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = perms.compose(g, a)
-                if b not in seen:
-                    if len(seen) >= CLOSURE_CAP:
-                        raise ResourceLimit(f"closure exceeded cap {CLOSURE_CAP}")
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-
-    order = len(seen)
-    if order > ELEMENT_LIST_THRESHOLD:
-        return GroupSummary(order=order, elements=None, cyclic=None, closed_ok=True)
-    elements = tuple(sorted(seen))
-    closed_ok = all(perms.inverse(a) in seen for a in elements)
-    if order <= PAIRWISE_CHECK_ORDER:
-        closed_ok = closed_ok and all(
-            perms.compose(a, b) in seen for a in elements for b in elements
-        )
-    else:
-        closed_ok = closed_ok and all(
-            perms.compose(g, a) in seen for a in elements for g in gens
-        )
-
-    def element_order(p: tuple[int, ...]) -> int:
-        k, cur = 1, p
-        while cur != ident:
-            cur = perms.compose(p, cur)
-            k += 1
-        return k
-
-    cyclic = (
-        any(element_order(p) == order for p in elements)
-        if order <= PAIRWISE_CHECK_ORDER
-        else None
-    )
-    return GroupSummary(order=order, elements=elements, cyclic=cyclic, closed_ok=closed_ok)
+    k = len(gens)
+    products = [perms.compose(a, b) for a in gens for b in gens]
+    closed_ok = all(_sift(levels, p, 0)[0] == ident for p in gens + products)
+    commute = all(products[i * k + j] == products[j * k + i] for i in range(k) for j in range(i))
+    cyclic = commute and math.lcm(*map(_perm_order, gens)) == order
+    return GroupSummary(order=order, cyclic=cyclic, closed_ok=closed_ok)

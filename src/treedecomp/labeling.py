@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, pairwise, permutations
 from math import factorial, prod
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import perms, trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
@@ -32,11 +32,6 @@ class Labeling:
     sigma: tuple[int, ...]
     h: tuple[int, ...]
     signed_labels: tuple[int, ...]
-
-    @property
-    def gamma(self) -> tuple[int, ...]:
-        """The induced bijection v -> signed label at v (a permutation)."""
-        return self.signed_labels
 
 
 @dataclass(frozen=True)
@@ -374,40 +369,4 @@ def verify_graceful(t: trees.FunctionalTree, sigma: Sequence[int]) -> GracefulRe
     duplicated = sorted({a for a, b in zip(labels, labels[1:]) if a == b})
     return GracefulReport(
         ok=not duplicated, abs_labels=tuple(labels), duplicated=tuple(duplicated)
-    )
-
-
-@dataclass(frozen=True)
-class RhoReport:
-    ok: bool
-    wrapped_labels: tuple[int, ...]
-    duplicated: tuple[int, ...]
-
-
-def verify_rho(
-    edge_list: Sequence[tuple[int, int]],
-    labels: Mapping[int, int] | Sequence[int],
-) -> RhoReport:
-    """True iff the wrapped edge labels min(d, 2n+1-d) are pairwise distinct."""
-    n = len(edge_list)
-    if n == 0:
-        raise MalformedInput("empty edge list")
-    values = dict(enumerate(labels)) if not isinstance(labels, Mapping) else dict(labels)
-    endpoints = {v for e in edge_list for v in e}
-    missing = endpoints - values.keys()
-    if missing:
-        raise MalformedInput(f"unlabeled endpoints: {sorted(missing)}")
-    used = [values[v] for v in endpoints]
-    if len(set(used)) != len(used):
-        raise MalformedInput("vertex labels are not injective")
-    if any(not (0 <= values[v] <= 2 * n) for v in endpoints):
-        raise MalformedInput(f"labels must lie in 0..{2 * n}")
-    wrapped = []
-    for x, y in edge_list:
-        d = abs(values[x] - values[y])
-        wrapped.append(min(d, 2 * n + 1 - d))
-    wrapped.sort()
-    duplicated = sorted({a for a, b in zip(wrapped, wrapped[1:]) if a == b})
-    return RhoReport(
-        ok=not duplicated, wrapped_labels=tuple(wrapped), duplicated=tuple(duplicated)
     )

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from treedecomp import apportionment, certificate, trees
-from treedecomp.decomposition import Decomposition, PartitionReport, host_edges
+from treedecomp import apportionment, certificate, perms, trees
+from treedecomp.decomposition import (
+    Decomposition,
+    OrientedBipartiteTree,
+    PartitionReport,
+    host_edges,
+)
+from treedecomp.errors import MalformedInput
+from treedecomp.groupaction import EntryPermutation
 from treedecomp.polynomial import Polynomial, falling_factorial_coeffs
 
 
@@ -171,6 +179,87 @@ def nonvanishing_on_lattice(t: trees.FunctionalTree) -> bool:
     return any(
         certificate.eval_certificate(t, f) != 0 for f in product(range(t.n), repeat=t.n)
     )
+
+
+def unorient(o: OrientedBipartiteTree) -> trees.FunctionalTree:
+    """Recover the parent map from an orientation (inverse of orient)."""
+    n = o.n
+    root = o.root_edge[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for x, y in o.edges:
+        if (x, y) == o.root_edge:
+            continue
+        adj[x].append(y - n)
+        adj[y - n].append(x)
+    return trees.from_parent_map(n, trees.bfs(adj, root)[1])
+
+
+@dataclass(frozen=True)
+class RhoReport:
+    ok: bool
+    wrapped_labels: tuple[int, ...]
+    duplicated: tuple[int, ...]
+
+
+def verify_rho(
+    edge_list: Sequence[tuple[int, int]],
+    labels: Mapping[int, int] | Sequence[int],
+) -> RhoReport:
+    """True iff the wrapped edge labels min(d, 2n+1-d) are pairwise distinct."""
+    n = len(edge_list)
+    if n == 0:
+        raise MalformedInput("empty edge list")
+    values = dict(enumerate(labels)) if not isinstance(labels, Mapping) else dict(labels)
+    endpoints = {v for e in edge_list for v in e}
+    missing = endpoints - values.keys()
+    if missing:
+        raise MalformedInput(f"unlabeled endpoints: {sorted(missing)}")
+    used = [values[v] for v in endpoints]
+    if len(set(used)) != len(used):
+        raise MalformedInput("vertex labels are not injective")
+    if any(not (0 <= values[v] <= 2 * n) for v in endpoints):
+        raise MalformedInput(f"labels must lie in 0..{2 * n}")
+    wrapped = []
+    for x, y in edge_list:
+        d = abs(values[x] - values[y])
+        wrapped.append(min(d, 2 * n + 1 - d))
+    wrapped.sort()
+    duplicated = sorted({a for a, b in zip(wrapped, wrapped[1:]) if a == b})
+    return RhoReport(
+        ok=not duplicated, wrapped_labels=tuple(wrapped), duplicated=tuple(duplicated)
+    )
+
+
+def closure_by_bfs(generators: Sequence[EntryPermutation]) -> tuple[int, bool, bool]:
+    """(order, cyclic, closed_ok) of the generated group by listing every
+    element breadth-first: closed under products of two elements and under
+    inverses, and cyclic iff some element's order is the group order."""
+    gens = [perms.check_perm(g.sigma) for g in generators]
+    ident = perms.identity(len(gens[0]))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = perms.compose(g, a)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    closed_ok = all(perms.inverse(a) in seen for a in seen) and all(
+        perms.compose(a, b) in seen for a in seen for b in seen
+    )
+
+    def element_order(p: tuple[int, ...]) -> int:
+        k, cur = 1, p
+        while cur != ident:
+            cur = perms.compose(p, cur)
+            k += 1
+        return k
+
+    cyclic = any(element_order(p) == len(seen) for p in seen)
+    return len(seen), cyclic, closed_ok
 
 
 def rooted_level_sequence_by_recursion(adj: list[list[int]], root: int) -> list[int]:

@@ -544,6 +544,8 @@ STAR6 = json.dumps({"n": 6, "g": [0] * 6})
 PATH5 = '{"n": 5, "g": [0, 0, 1, 2, 3]}'
 SPIDER5 = '{"n": 5, "g": [0, 0, 0, 1, 1]}'
 SIGMA1 = "[0, 5, 2, 3, 4, 6, 1, 7, 8]"
+S15_TRANSPOSITION = json.dumps([0, 2, 1] + list(range(3, 16)))
+S15_CYCLE = json.dumps([0] + list(range(2, 16)) + [1])
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # name -> (argv, exit code, SHA-256 of stdout followed by the {out} file).
@@ -746,6 +748,12 @@ GOLDEN_CLI = {
         ["group", "closure", "--perm", SIGMA1, "--perm", "[0, 2, 1, 3, 5, 4, 6, 8, 7]"],
         0,
         "f6889bffef53bedb26a5fd6eed7927246b7d179db62dea4afc2539f1ad5dca77",
+    ),
+    # (1 2) and the 15-cycle on 1..15 generate S_15, order 15!
+    "closure-s15": (
+        ["group", "closure", "--perm", S15_TRANSPOSITION, "--perm", S15_CYCLE],
+        0,
+        "c070ecdeaa8da202fa100da490f972898ceeb8fb3d5c0462318ed0d8025715d5",
     ),
     "closure-bad": (["group", "closure", "--perm", "[1, 0, 2, 3]"], 2, EMPTY),
     "apportion-tree": (

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from conftest import catalog, verify_partition_by_sets
+from conftest import catalog, unorient, verify_partition_by_sets
 
 from treedecomp import (
     Decomposition,
@@ -17,7 +17,6 @@ from treedecomp import (
     find_beta,
     from_parent_map,
     orient,
-    unorient,
     verify_partition,
 )
 from treedecomp import decomposition

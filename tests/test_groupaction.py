@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from conftest import catalog
+from conftest import catalog, closure_by_bfs
 
 from treedecomp import (
     EntryPermutation,
@@ -13,7 +15,7 @@ from treedecomp import (
     sigma_from_first_column,
     sigma_from_labeled_tree,
 )
-from treedecomp import perms
+from treedecomp import groupaction, perms
 from treedecomp.groupaction import diagonal_shift
 
 # the worked n=3 orbit: sigma_1(A) and sigma_2(A) = sigma_1^2(A)
@@ -92,14 +94,6 @@ class TestClosure:
         with pytest.raises(MalformedInput):
             closure([])
 
-    def test_cap(self, monkeypatch):
-        from treedecomp import groupaction
-        from treedecomp.errors import ResourceLimit
-
-        monkeypatch.setattr(groupaction, "CLOSURE_CAP", 1)
-        with pytest.raises(ResourceLimit):
-            closure([sigma_from_first_column(3, [0, 3, 1])])
-
     def test_mixed_sizes_rejected(self):
         a = sigma_from_first_column(2, [0, 2])
         b = sigma_from_first_column(3, [0, 3, 6])
@@ -118,6 +112,97 @@ class TestClosure:
     def test_non_permutation_rejected(self, sigma, error):
         with pytest.raises(error):
             closure([EntryPermutation(2, sigma)])
+
+
+def cycle(points, degree):
+    p = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        p[a] = b
+    return tuple(p)
+
+
+class TestClosureOracle:
+    """The stabilizer chain against the breadth-first element list."""
+
+    @staticmethod
+    def check(generators):
+        summary = closure(generators)
+        assert (summary.order, summary.cyclic, summary.closed_ok) == closure_by_bfs(generators)
+        return summary
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_catalog_labelings(self, n):
+        for entry in catalog(n):
+            self.check([sigma_from_labeled_tree(entry.tree, find_beta(entry.tree, "first"))])
+
+    def test_worked_example(self):
+        assert self.check([sigma_from_first_column(3, [0, 3, 1])]).order == 3
+
+    def test_identity(self):
+        summary = self.check([EntryPermutation(2, perms.identity(4))])
+        assert summary.order == 1 and summary.cyclic is True
+
+    def test_two_generators(self):
+        # the closure-two CLI input: sigma1 and a product of three transpositions
+        gens = [
+            sigma_from_first_column(3, [0, 3, 1]),
+            EntryPermutation(3, (0, 2, 1, 3, 5, 4, 6, 8, 7)),
+        ]
+        summary = self.check(gens)
+        assert summary.order == 120 and summary.cyclic is False
+
+    def test_abelian_but_not_cyclic(self):
+        # two disjoint transpositions commute, but the lcm 2 of their orders
+        # is not the order 4
+        klein = [
+            EntryPermutation(3, perms.transposition(1, 2, 9)),
+            EntryPermutation(3, perms.transposition(3, 4, 9)),
+        ]
+        summary = self.check(klein)
+        assert (summary.order, summary.cyclic) == (4, False)
+
+    def test_lcm_equal_to_order_but_not_abelian(self):
+        # (1 2 3) and (1 2) have orders 3 and 2 with lcm 6 = |S_3|, yet they
+        # do not commute, so S_3 is not cyclic
+        gens = [
+            EntryPermutation(2, cycle([1, 2, 3], 4)),
+            EntryPermutation(2, perms.transposition(1, 2, 4)),
+        ]
+        summary = self.check(gens)
+        assert (summary.order, summary.cyclic) == (6, False)
+
+
+class TestClosureBeyondElementLists:
+    def test_coprime_cycles_give_a_cyclic_group(self):
+        # cycles of lengths 7, 8 and 9 on Z_25, fixing 0: order 504, cyclic
+        parts = [list(range(1, 8)), list(range(8, 16)), list(range(16, 25))]
+        gens = [EntryPermutation(5, cycle(c, 25)) for c in parts]
+        product = perms.compose(gens[0].sigma, perms.compose(gens[1].sigma, gens[2].sigma))
+        for generators in (gens, [EntryPermutation(5, product)]):
+            summary = closure(generators)
+            assert (summary.order, summary.cyclic, summary.closed_ok) == (504, True, True)
+
+    def test_symmetric_group_on_fifteen_points(self):
+        # the transposition (1 2) and the 15-cycle on 1..15 generate S_15
+        gens = [
+            EntryPermutation(4, perms.transposition(1, 2, 16)),
+            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+        ]
+        summary = closure(gens)
+        assert summary.order == math.factorial(15) == 1_307_674_368_000
+        assert summary.cyclic is False and summary.closed_ok
+
+    def test_closed_ok_checks_the_chain(self, monkeypatch):
+        # a chain cut after its first level holds only the 15-cycle's orbit:
+        # the 15-cycle then leaves a residue, so closed_ok must be False
+        build = groupaction._stabilizer_chain
+        monkeypatch.setattr(groupaction, "_stabilizer_chain", lambda *a: build(*a)[:1])
+        gens = [
+            EntryPermutation(4, perms.transposition(1, 2, 16)),
+            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+        ]
+        summary = closure(gens)
+        assert summary.order == 15 and summary.closed_ok is False
 
 
 class TestSigmaFromLabeledTree:

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from conftest import catalog, phi_by_scan, unpruned_search
+from conftest import catalog, phi_by_scan, unpruned_search, verify_rho
 
 from treedecomp import labeling, perms, trees
 from treedecomp import (
@@ -24,7 +24,6 @@ from treedecomp import (
     phi_set,
     verify_beta,
     verify_graceful,
-    verify_rho,
 )
 
 
@@ -72,14 +71,14 @@ class TestVerifyBeta:
             verify_beta(t, [0, 0])
 
     def test_expansion_identity(self):
-        # h(v) = v + (-1)^depth * gamma(v) at every vertex
+        # h(v) = v + (-1)^depth * (signed label at v) at every vertex
         for n in range(1, 8):
             for entry in catalog(n):
                 lab = find_beta(entry.tree, "first")
                 h_tree = from_parent_map(n, lab.h)
                 for v in range(n):
                     sign = 1 if h_tree.depth[v] % 2 == 0 else -1
-                    assert lab.h[v] == v + sign * lab.gamma[v]
+                    assert lab.h[v] == v + sign * lab.signed_labels[v]
 
 
 class TestFindBeta:
