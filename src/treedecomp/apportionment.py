@@ -13,20 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import perms, trees
 from .decomposition import orient
 from .errors import MalformedInput
 from .labeling import Labeling
 
+# Each function imports numpy itself, so that importing the package, and
+# every command that never reaches the apportionment, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TOL = 1e-9
 
 
 def biadjacency(t: trees.FunctionalTree) -> np.ndarray:
     """0/1 matrix with A[i, j] = 1 iff (i, n+j) is an oriented edge."""
+    import numpy as np
     n = t.n
     a = np.zeros((n, n), dtype=complex)
     for x, y in orient(t).edges:
@@ -36,17 +40,20 @@ def biadjacency(t: trees.FunctionalTree) -> np.ndarray:
 
 def circulant(n: int) -> np.ndarray:
     """Adjacency matrix of the directed n-cycle; first row [0,1,0,...]."""
+    import numpy as np
     return np.roll(np.eye(n, dtype=complex), 1, axis=1)
 
 
 def build_block_unitary(n: int) -> np.ndarray:
     """n^2 x n^2 block matrix with (i,j)-block C^j diag(w)^i / sqrt(n)."""
+    import numpy as np
     w = np.exp(2j * np.pi * np.arange(n) / n)
     c_pow = [np.linalg.matrix_power(circulant(n), j) for j in range(n)]
     return np.block([[c_j @ np.diag(w**i) for c_j in c_pow] for i in range(n)]) / np.sqrt(n)
 
 
 def unitarity_residual(u: np.ndarray) -> float:
+    import numpy as np
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
@@ -58,6 +65,7 @@ def _relabeled_adjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None) -
 
 def _diagonals(cal_a: np.ndarray) -> np.ndarray:
     """seq[a, b, j] = calA[a+j, b+j] = (C^j calA C^{-j})[a, b], indices mod n."""
+    import numpy as np
     n = cal_a.shape[0]
     d = np.arange(n)
     return cal_a[(d[:, None, None] + d) % n, (d[:, None] + d) % n]
@@ -83,6 +91,7 @@ def check_allones_identity(
     InvalidPermutation unless sigma permutes Z_n, MalformedInput unless
     0 <= tol < inf (its sums are exact, so tol = 0 is attainable).
     """
+    import numpy as np
     if not 0 <= tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
@@ -113,6 +122,7 @@ def _modulus_table(cal_a: np.ndarray) -> np.ndarray:
     modulus is 1/n times the f-th DFT coefficient of the diagonal sequence
     j -> calA[a+j, b+j]: n^2 FFTs of length n instead of n^2 x n^2 products.
     """
+    import numpy as np
     return np.abs(np.fft.fft(_diagonals(cal_a), axis=2)) / cal_a.shape[0]
 
 
@@ -136,6 +146,7 @@ def check_apportionment(
     Z_n, MalformedInput unless 0 < tol < inf: the residual is rounding-level,
     not exact, so tol = 0 could never pass.
     """
+    import numpy as np
     if not 0 < tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and > 0, got {tol!r}")
     n = t.n

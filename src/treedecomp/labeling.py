@@ -118,11 +118,22 @@ def _search(
     Vertices are labeled root-first in BFS order, children in ascending
     vertex order; a non-root vertex's label is forced by its parent's label
     and the chosen edge label (parent - e on the even partition, parent + e
-    on the odd one), so pruning on used vertex labels and used edge labels is
-    immediate, and edge labels that would leave Z_n are never tried. Edge
-    labels are tried largest-first, root labels in ascending order; rng
-    shuffles both. Returns the first labeling found when first is set, else
-    one labeling per orbit of the rooted automorphism group, in search order.
+    on the odd one). Edge labels are tried largest-first, root labels in
+    ascending order; rng shuffles both. Returns the first labeling found when
+    first is set, else one labeling per orbit of the rooted automorphism
+    group, in search order.
+
+    The state is three bitmasks over Z_n: free_edge (bit e: edge label e is
+    unused), free_label (bit l: label l is unused) and free_mirror (bit
+    n-1-l: label l is unused). A vertex u with parent label p may take edge
+    label e iff bit e of
+
+        free_edge & below[edge[twin[u]]] & (free_mirror >> (n-1-p) if u is
+        even else free_label >> p),
+
+    its valid mask, where below[k] = (1 << k) - 1: shifting puts the
+    freedom of p - e (or p + e) at bit e, and labels outside Z_n shift in as
+    zero bits.
 
     The edge labels along each run of isomorphic sibling subtrees must
     decrease. The rooted automorphisms Aut_r (the swaps of isomorphic sibling
@@ -134,22 +145,37 @@ def _search(
     labeling found is unchanged: the unpruned search meets the member of its
     orbit with decreasing edge labels first, as largest-first puts a larger
     label at the earlier twin ahead of any swap of it.
+
+    Count rule: let left[u] be 1 plus the number of twins after u in its run.
+    Those twins hang from u's parent at u's parity and need distinct edge
+    labels below e, and every label they can take is a bit of u's valid mask
+    below e (placing vertices only clears bits). So e is tried only if the
+    valid mask has at least left[u] - 1 bits below e. The rule is necessary
+    for a labeling, so it cuts only subtrees that hold none, and it changes
+    no order of search: without rng the results are those of the search
+    without it. (With rng the search stays complete, but a cut subtree no
+    longer draws from rng, so a seed may pick another labeling.)
+    Largest-first, the bits below e are what is left of the mask once e is
+    taken, so the loop stops as soon as fewer than left[u] bits remain.
     """
     n, g = t.n, t.g
     adj = t.adjacency()
     order = trees.bfs(adj, t.root)[0]
     even = [t.sign(v) > 0 for v in range(n)]
     twin = _twins(t, adj)[0]  # n where u has no twin; edge[n] = n bounds nothing
+    left = [1] * n
+    for u in reversed(range(n)):  # a twin comes before u, so left[u] is final
+        if twin[u] < n:
+            left[twin[u]] = left[u] + 1
+    below = [(1 << e) - 1 for e in range(n + 1)]
+    mirror = n - 1
 
     label = [-1] * n
     edge = [0] * n + [n]  # the edge label each placed vertex took
-    used_label = [False] * n
-    used_edge = [False] * n
-    used_edge[0] = True  # the root loop always carries edge label 0
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(i: int) -> bool:
+    def extend(i: int, free_edge: int, free_label: int, free_mirror: int) -> bool:
         nonlocal nodes
         nodes += 1
         if i == n:
@@ -157,30 +183,56 @@ def _search(
             return first
         u = order[i]
         p = label[g[u]]
-        # e must stay below the twin's edge label and keep p -/+ e in Z_n
-        top = min(edge[twin[u]], p + 1 if even[u] else n - p)
-        candidates = range(top - 1, 0, -1)
-        if rng is not None:
-            candidates = list(candidates)
-            rng.shuffle(candidates)
-        for e in candidates:
-            lu = p - e if even[u] else p + e
-            if not used_edge[e] and not used_label[lu]:
-                label[u], used_label[lu], used_edge[e] = lu, True, True
+        down = even[u]
+        valid = free_edge & below[edge[twin[u]]] & (
+            free_mirror >> (mirror - p) if down else free_label >> p
+        )
+        need = left[u]
+        if rng is None:
+            while valid.bit_count() >= need:
+                e = valid.bit_length() - 1
+                valid ^= 1 << e
+                lu = p - e if down else p + e
+                label[u] = lu
                 edge[u] = e
-                if extend(i + 1):
+                if extend(
+                    i + 1,
+                    free_edge ^ 1 << e,
+                    free_label ^ 1 << lu,
+                    free_mirror ^ 1 << (mirror - lu),
+                ):
                     return True
-                label[u], used_label[lu], used_edge[e] = -1, False, False
+            return False
+        # shuffle the range an unmasked search would try, then keep the bits
+        # of valid that pass the count rule, counted on all of valid
+        top = min(edge[twin[u]], p + 1 if down else n - p)
+        shuffled = list(range(top - 1, 0, -1))
+        rng.shuffle(shuffled)
+        for e in shuffled:
+            if valid >> e & 1 and (valid & below[e]).bit_count() >= need - 1:
+                lu = p - e if down else p + e
+                label[u] = lu
+                edge[u] = e
+                if extend(
+                    i + 1,
+                    free_edge ^ 1 << e,
+                    free_label ^ 1 << lu,
+                    free_mirror ^ 1 << (mirror - lu),
+                ):
+                    return True
         return False
 
     root_labels = list(range(n))
     if rng is not None:
         rng.shuffle(root_labels)
+    everything = below[n]
     for rl in root_labels:
-        label[t.root], used_label[rl] = rl, True
-        if extend(1) and first:
+        label[t.root] = rl
+        # the root loop always carries edge label 0
+        if extend(
+            1, everything ^ 1, everything ^ 1 << rl, everything ^ 1 << (mirror - rl)
+        ) and first:
             break
-        label[t.root], used_label[rl] = -1, False
     # extend refers to itself through its closure; break that cycle so found
     # is freed on return rather than at the next full garbage collection.
     extend = None

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -27,6 +30,24 @@ from treedecomp.apportionment import (
 )
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
+
+
+def test_import_does_not_load_numpy():
+    # numpy loads on the first apportionment call; a labeling search or a
+    # catalog never needs it
+    src = os.path.dirname(os.path.dirname(sys.modules["treedecomp"].__file__))
+    probe = (
+        "import sys, treedecomp, treedecomp.cli; "
+        "treedecomp.find_beta(treedecomp.from_parent_map(4, [0, 0, 1, 1])); "
+        "loaded = 'numpy' in sys.modules; "
+        "treedecomp.check_apportionment(treedecomp.from_parent_map(2, [0, 0]), [0, 1]); "
+        "print(loaded, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 class TestBiadjacency:
