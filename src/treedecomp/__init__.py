@@ -29,7 +29,6 @@ from .decomposition import (
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
-    decomposition_from_json,
     decomposition_to_json,
     orient,
     verify_partition,

@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = _leaf(label_sub, "find", _label_find)
     p_find.add_argument("--tree", required=True)
     p_find.add_argument("--all", action="store_true")
-    p_find.add_argument("--seed", type=int)
+    p_find.add_argument("--seed", type=int,
+                        help="search a random renumbering of the tree (not with --all)")
     p_find.add_argument("--out")
     p_verify = _leaf(label_sub, "verify", _label_verify)
     p_verify.add_argument("--tree", required=True)

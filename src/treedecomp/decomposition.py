@@ -369,30 +369,6 @@ def decomposition_to_json(d: Decomposition) -> str:
     )
 
 
-def decomposition_from_json(text: str) -> Decomposition:
-    try:
-        obj = json.loads(text)
-        host = Host(obj["host"]["kind"], obj["host"]["n"], obj["host"]["x"])
-        copies = tuple(
-            tuple((a, b) for a, b in copy) for copy in obj["copies"]
-        )
-        prov = obj["provenance"]
-        tree = trees.from_parent_map(prov["tree"]["n"], prov["tree"]["g"])
-        sigma = tuple(prov["sigma"])
-        shifts = tuple((k, i) for k, i in prov["shifts"])
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
-        raise MalformedInput(f"bad decomposition JSON: {exc}") from exc
-    if (
-        host.kind not in ("knn", "k2n1", "knxnx")
-        or type(host.n) is not int
-        or type(host.x) is not int
-        or host.n < 1
-        or host.x < 1
-    ):
-        raise MalformedInput(f"bad decomposition host: {host}")
-    return Decomposition(host=host, copies=copies, tree=tree, sigma=sigma, shifts=shifts)
-
-
 def decomposition_to_dot(d: Decomposition) -> str:
     """One frame per copy; edges of earlier copies are grayed out."""
     directed = d.host.kind == "knn"

@@ -110,7 +110,7 @@ def _twins(
 
 
 def _search(
-    t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
+    t: trees.FunctionalTree, first: bool
 ) -> tuple[list[tuple[int, ...]], int]:
     """Backtracking search over label assignments; raw sigma tuples and the
     number of search nodes (partial labelings) expanded.
@@ -119,9 +119,10 @@ def _search(
     vertex order; a non-root vertex's label is forced by its parent's label
     and the chosen edge label (parent - e on the even partition, parent + e
     on the odd one). Edge labels are tried largest-first, root labels in
-    ascending order; rng shuffles both. Returns the first labeling found when
-    first is set, else one labeling per orbit of the rooted automorphism
-    group, in search order.
+    ascending order. Returns the first labeling found when first is set, else
+    one labeling per orbit of the rooted automorphism group, in search order.
+    The order is fixed by the tree's vertex numbering alone; find_beta's seed
+    renumbers the tree to vary it.
 
     The state is three bitmasks over Z_n: free_edge (bit e: edge label e is
     unused), free_label (bit l: label l is unused) and free_mirror (bit
@@ -141,8 +142,8 @@ def _search(
     beta-labelings by sigma -> sigma.alpha, as sigma is a bijection. The edge
     labels of a beta-labeling are pairwise distinct, so each orbit has
     exactly one member whose twin runs decrease: the search finds one
-    labeling per orbit, and |Phi| = |found| * |Aut_r|. Without rng the first
-    labeling found is unchanged: the unpruned search meets the member of its
+    labeling per orbit, and |Phi| = |found| * |Aut_r|. The first labeling
+    found is the unpruned search's first: that search meets the member of its
     orbit with decreasing edge labels first, as largest-first puts a larger
     label at the earlier twin ahead of any swap of it.
 
@@ -152,9 +153,7 @@ def _search(
     below e (placing vertices only clears bits). So e is tried only if the
     valid mask has at least left[u] - 1 bits below e. The rule is necessary
     for a labeling, so it cuts only subtrees that hold none, and it changes
-    no order of search: without rng the results are those of the search
-    without it. (With rng the search stays complete, but a cut subtree no
-    longer draws from rng, so a seed may pick another labeling.)
+    no order of search: the results are those of the search without it.
     Largest-first, the bits below e are what is left of the mask once e is
     taken, so the loop stops as soon as fewer than left[u] bits remain.
     """
@@ -188,45 +187,23 @@ def _search(
             free_mirror >> (mirror - p) if down else free_label >> p
         )
         need = left[u]
-        if rng is None:
-            while valid.bit_count() >= need:
-                e = valid.bit_length() - 1
-                valid ^= 1 << e
-                lu = p - e if down else p + e
-                label[u] = lu
-                edge[u] = e
-                if extend(
-                    i + 1,
-                    free_edge ^ 1 << e,
-                    free_label ^ 1 << lu,
-                    free_mirror ^ 1 << (mirror - lu),
-                ):
-                    return True
-            return False
-        # shuffle the range an unmasked search would try, then keep the bits
-        # of valid that pass the count rule, counted on all of valid
-        top = min(edge[twin[u]], p + 1 if down else n - p)
-        shuffled = list(range(top - 1, 0, -1))
-        rng.shuffle(shuffled)
-        for e in shuffled:
-            if valid >> e & 1 and (valid & below[e]).bit_count() >= need - 1:
-                lu = p - e if down else p + e
-                label[u] = lu
-                edge[u] = e
-                if extend(
-                    i + 1,
-                    free_edge ^ 1 << e,
-                    free_label ^ 1 << lu,
-                    free_mirror ^ 1 << (mirror - lu),
-                ):
-                    return True
+        while valid.bit_count() >= need:
+            e = valid.bit_length() - 1
+            valid ^= 1 << e
+            lu = p - e if down else p + e
+            label[u] = lu
+            edge[u] = e
+            if extend(
+                i + 1,
+                free_edge ^ 1 << e,
+                free_label ^ 1 << lu,
+                free_mirror ^ 1 << (mirror - lu),
+            ):
+                return True
         return False
 
-    root_labels = list(range(n))
-    if rng is not None:
-        rng.shuffle(root_labels)
     everything = below[n]
-    for rl in root_labels:
+    for rl in range(n):
         label[t.root] = rl
         # the root loop always carries edge label 0
         if extend(
@@ -247,16 +224,31 @@ def find_beta(
     """Beta-labelings by the backtracking search, each checked by verify_beta.
 
     mode="first" returns one Labeling (or None if the space is exhausted,
-    which would falsify the search, not the existence theorem).
+    which would falsify the search, not the existence theorem). A seed
+    renumbers the tree: with pi = range(n) shuffled by random.Random(seed),
+    the search labels conjugate(t, pi) by sigma', and sigma[v] =
+    sigma'[pi[v]] has the same signed labels, since renumbering keeps depths.
+    The numbering only orders siblings, so a tree where no vertex has two
+    children (a path rooted at an end) gets one labeling for every seed.
     mode="all" returns every labeling, sorted by sigma: phi_set, under its
-    own (smaller) cap as well, since Phi grows like n! on stars.
+    own (smaller) cap as well, since Phi grows like n! on stars. Phi does not
+    depend on a seed, so this mode takes none.
     """
     if mode not in ("first", "all"):
         raise MalformedInput(f"unknown mode {mode!r}")
+    if mode == "all" and seed is not None:
+        raise MalformedInput("a seed picks one labeling; mode 'all' takes none")
     if t.n > SEARCH_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
-    rng = random.Random(seed) if seed is not None else None
-    sigmas = phi_set(t) if mode == "all" else _search(t, True, rng)[0]
+    if mode == "all":
+        sigmas = phi_set(t)
+    elif seed is None:
+        sigmas = _search(t, True)[0]
+    else:
+        pi = list(range(t.n))
+        random.Random(seed).shuffle(pi)
+        found = _search(trees.conjugate(t, pi), True)[0]
+        sigmas = [tuple(s[w] for w in pi) for s in found]
     labelings = [verify_beta(t, sigma) for sigma in sigmas]
     for lab in labelings:
         if not isinstance(lab, Labeling):

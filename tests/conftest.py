@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import random
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,6 +14,7 @@ import numpy as np
 from treedecomp import apportionment, certificate, perms, trees
 from treedecomp.decomposition import (
     Decomposition,
+    Host,
     OrientedBipartiteTree,
     PartitionReport,
     host_edges,
@@ -90,13 +91,13 @@ def phi_by_scan(t: trees.FunctionalTree) -> tuple[tuple[int, ...], ...]:
 
 
 def unpruned_search(
-    t: trees.FunctionalTree, first: bool, rng: random.Random | None = None
+    t: trees.FunctionalTree, first: bool
 ) -> tuple[list[tuple[int, ...]], int]:
     """The beta-labeling search without sibling pruning, and its node count.
 
     labeling._search as it stood before isomorphic siblings were ordered,
-    verbatim save for the node counter: every ordering of isomorphic sibling
-    subtrees is explored.
+    verbatim save for the node counter and the seeded shuffles: every
+    ordering of isomorphic sibling subtrees is explored.
     """
     n = t.n
     order = trees.bfs(t.adjacency(), t.root)[0]
@@ -118,8 +119,6 @@ def unpruned_search(
         u = order[i]
         parent_label = label[t.g[u]]
         candidates = [e for e in range(n - 1, 0, -1) if not used_edge[e]]
-        if rng is not None:
-            rng.shuffle(candidates)
         for e in candidates:
             lu = parent_label - e if sign[u] > 0 else parent_label + e
             if 0 <= lu < n and not used_label[lu]:
@@ -129,10 +128,7 @@ def unpruned_search(
                 label[u], used_label[lu], used_edge[e] = -1, False, False
         return False
 
-    root_labels = list(range(n))
-    if rng is not None:
-        rng.shuffle(root_labels)
-    for rl in root_labels:
+    for rl in range(n):
         label[t.root], used_label[rl] = rl, True
         if extend(1) and first:
             break
@@ -371,3 +367,29 @@ def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
             False, "copies do not tile the host edge set", witness, len(d.copies)
         )
     return PartitionReport(True, None, None, len(d.copies))
+
+
+def decomposition_from_json(text: str) -> Decomposition:
+    """A Decomposition read back from decomposition_to_json's output, with
+    its host checked; the tamper tests feed it edited copies."""
+    try:
+        obj = json.loads(text)
+        host = Host(obj["host"]["kind"], obj["host"]["n"], obj["host"]["x"])
+        copies = tuple(
+            tuple((a, b) for a, b in copy) for copy in obj["copies"]
+        )
+        prov = obj["provenance"]
+        tree = trees.from_parent_map(prov["tree"]["n"], prov["tree"]["g"])
+        sigma = tuple(prov["sigma"])
+        shifts = tuple((k, i) for k, i in prov["shifts"])
+    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        raise MalformedInput(f"bad decomposition JSON: {exc}") from exc
+    if (
+        host.kind not in ("knn", "k2n1", "knxnx")
+        or type(host.n) is not int
+        or type(host.x) is not int
+        or host.n < 1
+        or host.x < 1
+    ):
+        raise MalformedInput(f"bad decomposition host: {host}")
+    return Decomposition(host=host, copies=copies, tree=tree, sigma=sigma, shifts=shifts)

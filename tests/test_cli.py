@@ -2,11 +2,11 @@ import hashlib
 import json
 
 import pytest
+from conftest import decomposition_from_json
 
 from treedecomp import (
     Labeling,
     decompose_directed_knn,
-    decomposition_from_json,
     decomposition_to_json,
     find_beta,
     from_parent_map,
@@ -514,7 +514,7 @@ class TestFaultySearch:
     @pytest.fixture(autouse=True)
     def identity_search(self, monkeypatch):
         monkeypatch.setattr(
-            labeling, "_search", lambda t, first, rng=None: ([tuple(range(t.n))], 0)
+            labeling, "_search", lambda t, first: ([tuple(range(t.n))], 0)
         )
 
     def test_label_find_exit_one(self, capsys):
@@ -586,6 +586,7 @@ GOLDEN_CLI = {
         0,
         "639530b44b4e0cc3538e6c568da2e99c1b95e13d2b3ca2a2af2c3b7d08d6af35",
     ),
+    "find-all-seed": (["label", "find", "--tree", TREE4, "--all", "--seed", "3"], 2, EMPTY),
     "find-all": (
         ["label", "find", "--tree", FIGURE, "--all"],
         0,

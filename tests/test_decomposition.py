@@ -2,7 +2,12 @@ import hashlib
 import json
 
 import pytest
-from conftest import catalog, unorient, verify_partition_by_sets
+from conftest import (
+    catalog,
+    decomposition_from_json,
+    unorient,
+    verify_partition_by_sets,
+)
 
 from treedecomp import (
     Decomposition,
@@ -12,7 +17,6 @@ from treedecomp import (
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
-    decomposition_from_json,
     decomposition_to_json,
     find_beta,
     from_parent_map,

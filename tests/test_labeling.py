@@ -105,6 +105,11 @@ class TestFindBeta:
         b = find_beta(t, seed=7)
         assert isinstance(a, Labeling) and a.sigma == b.sigma
 
+    def test_all_mode_takes_no_seed(self):
+        # Phi does not depend on a seed, so one there is a usage error
+        with pytest.raises(MalformedInput):
+            find_beta(from_parent_map(4, [0, 0, 1, 1]), "all", seed=3)
+
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             find_beta(from_parent_map(17, [0] * 17))
@@ -199,16 +204,28 @@ class TestSiblingPruning:
             for seed in range(3):
                 assert isinstance(find_beta(entry.tree, seed=seed), Labeling)
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_seeded_all_mode_finds_the_same_orbits(self, n):
-        # Every leaf of a star is a twin, so the count rule acts at each one.
-        # It must count on the whole valid mask: counted on the bits not yet
-        # tried, it cuts all of the 3-vertex star's labelings for some seeds.
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seed_searches_a_renumbered_tree(self, n):
+        # the seed's numbering pi renumbers the tree; the oracle's first
+        # labeling of the renumbered tree, read back through pi, is the answer
         for entry in catalog(n):
-            reps = sorted(labeling._search(entry.tree, False)[0])
-            for seed in range(10):
-                seeded = labeling._search(entry.tree, False, random.Random(seed))
-                assert sorted(seeded[0]) == reps, (entry.tree.g, seed)
+            for seed in range(3):
+                pi = list(range(n))
+                random.Random(seed).shuffle(pi)
+                found = unpruned_search(conjugate(entry.tree, pi), first=True)[0]
+                want = tuple(found[0][w] for w in pi)
+                assert find_beta(entry.tree, seed=seed).sigma == want, seed
+
+    def test_seeds_vary_the_worst_fourteen_vertex_tree(self):
+        # the n = 14 catalog tree with the longest unseeded search
+        t = from_parent_map(14, [0, 0, 1, 2, 2, 1, 1, 0, 7, 8, 8, 7, 0, 0])
+        assert len({find_beta(t, seed=seed).sigma for seed in range(10)}) >= 2
+
+    def test_seed_cannot_vary_a_path_rooted_at_an_end(self):
+        # no vertex has two children, so every numbering searches alike
+        path = from_parent_map(6, [0, 0, 1, 2, 3, 4])
+        want = find_beta(path).sigma
+        assert all(find_beta(path, seed=seed).sigma == want for seed in range(5))
 
     def test_node_counts(self):
         # Node counts do not depend on the machine: a change to the order of
