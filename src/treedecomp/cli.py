@@ -271,8 +271,8 @@ def _trees_enumerate(args):
 def _label_find(args):
     t = _tree_arg(args.tree)
     if args.all:
-        labs = lb.find_beta(t, "all", seed=args.seed)
-        return {"labelings": [list(l.sigma) for l in labs]}, bool(labs)
+        phis = lb.phi_set(t)
+        return {"labelings": [list(p) for p in phis]}, bool(phis)
     lab = lb.find_beta(t, "first", seed=args.seed)
     if lab is None:
         return {"found": False}, False
@@ -435,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     label_sub = p_label.add_subparsers(dest="subcommand", required=True)
     p_find = _leaf(label_sub, "find", _label_find)
     p_find.add_argument("--tree", required=True)
-    p_find.add_argument("--all", action="store_true")
-    p_find.add_argument("--seed", type=int,
-                        help="search a random renumbering of the tree (not with --all)")
+    one_or_all = p_find.add_mutually_exclusive_group()
+    one_or_all.add_argument("--all", action="store_true")
+    one_or_all.add_argument("--seed", type=int, help="search a random renumbering of the tree")
     p_find.add_argument("--out")
     p_verify = _leaf(label_sub, "verify", _label_verify)
     p_verify.add_argument("--tree", required=True)

@@ -1,21 +1,30 @@
 """Cyclic decompositions of directed K_{n,n}, K_{2nx+1}, and K_{nx,nx}.
 
-One builder serves all three hosts: it takes the beta-labeled tree as a base
-copy of (even-depth label, odd-depth label) pairs and develops it by cyclic
-shifts mod m; the hosts differ only in m and in where a shifted pair lands.
+A decomposition is held as its host, the beta-labeled tree and x base
+copies, one per stretch k. Copy (k, i) is base k turned by the host rotation
+v -> v + i (mod m), so the copies and their shifts are derived, developed on
+demand; the three hosts differ only in m and in where a pair lands.
+
 verify_partition is the independent ground truth, and the builder runs it
 before returning and raises VerificationFailed, with the report's witness,
-on failure. It checks the exact cover of the host edge set edge by edge. It
-fully checks the shape of one copy per stretch; any other copy passes the
-shape check only if it is exactly a host rotation of such a copy, and
-otherwise gets the full check itself. The recorded shifts only suggest which
-rotation to try; they are never trusted.
+on failure. It never develops the copies: it rests on the difference lemma
+(Rosa 1967; Gallian, A dynamic survey of graph labeling, EJC DS6). Z_m
+acts on the host edges, and the difference classes are its orbits, each of
+size m:
+- on K_{2nx+1}, the class of {u, v} is its length min(d, m - d), d = v - u
+  mod m, and the lengths are 1..nx. A turn by i != 0 could fix an edge
+  only by swapping its ends, so 2i = 0 mod m; but m = 2nx + 1 is odd;
+- on the bipartite hosts, the class of (u, m + v) is v - u mod m, over all
+  of Z_m, and only i = 0 fixes an edge.
+So the m turns of a base edge cover its class once, and the turns of the
+bases tile the host exactly when the base edges hit each class exactly once.
+A turn is a bijection of the host's vertices, so every turn of a base is a
+copy of the tree exactly when the base is.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -66,11 +75,25 @@ class Host:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The host, the labeled tree and one base copy per stretch k."""
+
     host: Host
-    copies: tuple[tuple[tuple[int, int], ...], ...]
+    bases: tuple[tuple[tuple[int, int], ...], ...]
     tree: trees.FunctionalTree
     sigma: tuple[int, ...]
-    shifts: tuple[tuple[int, int], ...]
+
+    @property
+    def shifts(self) -> tuple[tuple[int, int], ...]:
+        """(k, i) for every copy, in the order of copies."""
+        m = _modulus(self.host)
+        return tuple((k, i) for k in range(len(self.bases)) for i in range(m))
+
+    @property
+    def copies(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Copy (k, i), base k turned by i, for every shift, in (k, i) order."""
+        m = _modulus(self.host)
+        kind = self.host.kind
+        return tuple(_rotate(base, i, m, kind) for base in self.bases for i in range(m))
 
 
 def _modulus(host: Host) -> int:
@@ -100,17 +123,32 @@ def _as_labeling(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> Labe
     return result
 
 
+def _rotate(copy, s: int, m: int, kind: str) -> tuple[tuple[int, int], ...]:
+    """The host rotation by s applied to a copy, as a sorted edge tuple.
+
+    Each end v moves to v + s mod m within its block of m vertices (Z_m on
+    K_{2nx+1}; the left part 0..m-1 or the right part m..2m-1 on the
+    bipartite hosts). That is a bijection of the host's vertices, so it maps
+    a tree onto a tree of the same shape. K_{2nx+1} writes each edge as
+    (min, max).
+    """
+    turned = ((u - u % m + (u + s) % m, v - v % m + (v + s) % m) for u, v in copy)
+    if kind == "k2n1":
+        turned = ((u, v) if u < v else (v, u) for u, v in turned)
+    return tuple(sorted(turned))
+
+
 def _build(
     t: trees.FunctionalTree, lab: Labeling | Sequence[int], host: Host
 ) -> Decomposition:
-    """Develop one base copy of the labeled tree by cyclic shifts mod m.
+    """The x base copies of the labeled tree, one per stretch k.
 
-    The base copy is the labeled tree's orientation read as (even-depth
-    label, odd-depth label) pairs; only directed K_{n,n} keeps the
-    loop-derived pair (r, r). Copy (k, i) moves a pair (a, b) to (a+i, b+kn+i) mod m, with n
-    = host.n, and places it in the host: as (u, m+v) on the bipartite hosts
-    (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max) on K_{2nx+1} (m =
-    2nx+1). The result is checked by verify_partition before it is returned.
+    The labeled tree's orientation is read as (even-depth label, odd-depth
+    label) pairs; only directed K_{n,n} keeps the loop-derived pair (r, r).
+    Base k moves a pair (a, b) to (a, b+kn) mod m, with n = host.n, and
+    places it in the host: as (u, m+v) on the bipartite hosts (m = n on
+    K_{n,n}, nx on K_{nx,nx}), as (min, max) on K_{2nx+1} (m = 2nx+1). The
+    result is checked by verify_partition before it is returned.
     """
     if host.kind != "knn" and t.n < 2:
         raise MalformedInput("tree must have at least one edge")
@@ -124,21 +162,12 @@ def _build(
         if host.kind == "knn" or (a, b) != o.root_edge
     ]
     m = _modulus(host)
-    copies = []
-    shifts = []
-    for k in range(host.x):
-        stretched = [(a, b + k * host.n) for a, b in pairs]
-        for i in range(m):
-            moved = [((a + i) % m, (b + i) % m) for a, b in stretched]
-            if host.kind == "k2n1":
-                copy = [(u, v) if u < v else (v, u) for u, v in moved]
-            else:
-                copy = [(u, m + v) for u, v in moved]
-            copies.append(tuple(sorted(copy)))
-            shifts.append((k, i))
-    d = Decomposition(
-        host=host, copies=tuple(copies), tree=t, sigma=lab.sigma, shifts=tuple(shifts)
+    right = 0 if host.kind == "k2n1" else m
+    bases = tuple(
+        _rotate([(a, right + (b + k * host.n) % m) for a, b in pairs], 0, m, host.kind)
+        for k in range(host.x)
     )
+    d = Decomposition(host=host, bases=bases, tree=t, sigma=lab.sigma)
     report = verify_partition(d)
     if not report.ok:
         raise VerificationFailed(f"{report.problem}; witness {report.witness}")
@@ -187,23 +216,12 @@ class PartitionReport:
     copies: int
 
 
-def _vertex_key(v):
-    """v itself if hashable, else a stand-in, so JSON lists and objects index."""
-    try:
-        hash(v)
-    except TypeError:
-        return ("unhashable", repr(v))
-    return v
-
-
 def _copy_is_tree_of_shape(
     copy: Sequence[tuple[int, int]], expected_code: bytes
 ) -> str | None:
     """None if the copy is a vertex-injective tree with the expected shape."""
-    index: dict = {}
-    relabeled = [
-        tuple(index.setdefault(_vertex_key(v), len(index)) for v in e) for e in copy
-    ]
+    index: dict[int, int] = {}
+    relabeled = [tuple(index.setdefault(v, len(index)) for v in e) for e in copy]
     if len(index) != len(copy) + 1:
         return f"copy is not vertex-injective: {len(index)} vertices, {len(copy)} edges"
     adj: list[list[int]] = [[] for _ in index]
@@ -218,57 +236,20 @@ def _copy_is_tree_of_shape(
     return None
 
 
-def _rotate(copy, s: int, m: int, kind: str) -> tuple[tuple[int, int], ...]:
-    """The host rotation v -> v + s (mod m) applied to an in-host copy.
-
-    Bipartite hosts move (u, m+v) to (u+s, m+v+s); K_{2nx+1} moves both
-    ends and writes the edge as (min, max). Either way it is a bijection of
-    the host's vertices, so it maps a tree onto a tree of the same shape.
-    """
-    if kind == "k2n1":
-        moved = (((u + s) % m, (v + s) % m) for u, v in copy)
-        return tuple(sorted((u, v) if u < v else (v, u) for u, v in moved))
-    return tuple(sorted(((u + s) % m, m + (v + s) % m) for u, v in copy))
-
-
-def _as_vertex(v) -> int | None:
-    """v as an int if it equals one, as membership in the host's edge set
-    would decide (so 2.0 is vertex 2); None otherwise."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return i if i == v else None
-
-
-def _first_three(edges) -> list:
-    """The first three edges in sorted order, or in repr order if they do not
-    compare (JSON can mix strings, numbers and lists)."""
-    try:
-        return sorted(edges)[:3]
-    except TypeError:
-        return sorted(edges, key=repr)[:3]
-
-
 def verify_partition(d: Decomposition) -> PartitionReport:
-    """Exact cover of the host edge set by copies of the source shape.
+    """Whether the turns of d's bases tile the host by copies of the source
+    tree, by the difference lemma in the module docstring.
 
-    Shape: the first copy of each stretch k (by its d.shifts entry (k, i))
-    gets the full check -- vertex-injective, connected, with the source
-    tree's canonical code -- and, if all its edges lie in the host, becomes
-    that stretch's reference. A later copy tagged (k, i) passes if it is
-    exactly the reference turned by the host rotation i - i_ref, a vertex
-    bijection; every other copy gets the full check. d.shifts only picks
-    the rotation to try and is never trusted: a missing, malformed,
-    wrong-length or wrong entry costs a full check, not a pass.
-
-    Cover: each in-host edge (u, v) is counted at code u*V + v of a V*V
-    bytearray, V the host's vertex count. Out-of-host edges and edges with
-    an end equal to no int are extras (2.0 is vertex 2, as host-set
-    membership would have it). With no edge twice and no extras, the cover
-    is exact iff the edge count equals the host's. Copies are read in order
-    and the first failure is reported: a copy's shape before its repeated
-    edges, and a tiling failure (missing edges, extras) after the last copy.
+    Each base is checked in order, and the first failure is reported:
+    - every vertex must be an int (type(v) is int, so True is not 1) inside
+      the host: in Z_m on K_{2nx+1}, and on the bipartite hosts a left end
+      in 0..m-1 and a right end in m..2m-1; witness (k, edge);
+    - the full shape check: vertex-injective, connected, with the source
+      tree's canonical code; witness (k,).
+    Then the base edges' difference classes must be each class exactly
+    once; the witness lists up to three missing and three repeated classes.
+    The classes seen are held in a set the size of the base edges, so a
+    host of any m is answered without allocating anything of size m.
     """
     host = d.host
     if host.kind == "knn":
@@ -280,74 +261,33 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         )
     else:
         expected_code = trees.canonical_code(d.tree)
-
-    m = max(_modulus(host), 0)
-    if host.kind == "k2n1":
-        nv, v_lo, size = m, 0, m * (m - 1) // 2
-    else:
-        nv, v_lo, size = 2 * m, m, m * m
-    # A host with more edges than the copies hold cannot be covered; its
-    # counts go in a dict then, so a malformed host never sizes an allocation.
-    enough = size <= sum(map(len, d.copies))
-    covered = bytearray(nv * nv) if enough else defaultdict(int)
-    count = 0
-    extras: dict = {}
-    refs: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    hints = d.shifts if len(d.shifts) == len(d.copies) else ()
-
-    def twice(idx, edge):
-        return PartitionReport(False, "edge covered twice", (idx, edge), len(d.copies))
-
-    for idx, copy in enumerate(d.copies):
-        hint = hints[idx] if hints else None
-        if not (
-            isinstance(hint, tuple)
-            and len(hint) == 2
-            and all(isinstance(h, int) for h in hint)
-        ):
-            hint = None
-        ref = refs.get(hint[0]) if hint else None
-        if ref is not None:
-            rotated = _rotate(ref[1], hint[1] - ref[0], m, host.kind)
-            if rotated == copy:
-                # Edge by edge equal to in-host int edges: count those.
-                for j, (u, v) in enumerate(rotated):
-                    code = u * nv + v
-                    if covered[code]:
-                        return twice(idx, copy[j])
-                    covered[code] = 1
-                count += len(rotated)
-                continue
-
-        shape_problem = _copy_is_tree_of_shape(copy, expected_code)
+    m = _modulus(host)
+    count = len(d.bases) * m
+    right = 0 if host.kind == "k2n1" else m
+    seen: set[int] = set()
+    repeated = []
+    for k, base in enumerate(d.bases):
+        for u, v in base:
+            if not (type(u) is type(v) is int and 0 <= u < m and right <= v < right + m):
+                return PartitionReport(False, "vertex outside the host", (k, (u, v)), count)
+        shape_problem = _copy_is_tree_of_shape(base, expected_code)
         if shape_problem is not None:
-            return PartitionReport(False, shape_problem, (idx,), len(d.copies))
-        in_host = []
-        for edge in copy:
-            u, v = (_as_vertex(w) for w in edge)
-            if None not in (u, v) and 0 <= u < m and v_lo <= v < nv and u < v:
-                code = u * nv + v
-                if covered[code]:
-                    return twice(idx, edge)
-                covered[code] = 1
-                in_host.append((u, v))
-            else:
-                key = tuple(_vertex_key(w) for w in edge)
-                if key in extras:
-                    return twice(idx, edge)
-                extras[key] = edge
-        count += len(in_host)
-        if hint and hint[0] not in refs and len(in_host) == len(copy):
-            refs[hint[0]] = (hint[1], tuple(in_host))
+            return PartitionReport(False, shape_problem, (k,), count)
+        for u, v in base:
+            c = (v - u) % m
+            if host.kind == "k2n1":
+                c = min(c, m - c)
+            if c in seen:
+                repeated.append(c)
+            seen.add(c)
 
-    if extras or count != size:
-        host_order = ((u, v) for u in range(m) for v in range(max(v_lo, u + 1), nv))
-        missing = (e for e in host_order if not covered[e[0] * nv + e[1]])
-        witness = (list(islice(missing, 3)), _first_three(extras.values()))
+    classes = range(1, (m + 1) // 2) if host.kind == "k2n1" else range(m)
+    if repeated or len(seen) != len(classes):
+        missing = list(islice((c for c in classes if c not in seen), 3))
         return PartitionReport(
-            False, "copies do not tile the host edge set", witness, len(d.copies)
+            False, "copies do not tile the host edge set", (missing, repeated[:3]), count
         )
-    return PartitionReport(True, None, None, len(d.copies))
+    return PartitionReport(True, None, None, count)
 
 
 # ---------------------------------------------------------------------------

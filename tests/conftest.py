@@ -336,9 +336,9 @@ def _copy_is_tree_of_shape_by_sorting(copy, expected_code: bytes) -> str | None:
 
 
 def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
-    """decomposition.verify_partition as it stood before rotations: a full
-    shape check of every copy and the exact cover by a set of edge tuples
-    compared with host_edges."""
+    """The edge-by-edge oracle for decomposition.verify_partition: a full
+    shape check of every developed copy and the exact cover by a set of edge
+    tuples compared with host_edges."""
     if d.host.kind == "knn":
         t = d.tree
         expected_code = trees.canonical_code_of_edges(
@@ -371,18 +371,20 @@ def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
 
 def decomposition_from_json(text: str) -> Decomposition:
     """A Decomposition read back from decomposition_to_json's output, with
-    its host checked; the tamper tests feed it edited copies."""
+    its host checked. Its bases are the copies whose shift is (k, 0), in k
+    order; the other copies are derived from them and not read."""
     try:
         obj = json.loads(text)
         host = Host(obj["host"]["kind"], obj["host"]["n"], obj["host"]["x"])
-        copies = tuple(
-            tuple((a, b) for a, b in copy) for copy in obj["copies"]
-        )
         prov = obj["provenance"]
+        bases = tuple(
+            tuple((a, b) for a, b in copy)
+            for copy, (_, i) in zip(obj["copies"], prov["shifts"])
+            if i == 0
+        )
         tree = trees.from_parent_map(prov["tree"]["n"], prov["tree"]["g"])
         sigma = tuple(prov["sigma"])
-        shifts = tuple((k, i) for k, i in prov["shifts"])
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise MalformedInput(f"bad decomposition JSON: {exc}") from exc
     if (
         host.kind not in ("knn", "k2n1", "knxnx")
@@ -392,4 +394,4 @@ def decomposition_from_json(text: str) -> Decomposition:
         or host.x < 1
     ):
         raise MalformedInput(f"bad decomposition host: {host}")
-    return Decomposition(host=host, copies=copies, tree=tree, sigma=sigma, shifts=shifts)
+    return Decomposition(host=host, bases=bases, tree=tree, sigma=sigma)

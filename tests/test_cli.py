@@ -581,10 +581,12 @@ GOLDEN_CLI = {
         0,
         "449b72896758e77514b8949c21226797092fa5009aef078873f7e7080c3e8d7e",
     ),
+    # seed 0 renumbers the spider's siblings: [0, 3, 4, 2, 1], not the
+    # unseeded [0, 4, 2, 1, 3]
     "find-seed": (
-        ["label", "find", "--tree", PATH5, "--seed", "7"],
+        ["label", "find", "--tree", SPIDER5, "--seed", "0"],
         0,
-        "639530b44b4e0cc3538e6c568da2e99c1b95e13d2b3ca2a2af2c3b7d08d6af35",
+        "c075fb5db73e0282664029cdc8d8b203a2e8f64f156a7951c856e2a4ef74dab4",
     ),
     "find-all-seed": (["label", "find", "--tree", TREE4, "--all", "--seed", "3"], 2, EMPTY),
     "find-all": (

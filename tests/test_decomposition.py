@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -156,63 +158,41 @@ class TestKnxnx:
 
 class TestVerifyPartition:
     def test_builder_failure_carries_witness(self, monkeypatch):
-        t = from_parent_map(2, [0, 0])
-        dropped = decompose_k2n1(t, (0, 1), 1).copies[-1]
+        t = from_parent_map(3, [0, 0, 1])
+        dropped = decompose_k2n1(t, (0, 2, 1), 2).bases[-1]
+        lengths = sorted(min((v - u) % 9, (u - v) % 9) for u, v in dropped)
         real = decomposition.Decomposition
 
-        def without_last_copy(**fields):
-            fields["copies"] = fields["copies"][:-1]
+        def without_last_base(**fields):
+            fields["bases"] = fields["bases"][:-1]
             return real(**fields)
 
-        monkeypatch.setattr(decomposition, "Decomposition", without_last_copy)
+        monkeypatch.setattr(decomposition, "Decomposition", without_last_base)
         with pytest.raises(VerificationFailed) as exc:
-            decompose_k2n1(t, (0, 1), 1)
+            decompose_k2n1(t, (0, 2, 1), 2)
         assert "do not tile" in str(exc.value)
-        assert str(dropped[0]) in str(exc.value)
+        assert f"witness ({lengths}, [])" in str(exc.value)
 
     def test_duplicate_edge_detected(self):
         t = from_parent_map(2, [0, 0])
         good = decompose_k2n1(t, (0, 1), 1)
-        bad = Decomposition(
-            host=good.host,
-            copies=(good.copies[0], good.copies[0], good.copies[2]),
-            tree=good.tree,
-            sigma=good.sigma,
-            shifts=good.shifts,
+        report = verify_partition(_with(good, good.bases * 2))
+        assert report == PartitionReport(
+            False, "copies do not tile the host edge set", ([], [1]), 6
         )
-        report = verify_partition(bad)
-        assert not report.ok
-        assert "twice" in report.problem
-        assert report.witness is not None
 
     def test_wrong_shape_detected(self):
-        # path copy passed off as a star decomposition
+        # path base passed off as a star decomposition
         star = from_parent_map(4, [0, 0, 0, 0])
-        lab = find_beta(star, "first")
-        d = decompose_k2n1(star, lab, 1)
-        path_copy = ((0, 1), (1, 2), (2, 3))
-        bad = Decomposition(
-            host=d.host,
-            copies=(path_copy,) + d.copies[1:],
-            tree=d.tree,
-            sigma=d.sigma,
-            shifts=d.shifts,
-        )
-        report = verify_partition(bad)
+        d = decompose_k2n1(star, find_beta(star, "first"), 1)
+        report = verify_partition(_put(d, 0, ((0, 1), (1, 2), (2, 3))))
         assert not report.ok
         assert "shape" in report.problem
 
     def test_vertex_collision_detected(self):
         t = from_parent_map(3, [0, 0, 1])
         d = decompose_k2n1(t, find_beta(t, "first"), 1)
-        bad = Decomposition(
-            host=d.host,
-            copies=(((0, 1), (0, 1)),) + d.copies[1:],
-            tree=d.tree,
-            sigma=d.sigma,
-            shifts=d.shifts,
-        )
-        assert not verify_partition(bad).ok
+        assert not verify_partition(_put(d, 0, ((0, 1), (0, 1)))).ok
 
     def test_copy_count_times_edges_is_host_size(self):
         for n in range(2, 7):
@@ -224,6 +204,7 @@ class TestVerifyPartition:
                         decompose_knxnx(entry.tree, lab, x),
                     ):
                         assert len(d.copies) * (n - 1) == len(host_edges(d.host))
+                        assert len(d.bases) == x
 
 
 def _side(host: Host) -> int:
@@ -249,79 +230,62 @@ def _path(host: Host, size: int) -> tuple:
     return tuple(sorted(((j + 1) // 2, m + j // 2) for j in range(size)))
 
 
-def _turn(copy, s: int, host: Host) -> tuple:
-    """Each pair's ends moved by s mod m, as the host rotation moves an
-    in-host copy, applied blindly to whatever pairs the copy holds."""
+def _class(host: Host, edge) -> int:
     m = _side(host)
-    if host.kind == "k2n1":
-        return tuple(sorted(tuple(sorted(((u + s) % m, (v + s) % m))) for u, v in copy))
-    return tuple(sorted(((u + s) % m, m + (v + s) % m) for u, v in copy))
+    c = (edge[1] - edge[0]) % m
+    return min(c, m - c) if host.kind == "k2n1" else c
 
 
-def _with(d: Decomposition, copies=None, shifts=None) -> Decomposition:
-    return Decomposition(
-        host=d.host,
-        copies=d.copies if copies is None else tuple(copies),
-        tree=d.tree,
-        sigma=d.sigma,
-        shifts=d.shifts if shifts is None else tuple(shifts),
-    )
+def _with(d: Decomposition, bases) -> Decomposition:
+    return Decomposition(host=d.host, bases=tuple(bases), tree=d.tree, sigma=d.sigma)
 
 
-def _put(d: Decomposition, idx: int, copy) -> Decomposition:
-    copies = list(d.copies)
-    copies[idx] = tuple(copy)
-    return _with(d, copies)
+def _put(d: Decomposition, k: int, base) -> Decomposition:
+    bases = list(d.bases)
+    bases[k] = tuple(base)
+    return _with(d, bases)
 
 
-def _tampered(d: Decomposition):
-    """(name, decomposition) pairs, each a fault or a hint the verifier must
-    not trust; the first is the untouched decomposition."""
-    copies, host, size = d.copies, d.host, len(d.copies[0])
-    last = len(copies) - 1
+def _leaf_moved(d: Decomposition):
+    """Base 0 with one leaf re-hung on its neighbour at a fresh in-host
+    vertex, so that its edge takes the difference class of another base
+    edge: the same shape, one class twice. None if there is no such spot."""
+    host, base = d.host, d.bases[0]
+    m = _side(host)
+    degree = Counter(v for e in base for v in e)
+    others = {_class(host, e) for b in d.bases for e in b}
+    for j, (u, v) in enumerate(base):
+        if degree[u] > 1 and degree[v] > 1:
+            continue
+        for c in sorted(others - {_class(host, (u, v))}):
+            if degree[v] == 1:
+                leaf = (u + c) % m if host.kind == "k2n1" else m + (u + c) % m
+                edge = (u, leaf)
+            else:
+                leaf = (v - c) % m
+                edge = (leaf, v)
+            if leaf not in degree:
+                moved = base[:j] + (tuple(sorted(edge)),) + base[j + 1:]
+                return _put(d, 0, sorted(moved))
+    return None
+
+
+def _tampered_bases(d: Decomposition):
+    """(name, decomposition) pairs, each with in-host bases, the first one
+    untouched; the rest are faults unless the tree has the tampered shape."""
+    bases, host, size = d.bases, d.host, len(d.bases[0])
+    (u, v), rest = bases[0][0], bases[0][1:]
     yield "untouched", d
-    yield "copy 0 a star", _put(d, 0, _star(host, size))
-    yield "copy 0 a path", _put(d, 0, _path(host, size))
-    yield "out-of-host edge in copy 0", _put(d, 0, copies[0][:-1] + ((0, 99),))
-    yield "copy 0 as strings", _put(d, 0, [(str(u), str(v)) for u, v in copies[0]])
-    yield "copy 0 as integral floats", _put(
-        d, 0, [(float(u), float(v)) for u, v in copies[0]]
-    )
-    yield "last copy dropped", _with(d, copies[:-1])
-    yield "first copy repeated at the end", _with(d, copies + copies[:1])
-    yield "shifts empty", _with(d, shifts=())
-    yield "shifts one short", _with(d, shifts=d.shifts[:-1])
-    yield "shifts not ints", _with(d, shifts=[("a", 0.5)] * len(copies))
-    yield "shifts as lists", _with(d, shifts=[list(h) for h in d.shifts])
-    yield "shifts reversed", _with(d, shifts=d.shifts[::-1])
-    if last < 1:
-        return
-    reversed_edge = ((copies[1][0][1], copies[1][0][0]),) + copies[1][1:]
-    yield "copy 1 duplicates copy 0", _put(d, 1, copies[0])
-    yield "copy 1 a star", _put(d, 1, _star(host, size))
-    yield "copy 1 a path", _put(d, 1, _path(host, size))
-    yield "last copy a star", _put(d, last, _star(host, size))
-    yield "copy 1 empty", _put(d, 1, ())
-    yield "out-of-host edge in copy 1", _put(d, 1, copies[1][:-1] + ((0, 99),))
-    yield "out-of-host edge in copies 0 and 1", _put(
-        _put(d, 0, copies[0][:-1] + ((0, 99),)), 1, copies[1][:-1] + ((0, 99),)
-    )
-    yield "reversed edge in copy 1", _put(d, 1, reversed_edge)
-    yield "copies 1 and last swapped", _put(_put(d, 1, copies[last]), last, copies[1])
-    yield "copy 1 as the turn of a tampered copy 0", _put(
-        _put(d, 0, reversed_edge), 1, _turn(reversed_edge, 1, host)
-    )
-    yield "copy 1 with a half vertex", _put(
-        d, 1, ((0.5, copies[1][0][1]),) + copies[1][1:]
-    )
-    yield "copy 1 with True for 1", _put(
-        d, 1, [(True if u == 1 else u, v) for u, v in copies[1]]
-    )
-    yield "shifts reversed, copy 1 a star", _with(
-        _put(d, 1, _star(host, size)), shifts=d.shifts[::-1]
-    )
-    if last >= 2:
-        yield "copy 1 replaced by copy 2", _put(d, 1, copies[2])
+    yield "base 0 a star", _put(d, 0, _star(host, size))
+    yield "base 0 a path", _put(d, 0, _path(host, size))
+    yield "an edge of base 0 reversed", _put(d, 0, ((v, u),) + rest)
+    moved = _leaf_moved(d)
+    if moved is not None:
+        yield "a leaf of base 0 moved onto a used class", moved
+    yield "last base dropped", _with(d, bases[:-1])
+    yield "base 0 duplicated", _with(d, bases + bases[:1])
+    if len(bases) > 1:
+        yield "base 1 replaced by base 0", _put(d, 1, bases[0])
 
 
 def _catalog_decompositions(n: int):
@@ -338,23 +302,31 @@ def _catalog_decompositions(n: int):
 class TestVerifyPartitionOracle:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reports_equal_the_set_oracle(self, n):
+        # The oracle checks the developed copies edge by edge.
         for d in _catalog_decompositions(n):
-            for name, variant in _tampered(d):
-                expected = verify_partition_by_sets(variant)
-                assert verify_partition(variant) == expected, (d.host, name)
+            for name, variant in _tampered_bases(d):
+                expected = verify_partition_by_sets(variant).ok
+                assert verify_partition(variant).ok == expected, (d.host, name)
+                assert expected == (name == "untouched") or name.startswith(
+                    ("base 0 a", "an edge")
+                ), (d.host, name)
 
     def test_tampering_is_caught(self):
         # On a tree that is neither a star nor a path, every wrong-shape
-        # copy fails, at a reference index and between references alike.
+        # base fails, and a moved leaf fails the difference cover alone.
         t = catalog(6)[2].tree
         lab = find_beta(t, "first")
         for d in (decompose_k2n1(t, lab, 2), decompose_knxnx(t, lab, 2)):
-            for idx in (0, 1, len(d.copies) - 1):
-                for copy in (_star(d.host, 5), _path(d.host, 5)):
-                    report = verify_partition(_put(d, idx, copy))
+            count = len(d.copies)
+            for k in (0, 1):
+                for base in (_star(d.host, 5), _path(d.host, 5)):
+                    report = verify_partition(_put(d, k, base))
                     assert report == PartitionReport(
-                        False, "copy shape differs from the source tree", (idx,), len(d.copies)
+                        False, "copy shape differs from the source tree", (k,), count
                     )
+            report = verify_partition(_leaf_moved(d))
+            assert report.problem == "copies do not tile the host edge set"
+            assert len(report.witness[0]) == len(report.witness[1]) == 1
 
     def test_one_full_shape_check_per_stretch(self, monkeypatch):
         calls = []
@@ -370,41 +342,60 @@ class TestVerifyPartitionOracle:
             for build in (decompose_k2n1, decompose_knxnx):
                 calls.clear()
                 d = build(t, lab, x)
-                assert len(calls) == x
+                assert calls == list(d.bases)
                 calls.clear()
-                assert verify_partition(_with(d, shifts=())).ok
-                assert len(calls) == len(d.copies)
+                assert verify_partition(d).ok
+                assert len(calls) == x
 
     def test_host_larger_than_its_copies(self):
-        # Too few edges for the host: the counts live in a dict, sized by the
-        # copies, so even a host of ~10^20 edges is answered at once.
+        # The classes seen are held in a set the size of the base edges, so
+        # even a host of ~10^20 edges is answered at once.
         t = from_parent_map(3, [0, 0, 1])
         d = decompose_k2n1(t, find_beta(t, "first"), 1)
         for n in (40, 10**10):
-            for variant in (_put(d, 1, d.copies[0]), d):
+            for bases in (d.bases, d.bases * 2):
                 big = Decomposition(
-                    host=Host("k2n1", n, 1),
-                    copies=variant.copies,
-                    tree=d.tree,
-                    sigma=d.sigma,
-                    shifts=d.shifts,
+                    host=Host("k2n1", n, 1), bases=bases, tree=d.tree, sigma=d.sigma
                 )
+                tracemalloc.start()
                 report = verify_partition(big)
-                assert not report.ok
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert not report.ok and peak < 100_000
+                assert report.copies == len(bases) * (2 * n + 1)
                 if n == 40:
-                    assert report == verify_partition_by_sets(big)
+                    assert not verify_partition_by_sets(big).ok
+
+    def test_out_of_host_vertices(self):
+        t = from_parent_map(4, [0, 0, 1, 2])
+        lab = find_beta(t, "first")
+        for d in (decompose_k2n1(t, lab, 2), decompose_knxnx(t, lab, 2)):
+            m = _side(d.host)
+            (u, v), rest = d.bases[1][0], d.bases[1][1:]
+            lo = 0 if d.host.kind == "k2n1" else m
+            for edge in ((-1, v), (m, v), (u, lo - 1), (u, lo + m), (u, 10**30)):
+                report = verify_partition(_put(d, 1, (edge,) + rest))
+                assert report == PartitionReport(
+                    False, "vertex outside the host", (1, edge), len(d.copies)
+                )
 
     def test_json_vertices_the_oracle_cannot_sort_do_not_raise(self):
         t = from_parent_map(4, [0, 0, 1, 2])
         d = decompose_k2n1(t, find_beta(t, "first"), 2)
-        (u, v), rest = d.copies[1][0], d.copies[1][1:]
-        for odd in ("a", None, [u], {"u": u}, float("nan")):
-            for copy in (((odd, v),) + rest, ((u, odd),) + rest):
-                report = verify_partition(_put(d, 1, copy))
-                assert not report.ok and report.copies == len(d.copies)
+        (u, v), rest = d.bases[1][0], d.bases[1][1:]
+        for odd in ("a", None, 2.0, True, [u], {"u": u}, float("nan")):
+            for edge in ((odd, v), (u, odd)):
+                report = verify_partition(_put(d, 1, (edge,) + rest))
+                assert report.problem == "vertex outside the host"
+                assert report.witness == (1, edge)
+        # True == 1 and 2.0 == 2 as host-set members, but not as vertices
+        for one in (True, 1.0):
+            base = [(one if a == 1 else a, b) for a, b in d.bases[0]]
+            assert not verify_partition(_put(d, 0, base)).ok
         bad = json.loads(decomposition_to_json(d))
-        bad["copies"][3][0] = [[1], {"a": 2}]
-        bad["copies"][5][0] = ["x", 3]
+        m = _side(d.host)
+        bad["copies"][0][0] = [[1], {"a": 2}]
+        bad["copies"][m][0] = ["x", 3]
         report = verify_partition(decomposition_from_json(json.dumps(bad)))
         assert not report.ok
 
