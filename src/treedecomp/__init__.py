@@ -53,6 +53,7 @@ from .labeling import (
     BetaFailure,
     Labeling,
     find_beta,
+    phi_orbits,
     phi_set,
     verify_beta,
     verify_graceful,

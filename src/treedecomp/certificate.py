@@ -3,8 +3,16 @@
 The certificate of a functional tree g at a lattice point f in Z_n^{Z_n} is
 the integer product of three factors: vertex labels pairwise distinct,
 signed edge labels pairwise distinct, and signed edge labels inside Z_n.
-It is nonzero exactly at the points encoding a beta-labeling. Everything in
-this module is integer/rational exact; there is no floating point.
+It is nonzero exactly at the beta-labelings, the members of Phi, and the
+checks read Phi at the one representative per orbit of labeling.phi_orbits.
+
+Orbit lemma: certificate(f.alpha) = certificate(f) for alpha in Aut_r, the
+rooted tree's automorphism group. Such an alpha keeps depths and commutes
+with g, so f.alpha has the vertex labels and signed edge labels of f permuted
+by alpha: the vertex and edge factors each change by sgn(alpha), and the
+range factor, a product over all vertices, not at all.
+
+Everything here is integer/rational exact; there is no floating point.
 """
 
 from __future__ import annotations
@@ -13,15 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import labeling as lb
 from . import perms, trees
 from .errors import MalformedInput, PreconditionViolated, ResourceLimit
 from .polynomial import Polynomial, reduced_power
 
-SWEEP_CAP = 7
-FULL_LATTICE_CAP = 5
 SYMBOLIC_CAP = 4
 CHAIN_CAP = 6
 
@@ -33,28 +39,15 @@ def eval_certificate(t: trees.FunctionalTree, f: Sequence[int]) -> int:
     if len(f) != n or any(type(v) is not int or not (0 <= v < n) for v in f):
         raise MalformedInput(f"lattice point must be a length-{n} map into Z_{n}")
 
-    vertex_factor = 1
-    for v in range(n):
-        for u in range(v):
-            vertex_factor *= f[v] - f[u]
-        if vertex_factor == 0:
-            return 0
-
+    vertex_factor = math.prod(b - a for a, b in itertools.combinations(f, 2))
+    if vertex_factor == 0:
+        return 0
     e = [t.sign(v) * (f[t.g[v]] - f[v]) for v in range(n)]
-    edge_factor = 1
-    for v in range(n):
-        for u in range(v):
-            edge_factor *= e[v] - e[u]
-        if edge_factor == 0:
-            return 0
-
-    range_factor = 1
-    for ev in e:
-        for i in range(1, n):
-            range_factor *= ev + i
-        if range_factor == 0:
-            return 0
-    return vertex_factor * edge_factor * range_factor
+    edge_factor = math.prod(b - a for a, b in itertools.combinations(e, 2))
+    if edge_factor == 0:
+        return 0
+    # the range factor: ev + i over i in 1..n-1, 0 exactly when ev < 0
+    return vertex_factor * edge_factor * math.prod(math.prod(range(ev + 1, ev + n)) for ev in e)
 
 
 def expected_magnitude(n: int) -> int:
@@ -73,35 +66,22 @@ class MagnitudeReport:
     failures: tuple[tuple[int, ...], ...]
 
 
-def certificate_magnitude_check(t: trees.FunctionalTree) -> MagnitudeReport:
-    """|certificate| equals expected_magnitude(n) at every member of Phi."""
-    if t.n > SWEEP_CAP:
-        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {SWEEP_CAP}")
+def certificate_magnitude_check(phi: lb.PhiOrbits) -> MagnitudeReport:
+    """|certificate| = expected_magnitude(n) on Phi, checked at each orbit's
+    representative, which stands for its orbit by the orbit lemma. failures
+    lists the representatives that miss."""
+    t = phi.tree
     expected = expected_magnitude(t.n)
-    phi = lb.phi_set(t)
-    failures = tuple(
-        f for f in phi if abs(eval_certificate(t, f)) != expected
-    )
-    return MagnitudeReport(
-        ok=not failures, expected=expected, phi_size=len(phi), failures=failures
-    )
+    failures = tuple(f for f in phi.reps if abs(eval_certificate(t, f)) != expected)
+    return MagnitudeReport(not failures, expected, phi.size, failures)
 
 
-def lattice_points(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All maps Z_m -> Z_n as tuples (the full n^m evaluation lattice)."""
-    return itertools.product(range(n), repeat=m)
-
-
-def nonvanishing_by_sweep(t: trees.FunctionalTree) -> bool:
-    """True iff some lattice point gives a nonzero certificate.
-
-    Sweeps permutations only: the certificate vanishes off S_n (the
-    vertex-distinctness factor), a fact the test suite checks against the
-    full n^n sweep at small n.
-    """
-    if t.n > SWEEP_CAP:
-        raise ResourceLimit(f"n = {t.n} exceeds the sweep cap {SWEEP_CAP}")
-    return any(eval_certificate(t, f) != 0 for f in itertools.permutations(range(t.n)))
+def nonvanishing_by_sweep(phi: lb.PhiOrbits) -> tuple[int, ...] | None:
+    """The first representative with a nonzero certificate, or None. The
+    certificate is nonzero exactly on Phi, so None means it vanishes on the
+    whole lattice."""
+    t = phi.tree
+    return next((f for f in phi.reps if eval_certificate(t, f) != 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +129,17 @@ def lagrange_basis(f: Sequence[int], n: int) -> Polynomial:
     return Polynomial(m, table)
 
 
-def canonical_representative(t: trees.FunctionalTree) -> Polynomial:
+def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:
     """Exact coefficient table of sum over Phi of certificate(f) * basis_f.
 
     Agrees with eval_certificate on every lattice point; identically zero
     exactly when Phi is empty.
     """
+    t = phi.tree
     if t.n > SYMBOLIC_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {SYMBOLIC_CAP}")
-    out = Polynomial.zero(t.n)
-    for f in lb.phi_set(t):
-        out = out + lagrange_basis(f, t.n).scale(eval_certificate(t, f))
-    return out
+    terms = (lagrange_basis(f, t.n).scale(eval_certificate(t, f)) for f in phi.members())
+    return sum(terms, Polynomial.zero(t.n))
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +147,16 @@ def canonical_representative(t: trees.FunctionalTree) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def transposition_invariance_sweep(
-    t: trees.FunctionalTree, tau: Sequence[int]
-) -> tuple[int, ...] | None:
-    """First lattice point with certificate(f o tau) != certificate(f), or None."""
-    if t.n > FULL_LATTICE_CAP:
-        raise ResourceLimit(f"n = {t.n} exceeds the full-lattice cap {FULL_LATTICE_CAP}")
-    for f in lattice_points(t.n, t.n):
+def transposition_witness(phi: lb.PhiOrbits, tau: Sequence[int]) -> tuple[int, ...] | None:
+    """The first representative f with certificate(f.tau) != certificate(f).
+
+    For tau in Aut_r this stands for Claim I at every lattice point: tau maps
+    Phi onto Phi, so off Phi both sides vanish, and on Phi the orbit lemma
+    gives certificate(rep.alpha.tau) = certificate(rep) = certificate(rep.alpha).
+    Any other tau is compared at the representatives only.
+    """
+    t = phi.tree
+    for f in phi.reps:
         f_tau = tuple(f[tau[i]] for i in range(t.n))
         if eval_certificate(t, f_tau) != eval_certificate(t, f):
             return f
@@ -185,36 +167,28 @@ def transposition_invariance_sweep(
 class InvarianceReport:
     ok: bool
     pairs: tuple[tuple[int, int], ...]
-    sweep_checked: bool
     table_checked: bool
     witness: tuple[int, ...] | None
 
 
-def check_transposition_invariance(t: trees.FunctionalTree) -> InvarianceReport:
-    """Both invariance claims for every sibling-leaf transposition of t.
-
-    Claim I: the certificate value is unchanged by permuting any sibling-leaf
-    pair, at every point of the full lattice (n <= FULL_LATTICE_CAP).
-    Claim II: the canonical coefficient table is fixed by the same variable
-    transposition (n <= SYMBOLIC_CAP).
-    """
-    pairs = trees.sibling_leaf_pairs(t)
+def check_transposition_invariance(phi: lb.PhiOrbits) -> InvarianceReport:
+    """Both invariance claims for every sibling-leaf transposition tau of t,
+    a rooted automorphism. Claim I: certificate(f.tau) = certificate(f) at
+    every lattice point f, checked at the representatives (transposition_witness).
+    Claim II, when n <= SYMBOLIC_CAP (table_checked): the canonical coefficient
+    table is fixed by the same variable transposition."""
+    t = phi.tree
+    pairs = tuple(trees.sibling_leaf_pairs(t))
     if not pairs:
         raise PreconditionViolated("tree has no sibling-leaf pair")
-    sweep_checked = t.n <= FULL_LATTICE_CAP
     table_checked = t.n <= SYMBOLIC_CAP
-    if not (sweep_checked or table_checked):
-        raise ResourceLimit(f"n = {t.n} exceeds both invariance caps")
-    table = canonical_representative(t) if table_checked else None
+    table = canonical_representative(phi) if table_checked else None
     for a, b in pairs:
         tau = perms.transposition(a, b, t.n)
-        if sweep_checked:
-            witness = transposition_invariance_sweep(t, tau)
-            if witness is not None:
-                return InvarianceReport(False, tuple(pairs), True, table_checked, witness)
-        if table is not None and table.permute_variables(tau) != table:
-            return InvarianceReport(False, tuple(pairs), sweep_checked, True, None)
-    return InvarianceReport(True, tuple(pairs), sweep_checked, table_checked, None)
+        witness = transposition_witness(phi, tau)
+        if witness is not None or (table is not None and table.permute_variables(tau) != table):
+            return InvarianceReport(False, pairs, table_checked, witness)
+    return InvarianceReport(True, pairs, table_checked, None)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def labeling_from_json(text: str, t: trees.FunctionalTree) -> lb.Labeling:
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-def _knn(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+def _knn(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     decomposition.decompose_directed_knn(t, lab)
     return {}
 
@@ -48,7 +48,7 @@ def _knn(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
 def _for_each_x(build):
     """A check that builds one decomposition per campaign x."""
 
-    def check(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+    def check(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
         if t.n < 2:
             raise ResourceLimit("tree has no edges")
         for x in xs:
@@ -58,44 +58,51 @@ def _for_each_x(build):
     return check
 
 
-def _magnitude(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
-    rep = certificate.certificate_magnitude_check(t)
+def _magnitude(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
+    rep = certificate.certificate_magnitude_check(phi())
     return {"pass": rep.ok, "expected": str(rep.expected)}
 
 
-def _invariance(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+def _nonzero(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
+    witness = certificate.nonvanishing_by_sweep(phi())
+    return {"pass": witness is not None, "witness": witness and list(witness)}
+
+
+def _invariance(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     if not trees.sibling_leaf_pairs(t):
         raise ResourceLimit("no sibling-leaf pair")
-    return {"pass": certificate.check_transposition_invariance(t).ok}
+    rep = certificate.check_transposition_invariance(phi())
+    return {"pass": rep.ok, "table_checked": rep.table_checked}
 
 
-def _composition(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+def _composition(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     rep = certificate.chain_report(t)
     return {"pass": rep.ok, "transitions": rep.transitions}
 
 
-def _allones(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+def _allones(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     rep = apportionment.check_allones_identity(t, lab)
     return {"pass": rep.ok, "residual": rep.max_deviation}
 
 
-def _apportion(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]) -> dict:
+def _apportion(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     rep = apportionment.check_apportionment(t, lab)
     return {"pass": rep.ok, "residual": rep.kappa_max_error}
 
 
-# Each check maps (tree, its labeling, the campaign's xs) to the record fields
-# that differ from {"pass": True, "residual": None}. A check runs only on a
-# labeling the search found, so "beta" passes by being reached.
+# Each check maps (tree, its labeling, the campaign's xs, phi) to the record
+# fields that differ from {"pass": True, "residual": None}; phi() returns the
+# tree's labeling.PhiOrbits, one per record. A check runs only on a labeling
+# the search found, so "beta" passes by being reached.
 CHECKS = {
-    "beta": lambda t, lab, xs: {},
-    "graceful": lambda t, lab, xs: {"pass": lb.verify_graceful(t, lab.sigma).ok},
-    "phi": lambda t, lab, xs: {"phi_size": lb.phi_size(t)},
+    "beta": lambda t, lab, xs, phi: {},
+    "graceful": lambda t, lab, xs, phi: {"pass": lb.verify_graceful(t, lab.sigma).ok},
+    "phi": lambda t, lab, xs, phi: {"phi_size": lb.phi_size(phi()), "orbits": len(phi().reps)},
     "knn": _knn,
     "k2n1": _for_each_x(decomposition.decompose_k2n1),
     "knxnx": _for_each_x(decomposition.decompose_knxnx),
     "magnitude": _magnitude,
-    "nonzero": lambda t, lab, xs: {"pass": certificate.nonvanishing_by_sweep(t)},
+    "nonzero": _nonzero,
     "invariance": _invariance,
     "composition": _composition,
     "allones": _allones,
@@ -113,9 +120,9 @@ def _attempt(fn, *args):
         return None, {"pass": None, "skipped": True, "reason": str(exc)}
 
 
-def _run_check(name: str, t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int]):
+def _run_check(name: str, t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi):
     start = time.perf_counter()
-    fields, failed = _attempt(CHECKS[name], t, lab, xs)
+    fields, failed = _attempt(CHECKS[name], t, lab, xs, phi)
     result = failed or {"pass": True, "residual": None, **fields}
     result["runtime_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return result
@@ -128,13 +135,20 @@ def _campaign_record(task) -> dict:
     # Without a labeling (above the search cap, or none found) every check
     # records the search's outcome.
     lab, failed = _attempt(_labeling_arg, None, t)
+    orbits = []  # the tree's PhiOrbits, searched on the first call of phi()
+
+    def phi() -> lb.PhiOrbits:
+        if not orbits:
+            orbits.append(lb.phi_orbits(t))
+        return orbits[0]
+
     return {
         "tree_code": code_hex,
         "n": n,
         "labeling": list(lab.sigma) if lab is not None else None,
         "search_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "checks": {
-            name: dict(failed, runtime_ms=0.0) if failed else _run_check(name, t, lab, xs)
+            name: dict(failed, runtime_ms=0.0) if failed else _run_check(name, t, lab, xs, phi)
             for name in checks
         },
         "toolchain_version": __version__,
@@ -313,17 +327,17 @@ def _certificate_eval(args):
 
 
 def _certificate_magnitude(args):
-    rep = certificate.certificate_magnitude_check(_tree_arg(args.tree))
+    rep = certificate.certificate_magnitude_check(lb.phi_orbits(_tree_arg(args.tree)))
     return {"ok": rep.ok, "expected": str(rep.expected), "phi_size": rep.phi_size}, rep.ok
 
 
 def _certificate_nonzero(args):
-    ok = certificate.nonvanishing_by_sweep(_tree_arg(args.tree))
+    ok = certificate.nonvanishing_by_sweep(lb.phi_orbits(_tree_arg(args.tree))) is not None
     return {"nonzero": ok}, ok
 
 
 def _certificate_invariance(args):
-    rep = certificate.check_transposition_invariance(_tree_arg(args.tree))
+    rep = certificate.check_transposition_invariance(lb.phi_orbits(_tree_arg(args.tree)))
     return {
         "ok": rep.ok,
         "pairs": [list(p) for p in rep.pairs],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, pairwise, permutations
-from math import factorial, prod
+from math import prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -263,9 +263,8 @@ def _expand_orbits(
     reps: list[tuple[int, ...]],
     twin: list[int],
     codes: list[bytes],
-) -> tuple[Iterator[tuple[int, ...]], int]:
-    """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit,
-    and |Aut_r|.
+) -> Iterator[tuple[int, ...]]:
+    """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit.
 
     Aut_r is the product, over the runs of isomorphic siblings, of the
     permutations of each run's subtrees. A subtree is listed as a block in
@@ -287,7 +286,7 @@ def _expand_orbits(
             chains[u] = chains.pop(twin[u], [twin[u]]) + [u]
     runs = sorted(chains.values(), key=lambda run: (t.depth[run[0]], len(run)))
     if not runs:
-        return iter(reps), 1
+        return iter(reps)
     kids: list[list[int]] = [[] for _ in range(n)]
     for u in sorted(range(n), key=codes.__getitem__):
         if u != t.root:
@@ -321,82 +320,83 @@ def _expand_orbits(
             for alpha in automorphisms(runs[-1]):
                 yield from map(alpha, orbit)
 
-    return members(), prod(factorial(len(run)) for run in runs)
+    return members()
 
 
-def _phi_members(
-    t: trees.FunctionalTree,
-) -> tuple[Iterator[tuple[int, ...]], int]:
-    """Phi as a stream, each member re-checked as it passes, and |Phi|.
+@dataclass(frozen=True)
+class PhiOrbits:
+    """Phi as one beta-labeling per orbit of Aut_r, the rooted tree's
+    automorphism group, which acts freely on Phi (see _search): reps are the
+    search's results, checked by phi_orbits, and aut is |Aut_r|."""
 
-    The search finds one labeling per orbit of Aut_r, the rooted tree's
-    automorphism group, which acts freely on Phi (see _search), and each
-    orbit is then expanded: |Phi| = |orbits| * |Aut_r|. The search's results
-    must be distinct, each with decreasing edge labels along every run of
-    isomorphic siblings, so no two lie in one orbit. Each member is
-    re-checked independently: it must be a permutation whose n signed labels
-    set all n bits of a bitmask over Z_n.
-    """
-    if t.n > PHI_CAP:
-        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
-    n, g = t.n, t.g
-    sign = [t.sign(v) for v in range(n)]
-    reps = _search(t, first=False)[0]
-    twin, codes = _twins(t, t.adjacency())
-    for rep in reps:
-        edge = [abs(rep[v] - rep[g[v]]) for v in range(n)]
-        if any(edge[twin[u]] <= edge[u] for u in range(n) if twin[u] < n):
-            raise VerificationFailed(
-                f"search returned {list(rep)}, not its orbit's pick"
-            )
-    if len(set(reps)) != len(reps):
-        raise VerificationFailed("search returned a labeling twice")
-    members, aut = _expand_orbits(t, reps, twin, codes)
+    tree: trees.FunctionalTree
+    reps: tuple[tuple[int, ...], ...]
+    aut: int
 
-    def rechecked() -> Iterator[tuple[int, ...]]:
-        for p in members:
+    @property
+    def size(self) -> int:
+        return len(self.reps) * self.aut
+
+    def members(self) -> Iterator[tuple[int, ...]]:
+        """Every member of Phi, orbit by orbit, each re-checked as it passes: a
+        permutation whose n signed labels set all n bits of a mask over Z_n."""
+        t = self.tree
+        n, g = t.n, t.g
+        sign = [t.sign(v) for v in range(n)]
+        for p in _expand_orbits(t, list(self.reps), *_twins(t, t.adjacency())):
             seen = 0
             for v in range(n):
                 lbl = sign[v] * (p[g[v]] - p[v])
                 if 0 <= lbl < n:
                     seen |= 1 << lbl
             if seen != (1 << n) - 1 or not perms.is_perm(p):
-                raise VerificationFailed(
-                    f"search returned a non-beta sigma {list(p)}"
-                )
+                raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
             yield p
 
-    return rechecked(), len(reps) * aut
+
+def phi_orbits(t: trees.FunctionalTree) -> PhiOrbits:
+    """The search's one labeling per orbit of Aut_r, checked, and |Aut_r|.
+
+    The results must be distinct, each with decreasing edge labels along
+    every run of isomorphic siblings, so no two lie in one orbit. |Aut_r| is
+    the product of len(run)!, a factor k for the k-th sibling of each run."""
+    if t.n > PHI_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
+    n, g = t.n, t.g
+    reps = _search(t, first=False)[0]
+    twin = _twins(t, t.adjacency())[0]
+    for rep in reps:
+        edge = [abs(rep[v] - rep[g[v]]) for v in range(n)]
+        if any(edge[twin[u]] <= edge[u] for u in range(n) if twin[u] < n):
+            raise VerificationFailed(f"search returned {list(rep)}, not its orbit's pick")
+    if len(set(reps)) != len(reps):
+        raise VerificationFailed("search returned a labeling twice")
+    place = [1] * n  # u's place in its run; a twin comes before u
+    for u in range(n):
+        if twin[u] < n:
+            place[u] = place[twin[u]] + 1
+    return PhiOrbits(t, tuple(reps), prod(place))
 
 
 def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
-    """Phi, every beta-labeling sigma in lexicographic order.
-
-    Every member is re-checked (see _phi_members), and the members must be
-    distinct and number |orbits| * |Aut_r|.
-    """
-    members, size = _phi_members(t)
-    out = sorted(members)
-    if len(out) != size or any(a == b for a, b in pairwise(out)):
-        raise VerificationFailed(
-            f"Phi expanded to {len(out)} labelings, not {size} distinct ones"
-        )
+    """Phi, every beta-labeling sigma in lexicographic order. Every member is
+    re-checked, and they must be distinct and number |orbits| * |Aut_r|."""
+    phi = phi_orbits(t)
+    out = sorted(phi.members())
+    if len(out) != phi.size or any(a == b for a, b in pairwise(out)):
+        raise VerificationFailed(f"Phi expanded to {len(out)}, not {phi.size} distinct labelings")
     return out
 
 
-def phi_size(t: trees.FunctionalTree) -> int:
-    """|Phi| = len(phi_set(t)), without holding Phi.
-
-    Every member streams past the same re-check as in phi_set, and their
-    count must be |orbits| * |Aut_r|. They are distinct because the search's
-    results are checked to lie in distinct orbits, on which Aut_r acts
-    freely; phi_set also checks it by sorting, which needs the whole list.
-    """
-    members, size = _phi_members(t)
-    count = sum(1 for _ in members)
-    if count != size:
-        raise VerificationFailed(f"Phi expanded to {count} labelings, not {size}")
-    return size
+def phi_size(phi: PhiOrbits) -> int:
+    """|Phi|, without holding Phi: the members stream past the re-check and
+    must number |orbits| * |Aut_r|. They are distinct, as phi_orbits checks
+    that the representatives lie in distinct orbits, on which Aut_r acts
+    freely; phi_set also checks it by sorting, which needs the whole list."""
+    count = sum(1 for _ in phi.members())
+    if count != phi.size:
+        raise VerificationFailed(f"Phi expanded to {count} labelings, not {phi.size}")
+    return count
 
 
 @dataclass(frozen=True)

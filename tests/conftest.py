@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from treedecomp import apportionment, certificate, perms, trees
+from treedecomp import apportionment, certificate, labeling, perms, trees
 from treedecomp.decomposition import (
     Decomposition,
     Host,
@@ -168,6 +168,75 @@ def reduce_by_rewriting(p: Polynomial, n: int) -> Polynomial:
             else:
                 work.pop(key, None)
     return Polynomial(p.n_vars, work)
+
+
+def certificate_by_loops(t: trees.FunctionalTree, f: Sequence[int]) -> int:
+    """certificate.eval_certificate as it stood before it multiplied with
+    math.prod: each factor by nested loops, stopping at the first zero."""
+    n = t.n
+    vertex_factor = 1
+    for v in range(n):
+        for u in range(v):
+            vertex_factor *= f[v] - f[u]
+        if vertex_factor == 0:
+            return 0
+    e = [t.sign(v) * (f[t.g[v]] - f[v]) for v in range(n)]
+    edge_factor = 1
+    for v in range(n):
+        for u in range(v):
+            edge_factor *= e[v] - e[u]
+        if edge_factor == 0:
+            return 0
+    range_factor = 1
+    for ev in e:
+        for i in range(1, n):
+            range_factor *= ev + i
+        if range_factor == 0:
+            return 0
+    return vertex_factor * edge_factor * range_factor
+
+
+def lattice_points(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """All maps Z_m -> Z_n as tuples (the full n^m evaluation lattice)."""
+    return product(range(n), repeat=m)
+
+
+def transposition_invariance_sweep(
+    t: trees.FunctionalTree, tau: Sequence[int]
+) -> tuple[int, ...] | None:
+    """First lattice point with certificate(f o tau) != certificate(f), or None.
+
+    Claim I by sweeping the full n^n lattice, as certificate.py did before it
+    read Phi's orbit representatives.
+    """
+    for f in lattice_points(t.n, t.n):
+        f_tau = tuple(f[tau[i]] for i in range(t.n))
+        if certificate.eval_certificate(t, f_tau) != certificate.eval_certificate(t, f):
+            return f
+    return None
+
+
+def nonvanishing_by_permutations(t: trees.FunctionalTree) -> bool:
+    """True iff some permutation gives a nonzero certificate.
+
+    Sweeps S_n only: the certificate vanishes off S_n (the vertex-distinctness
+    factor), which nonvanishing_on_lattice checks at small n.
+    """
+    return any(
+        certificate.eval_certificate(t, f) != 0 for f in permutations(range(t.n))
+    )
+
+
+def magnitude_by_members(t: trees.FunctionalTree) -> certificate.MagnitudeReport:
+    """The magnitude check at every member of phi_set, not one per orbit."""
+    expected = certificate.expected_magnitude(t.n)
+    phi = labeling.phi_set(t)
+    failures = tuple(
+        f for f in phi if abs(certificate.eval_certificate(t, f)) != expected
+    )
+    return certificate.MagnitudeReport(
+        ok=not failures, expected=expected, phi_size=len(phi), failures=failures
+    )
 
 
 def nonvanishing_on_lattice(t: trees.FunctionalTree) -> bool:

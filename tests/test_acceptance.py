@@ -6,7 +6,14 @@ rational equality for the combinatorial/algebraic criteria, 1e-9 absolute
 for the floating-point apportionment criteria.
 """
 
-from conftest import catalog, prufer_codes
+from conftest import (
+    catalog,
+    lattice_points,
+    magnitude_by_members,
+    nonvanishing_by_permutations,
+    prufer_codes,
+    transposition_invariance_sweep,
+)
 
 from treedecomp import (
     Labeling,
@@ -26,6 +33,7 @@ from treedecomp import (
     find_beta,
     from_parent_map,
     nonvanishing_by_sweep,
+    phi_orbits,
     phi_set,
     sigma_from_first_column,
     verify_beta,
@@ -33,7 +41,7 @@ from treedecomp import (
 )
 from treedecomp import perms
 from treedecomp.apportionment import build_block_unitary, unitarity_residual
-from treedecomp.certificate import lattice_points, transposition_invariance_sweep
+from treedecomp.certificate import transposition_witness
 from treedecomp.decomposition import decomposition_to_dot
 from treedecomp.trees import sibling_leaf_pairs
 
@@ -94,22 +102,27 @@ def test_criterion_04_corollaries_desk_scale():
 def test_criterion_05_certificate_magnitude():
     for n in range(1, 7):
         for entry in catalog(n):
-            rep = certificate_magnitude_check(entry.tree)
+            rep = certificate_magnitude_check(phi_orbits(entry.tree))
             assert rep.ok and rep.expected == expected_magnitude(n)
             assert rep.phi_size > 0
-    report(5, "all |certificate| values on Phi match prod k!(n-1+k)! exactly, n <= 6")
+            assert rep == magnitude_by_members(entry.tree)
+    report(5, "all |certificate| values on Phi match prod k!(n-1+k)! exactly, n <= 6 "
+              "(one per orbit, and member by member)")
 
 
 def test_criterion_06_certificate_equivalence():
     for n in range(1, 5):
         for entry in catalog(n):
-            table = canonical_representative(entry.tree)
+            table = canonical_representative(phi_orbits(entry.tree))
             assert (not table.is_zero()) == bool(phi_set(entry.tree))
             for f in lattice_points(n, n):
                 assert table.evaluate(f) == eval_certificate(entry.tree, f)
     for n in (5, 6):
         for entry in catalog(n):
-            assert nonvanishing_by_sweep(entry.tree) == bool(phi_set(entry.tree))
+            assert nonvanishing_by_permutations(entry.tree) == bool(phi_set(entry.tree))
+            assert (nonvanishing_by_sweep(phi_orbits(entry.tree)) is not None) == bool(
+                phi_set(entry.tree)
+            )
     report(6, "coefficient table nonzero iff Phi nonempty with exact lattice "
               "agreement (n <= 4); sweep equivalence at n = 5, 6")
 
@@ -120,14 +133,17 @@ def test_criterion_07_transposition_invariance():
         for entry in catalog(n):
             if not sibling_leaf_pairs(entry.tree):
                 continue
-            rep = check_transposition_invariance(entry.tree)
-            assert rep.ok and rep.sweep_checked
+            rep = check_transposition_invariance(phi_orbits(entry.tree))
+            assert rep.ok
             assert rep.table_checked or n > 4
+            for a, b in rep.pairs:
+                tau = perms.transposition(a, b, n)
+                assert transposition_invariance_sweep(entry.tree, tau) is None
             swept += len(rep.pairs)
-    witness = transposition_invariance_sweep(
-        from_parent_map(4, [0, 0, 1, 1]), perms.transposition(1, 2, 4)
-    )
+    control = from_parent_map(4, [0, 0, 1, 1])
+    witness = transposition_invariance_sweep(control, perms.transposition(1, 2, 4))
     assert witness is not None  # non-sibling control must fail
+    assert transposition_witness(phi_orbits(control), perms.transposition(1, 2, 4))
     report(7, f"{swept} sibling transpositions invariant on full lattices; "
               f"non-sibling control fails at f={witness}")
 

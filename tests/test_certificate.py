@@ -1,7 +1,16 @@
 import random
+from itertools import islice
 
 import pytest
-from conftest import catalog, nonvanishing_on_lattice
+from conftest import (
+    catalog,
+    certificate_by_loops,
+    lattice_points,
+    magnitude_by_members,
+    nonvanishing_by_permutations,
+    nonvanishing_on_lattice,
+    transposition_invariance_sweep,
+)
 
 from treedecomp import (
     MalformedInput,
@@ -18,16 +27,17 @@ from treedecomp import (
     from_parent_map,
     lagrange_basis,
     nonvanishing_by_sweep,
+    phi_orbits,
     phi_set,
 )
-from treedecomp import perms
+from treedecomp import labeling, perms
 from treedecomp.certificate import (
     chain_report,
     collapse_chain,
-    lattice_points,
     squaring_chain_ends_constant,
-    transposition_invariance_sweep,
+    transposition_witness,
 )
+from treedecomp.trees import sibling_leaf_pairs
 from treedecomp.polynomial import Polynomial, reduce_falling_factorial, reduced_power
 
 
@@ -57,6 +67,18 @@ class TestEvalCertificate:
         with pytest.raises(MalformedInput):
             eval_certificate(t, (0,))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_agrees_with_the_loop_oracle(self, n):
+        # every member of Phi, random permutations and random lattice points
+        rng = random.Random(n)
+        for entry in catalog(n):
+            t = entry.tree
+            points = list(islice(labeling.phi_orbits(t).members(), 50))
+            points += [tuple(rng.sample(range(n), n)) for _ in range(20)]
+            points += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+            for f in points:
+                assert eval_certificate(t, f) == certificate_by_loops(t, f), (t.g, f)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_vanishes_off_permutations_full_sweep(self, n):
         for entry in catalog(n):
@@ -65,37 +87,64 @@ class TestEvalCertificate:
                     assert eval_certificate(entry.tree, f) == 0
 
 
+class TestOrbitLemma:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_members_share_their_representatives_value(self, n):
+        # certificate(f.alpha) = certificate(f) for alpha in Aut_r, exactly
+        for entry in catalog(n):
+            t = entry.tree
+            twin, codes = labeling._twins(t, t.adjacency())
+            for rep in phi_orbits(t).reps:
+                value = eval_certificate(t, rep)
+                for member in labeling._expand_orbits(t, [rep], twin, codes):
+                    assert eval_certificate(t, member) == value, (t.g, member)
+
+
 class TestMagnitude:
     def test_single_edge(self):
-        rep = certificate_magnitude_check(from_parent_map(2, [0, 0]))
+        rep = certificate_magnitude_check(phi_orbits(from_parent_map(2, [0, 0])))
         assert rep.ok and rep.expected == 2 and rep.phi_size == 1
 
     def test_single_vertex(self):
-        rep = certificate_magnitude_check(from_parent_map(1, [0]))
+        rep = certificate_magnitude_check(phi_orbits(from_parent_map(1, [0])))
         assert rep.ok and rep.expected == 1
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_catalog(self, n):
+        # one representative per orbit against every member of Phi
         for entry in catalog(n):
-            assert certificate_magnitude_check(entry.tree).ok
+            rep = certificate_magnitude_check(phi_orbits(entry.tree))
+            assert rep.ok and rep == magnitude_by_members(entry.tree)
+
+    def test_a_missed_magnitude_names_its_representative(self):
+        t = from_parent_map(4, [0, 0, 0, 0])
+        off = labeling.PhiOrbits(t, ((0, 3, 2, 1), (1, 0, 2, 3)), 6)
+        rep = certificate_magnitude_check(off)
+        assert not rep.ok and rep.failures == ((1, 0, 2, 3),) and rep.phi_size == 12
 
     def test_cap(self):
         with pytest.raises(ResourceLimit):
-            certificate_magnitude_check(from_parent_map(8, [0] * 8))
+            certificate_magnitude_check(phi_orbits(from_parent_map(10, [0] * 10)))
 
 
 class TestNonvanishing:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_catalog_and_phi_agreement(self, n):
         for entry in catalog(n):
-            nonzero = nonvanishing_by_sweep(entry.tree)
-            assert nonzero
-            assert nonzero == bool(phi_set(entry.tree))
+            witness = nonvanishing_by_sweep(phi_orbits(entry.tree))
+            assert witness is not None and eval_certificate(entry.tree, witness) != 0
+            assert nonvanishing_by_permutations(entry.tree) == bool(phi_set(entry.tree))
+
+    def test_empty_phi_has_no_witness(self):
+        t = from_parent_map(4, [0, 0, 1, 1])
+        assert nonvanishing_by_sweep(labeling.PhiOrbits(t, (), 2)) is None
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_full_lattice_agrees_with_permutation_sweep(self, n):
         for entry in catalog(n):
-            assert nonvanishing_on_lattice(entry.tree) == nonvanishing_by_sweep(entry.tree)
+            assert nonvanishing_on_lattice(entry.tree) == nonvanishing_by_permutations(
+                entry.tree
+            )
 
 
 class TestLagrange:
@@ -151,20 +200,20 @@ class TestLagrange:
 class TestCanonicalRepresentative:
     def test_single_edge(self):
         t = from_parent_map(2, [0, 0])
-        table = canonical_representative(t)
+        table = canonical_representative(phi_orbits(t))
         assert table == lagrange_basis((0, 1), 2).scale(2)
         evals = {p: table.evaluate(p) for p in lattice_points(2, 2)}
         assert evals == {(0, 0): 0, (0, 1): 2, (1, 0): 0, (1, 1): 0}
 
     def test_single_vertex(self):
-        assert canonical_representative(from_parent_map(1, [0])) == (
+        assert canonical_representative(phi_orbits(from_parent_map(1, [0]))) == (
             Polynomial.constant(1, 1)
         )
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_lattice_agreement_and_nonzero_iff_phi(self, n):
         for entry in catalog(n):
-            table = canonical_representative(entry.tree)
+            table = canonical_representative(phi_orbits(entry.tree))
             assert (not table.is_zero()) == bool(phi_set(entry.tree))
             for f in lattice_points(n, n):
                 assert table.evaluate(f) == eval_certificate(entry.tree, f)
@@ -172,40 +221,60 @@ class TestCanonicalRepresentative:
 
 class TestTranspositionInvariance:
     def test_sibling_pair_figure_tree(self):
-        rep = check_transposition_invariance(from_parent_map(4, [0, 0, 1, 1]))
+        rep = check_transposition_invariance(phi_orbits(from_parent_map(4, [0, 0, 1, 1])))
         assert rep.ok and rep.pairs == ((2, 3),)
-        assert rep.sweep_checked and rep.table_checked
+        assert rep.table_checked
 
     def test_star3(self):
-        assert check_transposition_invariance(from_parent_map(3, [0, 0, 0])).ok
+        assert check_transposition_invariance(phi_orbits(from_parent_map(3, [0, 0, 0]))).ok
 
     def test_non_sibling_negative_control(self):
         t = from_parent_map(4, [0, 0, 1, 1])
-        witness = transposition_invariance_sweep(t, perms.transposition(1, 2, 4))
-        assert witness is not None
         tau = perms.transposition(1, 2, 4)
+        witness = transposition_invariance_sweep(t, tau)
+        assert witness is not None
         f_tau = tuple(witness[tau[i]] for i in range(4))
         assert eval_certificate(t, f_tau) != eval_certificate(t, witness)
+        # (1 2) is no rooted automorphism: the orbit route fails on it too,
+        # with certificate(rep.tau) = 0 at each of the 3 representatives
+        phi = phi_orbits(t)
+        assert transposition_witness(phi, tau) == phi.reps[0]
+        for rep in phi.reps:
+            f_tau = tuple(rep[tau[i]] for i in range(4))
+            assert (eval_certificate(t, f_tau), eval_certificate(t, rep)) == (0, -149299200)
 
     def test_no_sibling_pair_rejected(self):
         with pytest.raises(PreconditionViolated):
-            check_transposition_invariance(from_parent_map(3, [0, 0, 1]))
+            check_transposition_invariance(phi_orbits(from_parent_map(3, [0, 0, 1])))
 
     def test_raised_symbolic_cap_reaches_the_table(self, monkeypatch):
         # One constant bounds the table check and the canonical table it builds.
         from treedecomp import certificate
 
         monkeypatch.setattr(certificate, "SYMBOLIC_CAP", 5)
-        rep = check_transposition_invariance(from_parent_map(5, [0, 0, 0, 1, 1]))
-        assert rep.ok and rep.sweep_checked and rep.table_checked
+        rep = check_transposition_invariance(phi_orbits(from_parent_map(5, [0, 0, 0, 1, 1])))
+        assert rep.ok and rep.table_checked
 
-    @pytest.mark.parametrize("n", range(3, 6))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_catalog_sweeps(self, n):
-        from treedecomp.trees import sibling_leaf_pairs
-
         for entry in catalog(n):
             if sibling_leaf_pairs(entry.tree):
-                assert check_transposition_invariance(entry.tree).ok
+                rep = check_transposition_invariance(phi_orbits(entry.tree))
+                assert rep.ok and rep.table_checked == (n <= 4)
+
+    def test_claim_one_agrees_with_the_lattice_sweep(self):
+        # every sibling-leaf pair with n <= 5: the orbit route and the full
+        # n^n sweep give the same verdict
+        pairs = 0
+        for n in range(1, 6):
+            for entry in catalog(n):
+                phi = phi_orbits(entry.tree)
+                for a, b in sibling_leaf_pairs(entry.tree):
+                    tau = perms.transposition(a, b, n)
+                    by_orbits = transposition_witness(phi, tau) is None
+                    assert by_orbits == (transposition_invariance_sweep(entry.tree, tau) is None)
+                    pairs += 1
+        assert pairs == 11
 
 
 class TestComposition:

@@ -8,6 +8,7 @@ from treedecomp import (
     Labeling,
     decompose_directed_knn,
     decomposition_to_json,
+    eval_certificate,
     find_beta,
     from_parent_map,
     tree_from_json,
@@ -406,6 +407,34 @@ class TestCampaign:
             assert result["pass"] is None and result["skipped"]
             assert "cap" in result["reason"]
 
+    @pytest.mark.parametrize(
+        "checks,searches",
+        [(["phi", "magnitude", "nonzero", "invariance"], 1), (["beta", "knn"], 0)],
+    )
+    def test_one_all_mode_search_per_record(self, monkeypatch, checks, searches):
+        modes = []
+        search = labeling._search
+
+        def counted(t, first):
+            modes.append(first)
+            return search(t, first)
+
+        monkeypatch.setattr(labeling, "_search", counted)
+        # nine vertices with a sibling-leaf pair, so invariance runs
+        record = _campaign_record((9, [0, 0, 0, 0, 1, 1, 2, 3, 3], "00", checks, [1]))
+        assert modes.count(False) == searches and modes.count(True) == 1
+        assert all(res["pass"] for res in record["checks"].values())
+
+    def test_records_say_what_they_computed(self):
+        record = _campaign_record(
+            (4, [0, 0, 1, 1], "00", ["phi", "nonzero", "invariance"], [1])
+        )
+        checks = record["checks"]
+        assert (checks["phi"]["phi_size"], checks["phi"]["orbits"]) == (6, 3)
+        witness = checks["nonzero"]["witness"]
+        assert eval_certificate(from_parent_map(4, [0, 0, 1, 1]), witness) != 0
+        assert checks["invariance"]["table_checked"]
+
     def test_skipped_checks_recorded(self):
         # invariance needs a sibling-leaf pair; the 3-path has none
         summary, records = run_campaign({"checks": ["invariance"], "n": 2})
@@ -436,9 +465,9 @@ class TestGoldenRecords:
     # Pinned so that a change to any check's record, not only to its pass, shows.
     def test_all_checks_n_up_to_seven(self):
         summary, records = run_campaign({"checks": ALL_CHECKS, "n": [1, 7], "x": [1, 2]})
-        assert summary["records"] == 25 and summary["skipped"] == 23
+        assert summary["records"] == 25 and summary["skipped"] == 11
         assert _record_digest(records) == (
-            "265474b7197d08028eab346b4c243384e963309a52e77ee1a6dd12327d7f0aad"
+            "e3b457c2bb8a8c80cdcd40d58b2c501a1e0a5b2161265da9c423d00261f50740"
         )
 
 
@@ -539,8 +568,6 @@ class TestVersionFlag:
 
 
 STAR10 = json.dumps({"n": 10, "g": [0] * 10})
-STAR8 = json.dumps({"n": 8, "g": [0] * 8})
-STAR6 = json.dumps({"n": 6, "g": [0] * 6})
 PATH5 = '{"n": 5, "g": [0, 0, 1, 2, 3]}'
 SPIDER5 = '{"n": 5, "g": [0, 0, 0, 1, 1]}'
 SIGMA1 = "[0, 5, 2, 3, 4, 6, 1, 7, 8]"
@@ -681,7 +708,7 @@ GOLDEN_CLI = {
         0,
         "ff91863335db4d3465c5fe43040a9474bb25c9bdf9b67762d7a09f2cde0f23bb",
     ),
-    "magnitude-cap": (["certificate", "magnitude", "--tree", STAR8], 2, EMPTY),
+    "magnitude-cap": (["certificate", "magnitude", "--tree", STAR10], 2, EMPTY),
     "nonzero": (
         ["certificate", "nonzero", "--tree", PATH5],
         0,
@@ -694,19 +721,20 @@ GOLDEN_CLI = {
         2,
         EMPTY,
     ),
-    "nonzero-cap": (["certificate", "nonzero", "--tree", STAR8], 2, EMPTY),
+    "nonzero-cap": (["certificate", "nonzero", "--tree", STAR10], 2, EMPTY),
     "invariance": (
         ["certificate", "invariance", "--tree", TREE4],
         0,
         "a72fe010041a6887ab7cf672fca3558b263827ad50f4573cdcfdb31666454952",
     ),
-    "invariance-sweep-only": (
+    # Claim I at the orbit representatives, no coefficient table (n > 4)
+    "invariance-no-table": (
         ["certificate", "invariance", "--tree", SPIDER5],
         0,
         "cb8431c2b5d204b81636a458fea5c87963ff77bebdace177acd2c5b8ea3b9f4b",
     ),
     "invariance-no-pair": (["certificate", "invariance", "--tree", PATH5], 2, EMPTY),
-    "invariance-cap": (["certificate", "invariance", "--tree", STAR6], 2, EMPTY),
+    "invariance-cap": (["certificate", "invariance", "--tree", STAR10], 2, EMPTY),
     "monomial-support": (
         ["certificate", "monomial-support", "--n", "3"],
         0,

@@ -140,7 +140,7 @@ class TestFindBeta:
         try:
             gc.collect()
             for call in (lambda: find_beta(t, "first"), lambda: find_beta(t, "all"),
-                         lambda: phi_set(t), lambda: labeling.phi_size(t)):
+                         lambda: phi_set(t), lambda: labeling.phi_size(labeling.phi_orbits(t))):
                 assert call()
                 assert gc.collect() == 0
         finally:
@@ -287,7 +287,7 @@ class TestPhiSet:
         assert phis == sorted(phis)
 
     def test_cap(self):
-        for enumerate_phi in (phi_set, labeling.phi_size):
+        for enumerate_phi in (phi_set, labeling.phi_orbits):
             with pytest.raises(ResourceLimit):
                 enumerate_phi(from_parent_map(10, [0] * 10))
 
@@ -324,7 +324,10 @@ class TestPhiSet:
             reps = labeling._search(entry.tree, False)[0]
             assert len(set(phi)) == len(phi)
             assert len(phi) == len(reps) * _rooted_automorphisms(entry.tree)
-            assert labeling.phi_size(entry.tree) == len(phi)
+            orbits = labeling.phi_orbits(entry.tree)
+            assert orbits.reps == tuple(reps)
+            assert orbits.aut == _rooted_automorphisms(entry.tree)
+            assert labeling.phi_size(orbits) == len(phi)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_automorphism_count_by_scan(self, n):
@@ -346,16 +349,16 @@ class TestPhiSet:
         t = from_parent_map(4, [0, 0, 0, 0])
         assert labeling._search(t, False)[0] == [(0, 3, 2, 1)]
         monkeypatch.setattr(labeling, "_search", lambda t, first: (found, 0))
-        for enumerate_phi in (phi_set, labeling.phi_size):
+        for enumerate_phi in (phi_set, labeling.phi_orbits):
             with pytest.raises(VerificationFailed):
                 enumerate_phi(t)
 
     def test_expansion_short_of_the_orbit_count_fails_closed(self, monkeypatch):
         t = from_parent_map(4, [0, 0, 0, 0])
         monkeypatch.setattr(
-            labeling, "_expand_orbits", lambda t, reps, twin, codes: (iter(reps), 6)
+            labeling, "_expand_orbits", lambda t, reps, twin, codes: iter(reps)
         )
-        for enumerate_phi in (phi_set, labeling.phi_size):
+        for enumerate_phi in (phi_set, lambda t: labeling.phi_size(labeling.phi_orbits(t))):
             with pytest.raises(VerificationFailed):
                 enumerate_phi(t)
 

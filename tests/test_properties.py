@@ -1,0 +1,43 @@
+"""Property tests on random labeled trees, decoded from Prufer sequences."""
+
+from conftest import prufer_decode
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treedecomp import Labeling, eval_certificate, find_beta, from_parent_map, verify_beta
+from treedecomp.trees import bfs
+
+# The same examples on every run, few enough for tier-1.
+TIER1 = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+
+@st.composite
+def labeled_trees(draw):
+    """A labeled tree on Z_n, n <= 12, rooted at a drawn vertex."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return from_parent_map(1, [0])
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    adj = [[] for _ in range(n)]
+    for a, b in prufer_decode(tuple(seq), n):
+        adj[a].append(b)
+        adj[b].append(a)
+    return from_parent_map(n, bfs(adj, draw(st.integers(0, n - 1)))[1])
+
+
+@st.composite
+def trees_with_points(draw):
+    """A tree and a permutation of Z_n: about half the time a beta-labeling
+    found by a seeded search, else a uniform random one."""
+    t = draw(labeled_trees())
+    if draw(st.booleans()):
+        return t, find_beta(t, "first", seed=draw(st.integers(0, 2**16))).sigma
+    return t, tuple(draw(st.permutations(range(t.n))))
+
+
+@TIER1
+@given(trees_with_points())
+def test_beta_labeling_iff_certificate_nonzero(case):
+    # the pointwise equivalence that the nonzero and Claim I routes rest on
+    t, sigma = case
+    assert isinstance(verify_beta(t, sigma), Labeling) == (eval_certificate(t, sigma) != 0)
