@@ -23,6 +23,7 @@ from .errors import MalformedInput, ResourceLimit, VerificationFailed
 
 SEARCH_CAP = 16
 PHI_CAP = 9
+_nodes_expanded = 0  # by every _search in this process; see search_nodes
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,42 @@ def _twins(
     return twin, codes
 
 
+def _order(t: trees.FunctionalTree) -> tuple[list[int], int]:
+    """The search's vertex order and the number of internal vertices in it.
+
+    The internal vertices (the root and every vertex with a child) come
+    first, in BFS order from the root; then the leaves, grouped by parent,
+    the families in the order their parents were placed and each family in
+    ascending vertex order. Siblings are placed in ascending vertex order
+    either way, and twins are both leaves or both internal, so each run of
+    twins is placed in ascending order; and of two twin subtrees, the one
+    whose root comes first in its run holds the earliest position of both.
+    """
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for v in range(t.n):
+        if v != t.root:
+            kids[t.g[v]].append(v)
+    inner = [t.root]
+    for v in inner:
+        inner.extend(u for u in kids[v] if kids[u])
+    return inner + [u for v in inner for u in kids[v] if not kids[u]], len(inner)
+
+
 def _search(
     t: trees.FunctionalTree, first: bool
 ) -> tuple[list[tuple[int, ...]], int]:
     """Backtracking search over label assignments; raw sigma tuples and the
     number of search nodes (partial labelings) expanded.
 
-    Vertices are labeled root-first in BFS order, children in ascending
-    vertex order; a non-root vertex's label is forced by its parent's label
-    and the chosen edge label (parent - e on the even partition, parent + e
-    on the odd one). Edge labels are tried largest-first, root labels in
-    ascending order. Returns the first labeling found when first is set, else
-    one labeling per orbit of the rooted automorphism group, in search order.
-    The order is fixed by the tree's vertex numbering alone; find_beta's seed
-    renumbers the tree to vary it.
+    Vertices are labeled in _order: the internal vertices root-first in BFS
+    order, then the leaves family by family. A non-root vertex's label is
+    forced by its parent's label and the chosen edge label (parent - e on
+    the even partition, parent + e on the odd one). Edge labels are tried
+    largest-first, root labels in ascending order. Returns the first
+    labeling found when first is set, else one labeling per orbit of the
+    rooted automorphism group, in search order. The order is fixed by the
+    tree's vertex numbering alone; find_beta's seed renumbers the tree to
+    vary it.
 
     The state is three bitmasks over Z_n: free_edge (bit e: edge label e is
     unused), free_label (bit l: label l is unused) and free_mirror (bit
@@ -143,31 +166,66 @@ def _search(
     labels of a beta-labeling are pairwise distinct, so each orbit has
     exactly one member whose twin runs decrease: the search finds one
     labeling per orbit, and |Phi| = |found| * |Aut_r|. The first labeling
-    found is the unpruned search's first: that search meets the member of its
-    orbit with decreasing edge labels first, as largest-first puts a larger
-    label at the earlier twin ahead of any swap of it.
+    found is the unpruned search's first in the same order: that search
+    meets the member of its orbit with decreasing edge labels first, as of
+    two twin subtrees the earlier one holds the earliest position of both,
+    and largest-first puts a larger label there ahead of any swap of it.
 
     Count rule: let left[u] be 1 plus the number of twins after u in its run.
     Those twins hang from u's parent at u's parity and need distinct edge
     labels below e, and every label they can take is a bit of u's valid mask
     below e (placing vertices only clears bits). So e is tried only if the
-    valid mask has at least left[u] - 1 bits below e. The rule is necessary
-    for a labeling, so it cuts only subtrees that hold none, and it changes
-    no order of search: the results are those of the search without it.
-    Largest-first, the bits below e are what is left of the mask once e is
-    taken, so the loop stops as soon as fewer than left[u] bits remain.
+    valid mask has at least left[u] - 1 bits below e. Largest-first, the
+    bits below e are what is left of the mask once e is taken, so the loop
+    stops as soon as fewer than left[u] bits remain.
+
+    Leaf families (Hall's condition): at every node, take each labeled
+    parent p whose k leaves are all unplaced. A leaf of p can only take an
+    edge label e whose bit is set in
+
+        free_edge & (free_mirror >> (n-1-p) if the leaves are even else
+        free_label >> p),
+
+    the family's mask, as its label is forced to p -+ e. The family needs k
+    distinct edge labels from its mask, so the mask must hold at least k
+    bits; and the families together need as many distinct edge labels as
+    they have leaves, all from the union of their masks, which must hold at
+    least that many bits (Hall 1935, for the union of all the families).
+    Placing vertices only clears bits, so a node that fails either rule has
+    no labeling below it.
+
+    Both rules are necessary for a labeling, so they cut only subtrees that
+    hold none, and they change no order of search: the results, and the
+    first labeling, are those of the search without them.
     """
     n, g = t.n, t.g
-    adj = t.adjacency()
-    order = trees.bfs(adj, t.root)[0]
-    even = [t.sign(v) > 0 for v in range(n)]
-    twin = _twins(t, adj)[0]  # n where u has no twin; edge[n] = n bounds nothing
+    order, inner = _order(t)
+    even = [d % 2 == 0 for d in t.depth]
+    twin = _twins(t, t.adjacency())[0]  # n where u has no twin; edge[n] = n bounds nothing
     left = [1] * n
     for u in reversed(range(n)):  # a twin comes before u, so left[u] is final
         if twin[u] < n:
             left[twin[u]] = left[u] + 1
     below = [(1 << e) - 1 for e in range(n + 1)]
     mirror = n - 1
+
+    # families[i]: (parent, leaf count, leaves even) for each leaf family
+    # checked at the node that places order[i], those whose parent comes
+    # before i and whose first leaf does not; all_leaves[i], their leaves
+    count = [0] * n
+    for v in order[inner:]:
+        count[g[v]] += 1
+    families: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + 1)]
+    all_leaves = [0] * (n + 1)
+    first_leaf = inner
+    for i in range(inner):
+        p = order[i]
+        k = count[p]
+        if k:
+            for j in range(i + 1, first_leaf + 1):
+                families[j].append((p, k, not even[p]))
+                all_leaves[j] += k
+            first_leaf += k
 
     label = [-1] * n
     edge = [0] * n + [n]  # the edge label each placed vertex took
@@ -180,6 +238,19 @@ def _search(
         if i == n:
             found.append(tuple(label))
             return first
+        fams = families[i]
+        if fams:
+            union = 0
+            for p, k, down in fams:
+                lp = label[p]
+                mask = free_edge & (
+                    free_mirror >> (mirror - lp) if down else free_label >> lp
+                )
+                if mask.bit_count() < k:
+                    return False
+                union |= mask
+            if union.bit_count() < all_leaves[i]:
+                return False
         u = order[i]
         p = label[g[u]]
         down = even[u]
@@ -213,7 +284,15 @@ def _search(
     # extend refers to itself through its closure; break that cycle so found
     # is freed on return rather than at the next full garbage collection.
     extend = None
+    global _nodes_expanded
+    _nodes_expanded += nodes
     return found, nodes
+
+
+def search_nodes() -> int:
+    """The search nodes this process has expanded so far, in either mode: a
+    caller reads it before and after a search to count that search's work."""
+    return _nodes_expanded
 
 
 def find_beta(

@@ -96,11 +96,12 @@ def unpruned_search(
     """The beta-labeling search without sibling pruning, and its node count.
 
     labeling._search as it stood before isomorphic siblings were ordered,
-    verbatim save for the node counter and the seeded shuffles: every
-    ordering of isomorphic sibling subtrees is explored.
+    verbatim save for the node counter, the seeded shuffles and the vertex
+    order, which it takes from labeling._order: every ordering of isomorphic
+    sibling subtrees is explored, and no leaf family is checked ahead.
     """
     n = t.n
-    order = trees.bfs(t.adjacency(), t.root)[0]
+    order = labeling._order(t)[0]
     sign = [t.sign(v) for v in range(n)]
 
     label = [-1] * n

@@ -435,6 +435,33 @@ class TestCampaign:
         assert eval_certificate(from_parent_map(4, [0, 0, 1, 1]), witness) != 0
         assert checks["invariance"]["table_checked"]
 
+    def test_records_count_their_search_nodes(self):
+        g = [0, 0, 1, 2, 2, 1, 1, 0, 7, 8, 8, 7, 0, 0]
+        record = _campaign_record((14, g, "00", ["beta", "phi"], [1]))
+        assert record["search_nodes"] == 45_390
+        assert record["search_nodes"] == labeling._search(from_parent_map(14, g), True)[1]
+        above_cap = _campaign_record((17, [0] + list(range(16)), "00", ["beta"], [1]))
+        assert above_cap["search_nodes"] == 0
+
+    def test_decomposition_checks_call_the_module_builders(self, monkeypatch):
+        # a patch of decomposition.decompose_k2n1 (a timing span) sees the
+        # campaign's builds, one per x
+        calls = []
+        for name in ("decompose_k2n1", "decompose_knxnx"):
+            build = getattr(decomposition, name)
+
+            def counted(t, lab, x, name=name, build=build):
+                calls.append((name, x))
+                return build(t, lab, x)
+
+            monkeypatch.setattr(decomposition, name, counted)
+        record = _campaign_record((4, [0, 0, 1, 1], "00", ["k2n1", "knxnx"], [1, 2]))
+        assert all(res["pass"] for res in record["checks"].values())
+        assert calls == [
+            ("decompose_k2n1", 1), ("decompose_k2n1", 2),
+            ("decompose_knxnx", 1), ("decompose_knxnx", 2),
+        ]
+
     def test_skipped_checks_recorded(self):
         # invariance needs a sibling-leaf pair; the 3-path has none
         summary, records = run_campaign({"checks": ["invariance"], "n": 2})
@@ -467,7 +494,7 @@ class TestGoldenRecords:
         summary, records = run_campaign({"checks": ALL_CHECKS, "n": [1, 7], "x": [1, 2]})
         assert summary["records"] == 25 and summary["skipped"] == 11
         assert _record_digest(records) == (
-            "e3b457c2bb8a8c80cdcd40d58b2c501a1e0a5b2161265da9c423d00261f50740"
+            "a18290141d3a231b23b84cc526e0b757fc2211b4169229886fff76e7b1a04b3e"
         )
 
 
@@ -608,12 +635,12 @@ GOLDEN_CLI = {
         0,
         "449b72896758e77514b8949c21226797092fa5009aef078873f7e7080c3e8d7e",
     ),
-    # seed 0 renumbers the spider's siblings: [0, 3, 4, 2, 1], not the
+    # seed 0 renumbers the spider's siblings: [0, 4, 2, 3, 1], not the
     # unseeded [0, 4, 2, 1, 3]
     "find-seed": (
         ["label", "find", "--tree", SPIDER5, "--seed", "0"],
         0,
-        "c075fb5db73e0282664029cdc8d8b203a2e8f64f156a7951c856e2a4ef74dab4",
+        "149ff1f545e2b35d9bbb45b2e733daae1db41ef266103c94a8ed334f5049ad0d",
     ),
     "find-all-seed": (["label", "find", "--tree", TREE4, "--all", "--seed", "3"], 2, EMPTY),
     "find-all": (

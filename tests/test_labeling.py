@@ -230,7 +230,8 @@ class TestSiblingPruning:
     def test_node_counts(self):
         # Node counts do not depend on the machine: a change to the order of
         # search or to a pruning rule shows here first. The count rule cut
-        # all mode from 231,224 nodes and first mode from 58,894.
+        # all mode from 231,224 nodes and first mode from 58,894; the leaf
+        # families' order and checks from 182,838 and 38,005.
         all_nodes = sum(
             labeling._search(entry.tree, False)[1]
             for n in range(1, 10)
@@ -241,7 +242,7 @@ class TestSiblingPruning:
             for n in range(1, 11)
             for entry in catalog(n)
         )
-        assert (all_nodes, first_nodes) == (182_838, 38_005)
+        assert (all_nodes, first_nodes) == (77_724, 14_535)
 
     def test_prunes_no_more_nodes_than_unpruned(self):
         for n in range(1, 10):
@@ -270,6 +271,50 @@ class TestSiblingPruning:
         unpruned = unpruned_search(spider, first=True)
         assert pruned[0] == unpruned[0]
         assert 10 * pruned[1] < unpruned[1]
+
+
+class TestLeafFamilies:
+    # The search places the internal vertices first and then the leaves,
+    # family by family, and checks Hall's condition on the leaf families'
+    # free edge labels at every node.
+    def test_order_of_the_worst_fourteen_vertex_tree(self):
+        t = from_parent_map(14, [0, 0, 1, 2, 2, 1, 1, 0, 7, 8, 8, 7, 0, 0])
+        assert labeling._order(t) == ([0, 1, 7, 2, 8, 12, 13, 5, 6, 11, 3, 4, 9, 10], 5)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_order_places_internal_vertices_then_leaf_families(self, n):
+        for entry in catalog(n):
+            for t in [entry.tree, *_relabelings(entry, 2)]:
+                order, inner = labeling._order(t)
+                assert sorted(order) == list(range(n))
+                internal = {t.g[v] for v in range(n) if v != t.root} | {t.root}
+                bfs_order = trees.bfs(t.adjacency(), t.root)[0]
+                assert order[:inner] == [v for v in bfs_order if v in internal]
+                leaves = order[inner:]
+                # families in the order their parents were placed, each ascending
+                assert leaves == sorted(leaves, key=lambda v: (order.index(t.g[v]), v))
+
+    def test_node_counts_of_the_worst_trees(self):
+        # the trees with the longest first-mode search in the n = 14 and
+        # n = 16 catalogs, 381,297 and 7,700,855 nodes before the leaf
+        # families were checked
+        for g, nodes in [
+            ([0, 0, 1, 2, 2, 1, 1, 0, 7, 8, 8, 7, 0, 0], 45_390),
+            ([0, 0, 1, 2, 3, 3, 2, 1, 1, 0, 9, 10, 10, 9, 0, 0], 736_227),
+        ]:
+            t = from_parent_map(len(g), g)
+            found, expanded = labeling._search(t, True)
+            assert expanded == nodes
+            assert isinstance(verify_beta(t, found[0]), Labeling)
+
+    def test_search_nodes_count_every_search(self):
+        t = from_parent_map(9, [0, 0, 0, 0, 1, 1, 2, 3, 3])
+        before = labeling.search_nodes()
+        find_beta(t)
+        assert labeling.search_nodes() - before == labeling._search(t, True)[1]
+        before = labeling.search_nodes()
+        phi_set(t)
+        assert labeling.search_nodes() - before == labeling._search(t, False)[1]
 
 
 class TestPhiSet:
@@ -451,5 +496,5 @@ class TestGoldenOutput:
     # Pinned so that a change of search order, not only of validity, shows.
     def test_first_sigmas(self):
         assert _first_sigma_digest() == (
-            "e54b3daf9d8b770be9a3978a2e7b607183077046561ac91501cf9fed7b04dfcd"
+            "4a1d00aca0122c574ec2951fadb0e5c5fe0986d861463728ce8abd3fdd2a7c29"
         )

@@ -1,10 +1,17 @@
 """Property tests on random labeled trees, decoded from Prufer sequences."""
 
-from conftest import prufer_decode
+from conftest import prufer_decode, unpruned_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treedecomp import Labeling, eval_certificate, find_beta, from_parent_map, verify_beta
+from treedecomp import (
+    Labeling,
+    eval_certificate,
+    find_beta,
+    from_parent_map,
+    phi_set,
+    verify_beta,
+)
 from treedecomp.trees import bfs
 
 # The same examples on every run, few enough for tier-1.
@@ -12,9 +19,9 @@ TIER1 = settings(derandomize=True, max_examples=80, deadline=None, database=None
 
 
 @st.composite
-def labeled_trees(draw):
-    """A labeled tree on Z_n, n <= 12, rooted at a drawn vertex."""
-    n = draw(st.integers(1, 12))
+def labeled_trees(draw, max_n=12):
+    """A labeled tree on Z_n, n <= max_n, rooted at a drawn vertex."""
+    n = draw(st.integers(1, max_n))
     if n == 1:
         return from_parent_map(1, [0])
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
@@ -41,3 +48,14 @@ def test_beta_labeling_iff_certificate_nonzero(case):
     # the pointwise equivalence that the nonzero and Claim I routes rest on
     t, sigma = case
     assert isinstance(verify_beta(t, sigma), Labeling) == (eval_certificate(t, sigma) != 0)
+
+
+@TIER1
+@given(labeled_trees(max_n=10))
+def test_search_agrees_with_the_unpruned_search(t):
+    # the count rule and the leaf families' Hall checks cut only subtrees
+    # with no labeling: the first labeling is the oracle's first in the same
+    # order, and Phi is the oracle's
+    assert [find_beta(t).sigma] == unpruned_search(t, first=True)[0]
+    if t.n <= 7:
+        assert phi_set(t) == sorted(unpruned_search(t, first=False)[0])
