@@ -17,8 +17,10 @@ from typing import Sequence
 
 from . import perms, trees
 from .decomposition import _as_labeling, orient
-from .errors import MalformedInput, NotBijective
+from .errors import MalformedInput, NotBijective, ResourceLimit
 from .labeling import Labeling
+
+CHAIN_CAP = 1_200  # transversal elements a stabilizer chain may store
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Lev
     generator that once sifted to the identity still does. When no pair is
     left, Schreier's lemma makes each level's stabilizer the next level's
     group, so the order is the product of the orbit lengths.
+
+    It stores one transversal element per orbit point of each level, and
+    raises ResourceLimit past CHAIN_CAP of them (S_m stores m(m+1)/2 - 1).
     """
     ident = perms.identity(degree)
     levels: list[_Level] = []
@@ -163,6 +168,8 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Lev
             sp = perms.compose(s, lvl.fwd[p])
             q = s[p]
             if q not in lvl.fwd:
+                if sum(len(level.fwd) for level in levels) >= CHAIN_CAP:
+                    raise ResourceLimit(f"the chain outgrew {CHAIN_CAP} transversal elements")
                 lvl.fwd[q], lvl.inv[q] = sp, perms.compose(lvl.inv[p], s_inv)
                 todo.extend((m, q, t, t_inv) for t, t_inv in lvl.gens)
                 continue

@@ -12,11 +12,12 @@ the signed labels hit every element of Z_n exactly once.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, pairwise, permutations
 from math import prod
-from operator import itemgetter
-from typing import Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from . import perms, trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
@@ -50,85 +51,105 @@ class BetaFailure:
     offending: tuple[tuple[int, int], ...]
 
 
-def _signed_labels(t: trees.FunctionalTree, sigma: Sequence[int]) -> list[int]:
-    """signed[sigma(v)] = (-1)**depth(v) * (sigma(g(v)) - sigma(v))."""
-    out = [0] * t.n
-    for v in range(t.n):
-        out[sigma[v]] = t.sign(v) * (sigma[t.g[v]] - sigma[v])
-    return out
-
-
 def verify_beta(
     t: trees.FunctionalTree, sigma: Sequence[int]
 ) -> Labeling | BetaFailure:
-    """Return a Labeling when the signed labels saturate Z_n, else a report."""
-    sigma = perms.check_perm(sigma, t.n)
-    signed = _signed_labels(t, sigma)
-    counts = [0] * t.n
-    out_of_range = []
-    for lbl in signed:
-        if 0 <= lbl < t.n:
-            counts[lbl] += 1
-        else:
-            out_of_range.append(lbl)
-    duplicated = [lbl for lbl, c in enumerate(counts) if c > 1]
-    if out_of_range or duplicated:
-        offending = tuple(
-            (w, lbl)
-            for w, lbl in enumerate(signed)
-            if not (0 <= lbl < t.n) or counts[lbl] > 1
-        )
-        return BetaFailure(
-            sigma=sigma,
-            signed_labels=tuple(signed),
-            duplicated=tuple(sorted(duplicated)),
-            out_of_range=tuple(sorted(out_of_range)),
-            offending=offending,
-        )
-    h = [0] * t.n
-    for v in range(t.n):
-        h[sigma[v]] = sigma[t.g[v]]
-    return Labeling(sigma=sigma, h=tuple(h), signed_labels=tuple(signed))
-
-
-def _twins(
-    t: trees.FunctionalTree, adj: list[list[int]]
-) -> tuple[list[int], list[bytes]]:
-    """twin[u], the previous child of g[u] in ascending vertex order (the
-    search's order) whose subtree has u's code, or n when there is none; and
-    every vertex's subtree code. The twins chain the runs of isomorphic
-    siblings."""
+    """Return a Labeling when the signed labels saturate Z_n, else a report:
+    one sort decides, and the report is built only on failure."""
     n, g = t.n, t.g
-    codes = trees._subtree_codes(adj, t.root)
-    twin = [n] * n
-    last_child: dict[tuple[int, bytes], int] = {}
-    for u in range(n):
-        if u != t.root:
-            key = (g[u], codes[u])
-            twin[u] = last_child.get(key, n)
-            last_child[key] = u
-    return twin, codes
+    sigma = perms.check_perm(sigma, n)
+    signed, h = [0] * n, [0] * n
+    for v, d in enumerate(t.depth):
+        s, p = sigma[v], sigma[g[v]]
+        h[s] = p
+        signed[s] = s - p if d & 1 else p - s
+    if sorted(signed) == list(range(n)):
+        return Labeling(sigma=sigma, h=tuple(h), signed_labels=tuple(signed))
+    counts = Counter(signed)
+    return BetaFailure(
+        sigma=sigma,
+        signed_labels=tuple(signed),
+        duplicated=tuple(sorted(lbl for lbl, c in counts.items() if c > 1 and 0 <= lbl < n)),
+        out_of_range=tuple(sorted(lbl for lbl in signed if not 0 <= lbl < n)),
+        offending=tuple(
+            (w, lbl) for w, lbl in enumerate(signed) if not 0 <= lbl < n or counts[lbl] > 1
+        ),
+    )
 
 
-def _order(t: trees.FunctionalTree) -> tuple[list[int], int]:
-    """The search's vertex order and the number of internal vertices in it.
+class _Plan(NamedTuple):
+    """What the search and the orbit expansion know of a tree; see _plan."""
 
-    The internal vertices (the root and every vertex with a child) come
-    first, in BFS order from the root; then the leaves, grouped by parent,
-    the families in the order their parents were placed and each family in
-    ascending vertex order. Siblings are placed in ascending vertex order
-    either way, and twins are both leaves or both internal, so each run of
-    twins is placed in ascending order; and of two twin subtrees, the one
-    whose root comes first in its run holds the earliest position of both.
+    order: list[int]
+    even: list[bool]
+    kids: list[list[int]]
+    cls: list[int]
+    twin: list[int]
+    left: list[int]
+    families: list[list[tuple[int, int, bool]]]
+    all_leaves: list[int]
+
+
+def _plan(t: trees.FunctionalTree) -> _Plan:
+    """The search's plan, all of it read off one children table.
+
+    order: the search's vertex order. The internal vertices (the root and
+    every vertex with a child) come first, in BFS order from the root; then
+    the leaves, grouped by parent, the families in the order their parents
+    were placed and each family in ascending vertex order. even[u]: u's
+    depth is even. kids[v]: v's children in ascending vertex order.
+
+    cls[u]: u's subtree class, a small integer (Aho, Hopcroft & Ullman 1974).
+    Leaves are class 0; an internal vertex's class is that of the sorted
+    tuple of its children's classes, numbered bottom-up in a dict local to
+    the call. Two vertices of the tree share a class iff their rooted
+    subtrees are isomorphic.
+
+    twin[u]: the previous child of g[u] in ascending vertex order with u's
+    class, or n when there is none; the twins chain the runs of isomorphic
+    siblings. left[u]: 1 plus the number of twins after u in its run.
+    Siblings are placed in ascending vertex order, and twins are both leaves
+    or both internal, so each run is placed in ascending order; and of two
+    twin subtrees, the one whose root comes first in its run holds the
+    earliest position of both.
+
+    families[i]: (parent, leaf count, leaves even) for each leaf family
+    checked at the node that places order[i], those whose parent comes
+    before i and whose first leaf does not; all_leaves[i], their leaves.
     """
-    kids: list[list[int]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        if v != t.root:
-            kids[t.g[v]].append(v)
-    inner = [t.root]
-    for v in inner:
-        inner.extend(u for u in kids[v] if kids[u])
-    return inner + [u for v in inner for u in kids[v] if not kids[u]], len(inner)
+    n, g, root = t.n, t.g, t.root
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(g):
+        kids[p].append(v)
+    kids[root].remove(root)  # the root's loop
+    order = [root]
+    for v in order:
+        order += [u for u in kids[v] if kids[u]]
+    inner = len(order)
+    cls = [0] * n
+    classes: dict[tuple[int, ...], int] = {}
+    for v in reversed(order):  # children before parents
+        cls[v] = classes.setdefault(tuple(sorted([cls[u] for u in kids[v]])), len(classes) + 1)
+    twin, left = [n] * n, [1] * n
+    even = [d % 2 == 0 for d in t.depth]
+    families: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + 1)]
+    all_leaves = [0] * (n + 1)
+    for i in range(inner):
+        p = order[i]
+        after: dict[int, int] = {}  # the next sibling of each class so far
+        for u in reversed(kids[p]):
+            w = after.get(cls[u])
+            if w is not None:
+                twin[w], left[u] = u, left[w] + 1
+            after[cls[u]] = u
+        leaves = [u for u in kids[p] if not kids[u]]
+        if leaves:
+            family, k = (p, len(leaves), not even[p]), len(leaves)
+            for j in range(i + 1, len(order) + 1):
+                families[j].append(family)
+                all_leaves[j] += k
+            order += leaves
+    return _Plan(order, even, kids, cls, twin, left, families, all_leaves)
 
 
 def _search(
@@ -137,9 +158,9 @@ def _search(
     """Backtracking search over label assignments; raw sigma tuples and the
     number of search nodes (partial labelings) expanded.
 
-    Vertices are labeled in _order: the internal vertices root-first in BFS
-    order, then the leaves family by family. A non-root vertex's label is
-    forced by its parent's label and the chosen edge label (parent - e on
+    Vertices are labeled in _plan's order: the internal vertices root-first
+    in BFS order, then the leaves family by family. A non-root vertex's label
+    is forced by its parent's label and the chosen edge label (parent - e on
     the even partition, parent + e on the odd one). Edge labels are tried
     largest-first, root labels in ascending order. Returns the first
     labeling found when first is set, else one labeling per orbit of the
@@ -159,9 +180,10 @@ def _search(
     freedom of p - e (or p + e) at bit e, and labels outside Z_n shift in as
     zero bits.
 
-    The edge labels along each run of isomorphic sibling subtrees must
-    decrease. The rooted automorphisms Aut_r (the swaps of isomorphic sibling
-    subtrees, which keep depth parities and parent labels) act freely on the
+    The edge labels along each run of isomorphic sibling subtrees (siblings
+    of one subtree class, chained by _plan's twin pointers) must decrease.
+    The rooted automorphisms Aut_r (the swaps of isomorphic sibling subtrees,
+    which keep depth parities and parent labels) act freely on the
     beta-labelings by sigma -> sigma.alpha, as sigma is a bijection. The edge
     labels of a beta-labeling are pairwise distinct, so each orbit has
     exactly one member whose twin runs decrease: the search finds one
@@ -171,7 +193,7 @@ def _search(
     two twin subtrees the earlier one holds the earliest position of both,
     and largest-first puts a larger label there ahead of any swap of it.
 
-    Count rule: let left[u] be 1 plus the number of twins after u in its run.
+    Count rule: left[u] is 1 plus the number of twins after u in its run.
     Those twins hang from u's parent at u's parity and need distinct edge
     labels below e, and every label they can take is a bit of u's valid mask
     below e (placing vertices only clears bits). So e is tried only if the
@@ -199,36 +221,12 @@ def _search(
     first labeling, are those of the search without them.
     """
     n, g = t.n, t.g
-    order, inner = _order(t)
-    even = [d % 2 == 0 for d in t.depth]
-    twin = _twins(t, t.adjacency())[0]  # n where u has no twin; edge[n] = n bounds nothing
-    left = [1] * n
-    for u in reversed(range(n)):  # a twin comes before u, so left[u] is final
-        if twin[u] < n:
-            left[twin[u]] = left[u] + 1
+    order, even, _, _, twin, left, families, all_leaves = _plan(t)
     below = [(1 << e) - 1 for e in range(n + 1)]
     mirror = n - 1
 
-    # families[i]: (parent, leaf count, leaves even) for each leaf family
-    # checked at the node that places order[i], those whose parent comes
-    # before i and whose first leaf does not; all_leaves[i], their leaves
-    count = [0] * n
-    for v in order[inner:]:
-        count[g[v]] += 1
-    families: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + 1)]
-    all_leaves = [0] * (n + 1)
-    first_leaf = inner
-    for i in range(inner):
-        p = order[i]
-        k = count[p]
-        if k:
-            for j in range(i + 1, first_leaf + 1):
-                families[j].append((p, k, not even[p]))
-                all_leaves[j] += k
-            first_leaf += k
-
     label = [-1] * n
-    edge = [0] * n + [n]  # the edge label each placed vertex took
+    edge = [0] * n + [n]  # each placed vertex's edge label; twin[u] = n bounds nothing
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -309,9 +307,10 @@ def find_beta(
     sigma'[pi[v]] has the same signed labels, since renumbering keeps depths.
     The numbering only orders siblings, so a tree where no vertex has two
     children (a path rooted at an end) gets one labeling for every seed.
-    mode="all" returns every labeling, sorted by sigma: phi_set, under its
-    own (smaller) cap as well, since Phi grows like n! on stars. Phi does not
-    depend on a seed, so this mode takes none.
+    mode="all" returns Phi sorted by sigma, under its own (smaller) cap as
+    well, since Phi grows like n! on stars: each member checked once, by
+    verify_beta, and as in phi_set they must be distinct and number |orbits|
+    * |Aut_r|. Phi does not depend on a seed, so this mode takes none.
     """
     if mode not in ("first", "all"):
         raise MalformedInput(f"unknown mode {mode!r}")
@@ -320,7 +319,8 @@ def find_beta(
     if t.n > SEARCH_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
     if mode == "all":
-        sigmas = phi_set(t)
+        phi = phi_orbits(t)
+        sigmas = _expand_orbits(t, list(phi.reps), _plan(t))
     elif seed is None:
         sigmas = _search(t, True)[0]
     else:
@@ -334,22 +334,26 @@ def find_beta(
             raise VerificationFailed(f"search returned a non-beta sigma: {lab}")
     if mode == "first":
         return labelings[0] if labelings else None
+    labelings.sort(key=attrgetter("sigma"))
+    if not len(labelings) == len({lab.sigma for lab in labelings}) == phi.size:
+        raise VerificationFailed(f"Phi expanded to {len(labelings)}, not {phi.size} distinct")
     return labelings
 
 
 def _expand_orbits(
     t: trees.FunctionalTree,
     reps: list[tuple[int, ...]],
-    twin: list[int],
-    codes: list[bytes],
+    plan: _Plan,
 ) -> Iterator[tuple[int, ...]]:
     """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit.
 
     Aut_r is the product, over the runs of isomorphic siblings, of the
     permutations of each run's subtrees. A subtree is listed as a block in
-    preorder, children taken in order of their codes, so the blocks of one
-    run line up: position j of one block maps to position j of another under
-    an isomorphism, and permuting whole blocks is a rooted automorphism.
+    preorder, children in order of their subtree classes, so the blocks of
+    one run line up: isomorphic subtrees have equal multisets of child
+    classes, so by induction position j of one block maps to position j of
+    another under an isomorphism, and permuting whole blocks is a rooted
+    automorphism.
     Runs are applied by depth, shallowest first: runs at one depth move
     disjoint subtrees, and a deeper run fixes every shallower vertex, so each
     alpha is one product of run permutations in that order. (Applying a deep
@@ -358,7 +362,7 @@ def _expand_orbits(
     afresh for each orbit and applied as they come, so no orbit is held
     whole: the 8! labelings of the 9-vertex star stream past one at a time.
     """
-    n = t.n
+    n, twin = t.n, plan.twin
     chains: dict[int, list[int]] = {}  # each run so far, by its last child
     for u in range(n):
         if twin[u] < n:
@@ -366,10 +370,7 @@ def _expand_orbits(
     runs = sorted(chains.values(), key=lambda run: (t.depth[run[0]], len(run)))
     if not runs:
         return iter(reps)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for u in sorted(range(n), key=codes.__getitem__):
-        if u != t.root:
-            kids[t.g[u]].append(u)
+    kids = [sorted(k, key=plan.cls.__getitem__) for k in plan.kids]
 
     def block(v: int) -> list[int]:
         out, stack = [], [v]
@@ -418,17 +419,13 @@ class PhiOrbits:
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """Every member of Phi, orbit by orbit, each re-checked as it passes: a
-        permutation whose n signed labels set all n bits of a mask over Z_n."""
+        permutation whose n signed labels, sorted, are 0, 1, ..., n - 1."""
         t = self.tree
-        n, g = t.n, t.g
+        n, g, everything = t.n, t.g, list(range(t.n))
         sign = [t.sign(v) for v in range(n)]
-        for p in _expand_orbits(t, list(self.reps), *_twins(t, t.adjacency())):
-            seen = 0
-            for v in range(n):
-                lbl = sign[v] * (p[g[v]] - p[v])
-                if 0 <= lbl < n:
-                    seen |= 1 << lbl
-            if seen != (1 << n) - 1 or not perms.is_perm(p):
+        for p in _expand_orbits(t, list(self.reps), _plan(t)):
+            signed = sorted([sign[v] * (p[g[v]] - p[v]) for v in range(n)])
+            if signed != everything or not perms.is_perm(p):
                 raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
             yield p
 
@@ -438,23 +435,19 @@ def phi_orbits(t: trees.FunctionalTree) -> PhiOrbits:
 
     The results must be distinct, each with decreasing edge labels along
     every run of isomorphic siblings, so no two lie in one orbit. |Aut_r| is
-    the product of len(run)!, a factor k for the k-th sibling of each run."""
+    the product of len(run)!, the product of left[u] over the vertices."""
     if t.n > PHI_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
     n, g = t.n, t.g
     reps = _search(t, first=False)[0]
-    twin = _twins(t, t.adjacency())[0]
+    plan = _plan(t)
     for rep in reps:
         edge = [abs(rep[v] - rep[g[v]]) for v in range(n)]
-        if any(edge[twin[u]] <= edge[u] for u in range(n) if twin[u] < n):
+        if any(edge[w] <= edge[u] for u, w in enumerate(plan.twin) if w < n):
             raise VerificationFailed(f"search returned {list(rep)}, not its orbit's pick")
     if len(set(reps)) != len(reps):
         raise VerificationFailed("search returned a labeling twice")
-    place = [1] * n  # u's place in its run; a twin comes before u
-    for u in range(n):
-        if twin[u] < n:
-            place[u] = place[twin[u]] + 1
-    return PhiOrbits(t, tuple(reps), prod(place))
+    return PhiOrbits(t, tuple(reps), prod(plan.left))
 
 
 def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:

@@ -90,6 +90,71 @@ def phi_by_scan(t: trees.FunctionalTree) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def twins_by_codes(t: trees.FunctionalTree) -> tuple[list[int], list[bytes]]:
+    """twin[u], the previous child of g[u] in ascending vertex order whose
+    subtree has u's byte-string code, or n when there is none; and every
+    vertex's code. The oracle for labeling._plan's twin pointers."""
+    n, g = t.n, t.g
+    codes = trees._subtree_codes(t.adjacency(), t.root)
+    twin = [n] * n
+    last_child: dict[tuple[int, bytes], int] = {}
+    for u in range(n):
+        if u != t.root:
+            key = (g[u], codes[u])
+            twin[u] = last_child.get(key, n)
+            last_child[key] = u
+    return twin, codes
+
+
+def search_order(t: trees.FunctionalTree) -> tuple[list[int], int]:
+    """The search's vertex order from its own children table, and the number
+    of internal vertices: those in BFS order from the root, then the leaves,
+    family by family. The oracle for labeling._plan's order."""
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for v in range(t.n):
+        if v != t.root:
+            kids[t.g[v]].append(v)
+    inner = [t.root]
+    for v in inner:
+        inner.extend(u for u in kids[v] if kids[u])
+    return inner + [u for v in inner for u in kids[v] if not kids[u]], len(inner)
+
+
+def search_plan_by_codes(t: trees.FunctionalTree) -> dict[str, list]:
+    """labeling._plan's order, twin, left, families and all_leaves, built as
+    the search built them before subtree classes: from search_order, the
+    byte-code twins, and one more pass each for left and the family table."""
+    n, g = t.n, t.g
+    order, inner = search_order(t)
+    even = [d % 2 == 0 for d in t.depth]
+    twin = twins_by_codes(t)[0]
+    left = [1] * n
+    for u in reversed(range(n)):
+        if twin[u] < n:
+            left[twin[u]] = left[u] + 1
+    count = [0] * n
+    for v in order[inner:]:
+        count[g[v]] += 1
+    families: list[list[tuple[int, int, bool]]] = [[] for _ in range(n + 1)]
+    all_leaves = [0] * (n + 1)
+    first_leaf = inner
+    for i in range(inner):
+        p = order[i]
+        k = count[p]
+        if k:
+            for j in range(i + 1, first_leaf + 1):
+                families[j].append((p, k, not even[p]))
+                all_leaves[j] += k
+            first_leaf += k
+    return {
+        "order": order,
+        "twin": twin,
+        "left": left,
+        "families": families,
+        "all_leaves": all_leaves,
+    }
+
+
 def unpruned_search(
     t: trees.FunctionalTree, first: bool
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -97,11 +162,11 @@ def unpruned_search(
 
     labeling._search as it stood before isomorphic siblings were ordered,
     verbatim save for the node counter, the seeded shuffles and the vertex
-    order, which it takes from labeling._order: every ordering of isomorphic
+    order, which it takes from labeling._plan: every ordering of isomorphic
     sibling subtrees is explored, and no leaf family is checked ahead.
     """
     n = t.n
-    order = labeling._order(t)[0]
+    order = labeling._plan(t).order
     sign = [t.sign(v) for v in range(n)]
 
     label = [-1] * n

@@ -93,10 +93,10 @@ class TestOrbitLemma:
         # certificate(f.alpha) = certificate(f) for alpha in Aut_r, exactly
         for entry in catalog(n):
             t = entry.tree
-            twin, codes = labeling._twins(t, t.adjacency())
+            plan = labeling._plan(t)
             for rep in phi_orbits(t).reps:
                 value = eval_certificate(t, rep)
-                for member in labeling._expand_orbits(t, [rep], twin, codes):
+                for member in labeling._expand_orbits(t, [rep], plan):
                     assert eval_certificate(t, member) == value, (t.g, member)
 
 

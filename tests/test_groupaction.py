@@ -8,6 +8,7 @@ from treedecomp import (
     InvalidPermutation,
     MalformedInput,
     NotBijective,
+    ResourceLimit,
     closure,
     decompose_directed_knn,
     find_beta,
@@ -191,6 +192,26 @@ class TestClosureBeyondElementLists:
         summary = closure(gens)
         assert summary.order == math.factorial(15) == 1_307_674_368_000
         assert summary.cyclic is False and summary.closed_ok
+
+    def test_cap_turns_a_large_symmetric_group_into_a_resource_limit(self, monkeypatch):
+        # the transposition (1 2) and the 63-cycle on 1..63 generate S_63,
+        # whose chain would store 2,015 transversal elements; and the cap is
+        # read on each call, so S_15's 119 elements pass under one of 119
+        gens = [
+            EntryPermutation(8, perms.transposition(1, 2, 64)),
+            EntryPermutation(8, cycle(list(range(1, 64)), 64)),
+        ]
+        with pytest.raises(ResourceLimit):
+            closure(gens)
+        s15 = [
+            EntryPermutation(4, perms.transposition(1, 2, 16)),
+            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+        ]
+        monkeypatch.setattr(groupaction, "CHAIN_CAP", 119)
+        assert closure(s15).order == math.factorial(15)
+        monkeypatch.setattr(groupaction, "CHAIN_CAP", 118)
+        with pytest.raises(ResourceLimit):
+            closure(s15)
 
     def test_closed_ok_checks_the_chain(self, monkeypatch):
         # a chain cut after its first level holds only the 15-cycle's orbit:

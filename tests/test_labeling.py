@@ -7,7 +7,14 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from conftest import catalog, phi_by_scan, unpruned_search, verify_rho
+from conftest import (
+    catalog,
+    phi_by_scan,
+    search_plan_by_codes,
+    twins_by_codes,
+    unpruned_search,
+    verify_rho,
+)
 
 from treedecomp import labeling, perms, trees
 from treedecomp import (
@@ -279,20 +286,39 @@ class TestLeafFamilies:
     # free edge labels at every node.
     def test_order_of_the_worst_fourteen_vertex_tree(self):
         t = from_parent_map(14, [0, 0, 1, 2, 2, 1, 1, 0, 7, 8, 8, 7, 0, 0])
-        assert labeling._order(t) == ([0, 1, 7, 2, 8, 12, 13, 5, 6, 11, 3, 4, 9, 10], 5)
+        plan = labeling._plan(t)
+        assert (plan.order, sum(1 for k in plan.kids if k)) == (
+            [0, 1, 7, 2, 8, 12, 13, 5, 6, 11, 3, 4, 9, 10],
+            5,
+        )
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_order_places_internal_vertices_then_leaf_families(self, n):
         for entry in catalog(n):
             for t in [entry.tree, *_relabelings(entry, 2)]:
-                order, inner = labeling._order(t)
+                order = labeling._plan(t).order
                 assert sorted(order) == list(range(n))
                 internal = {t.g[v] for v in range(n) if v != t.root} | {t.root}
+                inner = len(internal)
                 bfs_order = trees.bfs(t.adjacency(), t.root)[0]
                 assert order[:inner] == [v for v in bfs_order if v in internal]
                 leaves = order[inner:]
                 # families in the order their parents were placed, each ascending
                 assert leaves == sorted(leaves, key=lambda v: (order.index(t.g[v]), v))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_plan_matches_the_byte_code_oracle(self, n):
+        # one children table and small-integer subtree classes give the
+        # order, twins, left and family table of the byte-code set-up
+        for entry in catalog(n):
+            for t in [entry.tree, *_relabelings(entry, 2)]:
+                plan = labeling._plan(t)
+                want = search_plan_by_codes(t)
+                assert {key: getattr(plan, key) for key in want} == want, t.g
+                # at one depth, two vertices share a class iff their codes match
+                codes = twins_by_codes(t)[1]
+                both = set(zip(t.depth, codes, plan.cls))
+                assert len(set(zip(t.depth, codes))) == len(set(zip(t.depth, plan.cls))) == len(both)
 
     def test_node_counts_of_the_worst_trees(self):
         # the trees with the longest first-mode search in the n = 14 and
@@ -315,6 +341,10 @@ class TestLeafFamilies:
         before = labeling.search_nodes()
         phi_set(t)
         assert labeling.search_nodes() - before == labeling._search(t, False)[1]
+
+
+# Phi of the 4-vertex star: its root takes label 0, its leaves 1, 2, 3 in any order
+_STAR4_PHI = [(0, *p) for p in permutations((1, 2, 3))]
 
 
 class TestPhiSet:
@@ -401,11 +431,29 @@ class TestPhiSet:
     def test_expansion_short_of_the_orbit_count_fails_closed(self, monkeypatch):
         t = from_parent_map(4, [0, 0, 0, 0])
         monkeypatch.setattr(
-            labeling, "_expand_orbits", lambda t, reps, twin, codes: iter(reps)
+            labeling, "_expand_orbits", lambda t, reps, plan: iter(reps)
         )
         for enumerate_phi in (phi_set, lambda t: labeling.phi_size(labeling.phi_orbits(t))):
             with pytest.raises(VerificationFailed):
                 enumerate_phi(t)
+
+    @pytest.mark.parametrize(
+        "expand",
+        [
+            lambda reps: _STAR4_PHI[:5] + [(1, 0, 2, 3)],  # a signed label -1
+            lambda reps: _STAR4_PHI[:5] + [(0, 1, 2, 3)],  # a member twice
+            lambda reps: iter(reps),  # one member of the six
+        ],
+        ids=["non-beta", "duplicate", "too-few"],
+    )
+    def test_find_all_fails_closed_on_a_bad_expansion(self, monkeypatch, expand):
+        # find_beta(t, "all") checks each expanded member once, by verify_beta,
+        # and the members must be distinct and number |orbits| * |Aut_r| = 6
+        t = from_parent_map(4, [0, 0, 0, 0])
+        assert len(find_beta(t, "all")) == 6
+        monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps, plan: expand(reps))
+        with pytest.raises(VerificationFailed):
+            find_beta(t, "all")
 
     def test_star_at_cap(self):
         # a star's root must carry label 0; its 8 leaves take 1..8 in any order

@@ -1,5 +1,7 @@
 """Property tests on random labeled trees, decoded from Prufer sequences."""
 
+from collections import Counter
+
 from conftest import prufer_decode, unpruned_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,21 @@ def test_beta_labeling_iff_certificate_nonzero(case):
     # the pointwise equivalence that the nonzero and Claim I routes rest on
     t, sigma = case
     assert isinstance(verify_beta(t, sigma), Labeling) == (eval_certificate(t, sigma) != 0)
+
+
+@TIER1
+@given(trees_with_points())
+def test_verify_beta_accepts_exactly_when_each_label_appears_once(case):
+    # verify_beta decides by one sort; count the signed labels directly
+    t, sigma = case
+    counts = Counter(t.sign(v) * (sigma[t.g[v]] - sigma[v]) for v in range(t.n))
+    once = all(counts[lbl] == 1 for lbl in range(t.n))
+    result = verify_beta(t, sigma)
+    assert isinstance(result, Labeling) == once
+    if not once:
+        outside = sorted(lbl for lbl in counts.elements() if not 0 <= lbl < t.n)
+        assert result.duplicated == tuple(lbl for lbl in range(t.n) if counts[lbl] > 1)
+        assert result.out_of_range == tuple(outside)
 
 
 @TIER1
