@@ -13,7 +13,6 @@ from .apportionment import (
 from .certificate import (
     canonical_representative,
     certificate_magnitude_check,
-    check_composition_implication,
     check_monomial_support,
     check_transposition_invariance,
     check_variable_dependency,

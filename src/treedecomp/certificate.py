@@ -29,7 +29,6 @@ from .errors import MalformedInput, PreconditionViolated, ResourceLimit
 from .polynomial import Polynomial, reduced_power
 
 SYMBOLIC_CAP = 4
-CHAIN_CAP = 6
 
 
 def eval_certificate(t: trees.FunctionalTree, f: Sequence[int]) -> int:
@@ -243,7 +242,11 @@ def chain_report(t: trees.FunctionalTree) -> ChainReport:
 
     Along the collapse chain, Phi nonempty at the collapsed tree must imply
     Phi nonempty one step earlier; the squaring chain must end constant.
+    Every tree in the chain is searched, so a tree above the search cap is
+    refused before the chain, whose cost grows about as n^3, is built.
     """
+    if t.n > lb.SEARCH_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the search cap {lb.SEARCH_CAP}")
     chain, transitions = collapse_chain(t)
     nonempty = tuple(lb.find_beta(tree, "first") is not None for tree in chain)
     return ChainReport(
@@ -255,13 +258,6 @@ def chain_report(t: trees.FunctionalTree) -> ChainReport:
         ),
         squaring_ok=squaring_chain_ends_constant(t),
     )
-
-
-def check_composition_implication(n: int) -> list[ChainReport]:
-    """chain_report for every catalog tree on n vertices."""
-    if n > CHAIN_CAP:
-        raise ResourceLimit(f"n = {n} exceeds the chain cap {CHAIN_CAP}")
-    return [chain_report(entry.tree) for entry in trees.enumerate_free_trees(n)]
 
 
 @dataclass(frozen=True)

@@ -356,19 +356,13 @@ def _certificate_monomial_support(args):
 
 
 def _certificate_composition(args):
-    reports = certificate.check_composition_implication(args.n)
-    ok = all(r.ok for r in reports)
+    rep = certificate.chain_report(_tree_arg(args.tree))
     return {
-        "ok": ok,
-        "trees": [
-            {
-                "code": r.code.hex(),
-                "transitions": r.transitions,
-                "phi_nonempty": list(r.phi_nonempty),
-            }
-            for r in reports
-        ],
-    }, ok
+        "ok": rep.ok,
+        "code": rep.code.hex(),
+        "transitions": rep.transitions,
+        "phi_nonempty": list(rep.phi_nonempty),
+    }, rep.ok
 
 
 def _group_example(args):
@@ -487,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ms = _leaf(cert_sub, "monomial-support", _certificate_monomial_support)
     p_ms.add_argument("--n", type=int, required=True)
     p_comp = _leaf(cert_sub, "composition", _certificate_composition)
-    p_comp.add_argument("--n", type=int, required=True)
+    p_comp.add_argument("--tree", required=True)
 
     p_group = sub.add_parser("group", help="entry-permutation group actions")
     group_sub = p_group.add_subparsers(dest="subcommand", required=True)

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Sequence
 
 from . import trees
-from .errors import MalformedInput, VerificationFailed
+from .errors import MalformedInput, ResourceLimit, VerificationFailed
 from .labeling import Labeling, verify_beta
+
+DOT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -310,18 +312,18 @@ def decomposition_to_json(d: Decomposition) -> str:
 
 
 def decomposition_to_dot(d: Decomposition) -> str:
-    """One frame per copy; edges of earlier copies are grayed out."""
-    directed = d.host.kind == "knn"
-    kind, arrow = ("digraph", "->") if directed else ("graph", "--")
+    """One frame per copy; edges of earlier copies are grayed out. C copies
+    of e edges take e*C*(C+1)/2 edge lines, and past DOT_CAP of them
+    ResourceLimit is raised before anything is written."""
+    m = _modulus(d.host)
+    lines = sum(accumulate(len(base) for base in d.bases for _ in range(m)))
+    if lines > DOT_CAP:
+        raise ResourceLimit(f"the DOT export needs {lines} edge lines, past the cap {DOT_CAP}")
+    kind, arrow = ("digraph", "->") if d.host.kind == "knn" else ("graph", "--")
     frames = []
-    previous: list[tuple[int, int]] = []
+    gray: list[str] = []
     for idx, copy in enumerate(d.copies):
-        lines = [f"{kind} frame_{idx} {{"]
-        for a, b in previous:
-            lines.append(f'  {a} {arrow} {b} [color=lightgray];')
-        for a, b in copy:
-            lines.append(f"  {a} {arrow} {b};")
-        lines.append("}")
-        frames.append("\n".join(lines))
-        previous.extend(copy)
+        own = [f"  {a} {arrow} {b};" for a, b in copy]
+        frames.append("\n".join([f"{kind} frame_{idx} {{", *gray, *own, "}"]))
+        gray += [f"  {a} {arrow} {b} [color=lightgray];" for a, b in copy]
     return "\n".join(frames) + "\n"

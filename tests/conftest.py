@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,6 +69,72 @@ def prufer_codes(n: int) -> frozenset[bytes]:
 @lru_cache(maxsize=None)
 def catalog(n: int) -> tuple[trees.TreeCatalogEntry, ...]:
     return tuple(trees.enumerate_free_trees(n))
+
+
+def _centroids_by_sizes(adj: list[list[int]]) -> list[int]:
+    """The vertices whose largest remaining component is smallest."""
+    n = len(adj)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heaviest = [
+        max([n - size[v]] + [size[w] for w in adj[v] if w != parent[v]]) for v in range(n)
+    ]
+    return [v for v in range(n) if heaviest[v] == min(heaviest)]
+
+
+def _rooted_class(
+    adj: list[list[int]], root: int, away: int, classes: dict[tuple[int, ...], int]
+) -> tuple[int, int]:
+    """(class, |Aut|) of the subtree at root that does not contain away.
+
+    A class is a small integer looked up from the sorted tuple of the
+    children's classes (Aho, Hopcroft & Ullman 1974). |Aut| of a rooted
+    subtree is the product of its children's, times k! for each class that
+    k children share.
+    """
+    kids = [_rooted_class(adj, c, root, classes) for c in adj[root] if c != away]
+    key = tuple(sorted(cls for cls, _ in kids))
+    aut = math.prod(a for _, a in kids) * math.prod(
+        math.factorial(k) for k in Counter(key).values()
+    )
+    return classes.setdefault(key, len(classes)), aut
+
+
+def orbit_counts(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(signature, |Aut T|) for every catalog tree T on n vertices, without
+    canonical codes or the search plan.
+
+    T is rooted at its centroid, or, with two centroids, split at the edge
+    joining them. The signature is the root's class, or the sorted pair of
+    the halves' classes, with classes shared by the whole catalog, so two
+    trees are isomorphic exactly when their signatures are equal. Every
+    automorphism fixes the centroid set; a split tree gains the swap of its
+    halves when they have one class. The labeled trees on Z_n isomorphic
+    to T number n!/|Aut T|, so distinct signatures whose counts sum to
+    n^(n-2) (Cayley) show the catalog complete and free of duplicates.
+    """
+    classes: dict[tuple[int, ...], int] = {}
+    out = []
+    for entry in catalog(n):
+        adj = entry.tree.adjacency()
+        centroids = _centroids_by_sizes(adj)
+        if len(centroids) == 1:
+            cls, aut = _rooted_class(adj, centroids[0], -1, classes)
+            out.append(((cls,), aut))
+        else:
+            a, b = centroids
+            halves = sorted([_rooted_class(adj, a, b, classes), _rooted_class(adj, b, a, classes)])
+            swap = 2 if halves[0][0] == halves[1][0] else 1
+            out.append(((halves[0][0], halves[1][0]), halves[0][1] * halves[1][1] * swap))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -6,11 +6,14 @@ rational equality for the combinatorial/algebraic criteria, 1e-9 absolute
 for the floating-point apportionment criteria.
 """
 
+import math
+
 from conftest import (
     catalog,
     lattice_points,
     magnitude_by_members,
     nonvanishing_by_permutations,
+    orbit_counts,
     prufer_codes,
     transposition_invariance_sweep,
 )
@@ -21,7 +24,6 @@ from treedecomp import (
     certificate_magnitude_check,
     check_apportionment,
     check_allones_identity,
-    check_composition_implication,
     check_monomial_support,
     check_transposition_invariance,
     closure,
@@ -41,7 +43,7 @@ from treedecomp import (
 )
 from treedecomp import perms
 from treedecomp.apportionment import build_block_unitary, unitarity_residual
-from treedecomp.certificate import transposition_witness
+from treedecomp.certificate import chain_report, transposition_witness
 from treedecomp.decomposition import decomposition_to_dot
 from treedecomp.trees import sibling_leaf_pairs
 
@@ -57,13 +59,17 @@ def test_criterion_01_beta_existence_up_to_ten_vertices():
     for n in range(1, 11):
         entries = catalog(n)
         assert len(entries) == FREE_TREE_COUNTS[n - 1]
-        if n <= 8:
+        if n <= 7:
             assert {e.canonical_code for e in entries} == prufer_codes(n)
+        counts = orbit_counts(n)
+        assert len({signature for signature, _ in counts}) == len(entries)
+        assert sum(math.factorial(n) // aut for _, aut in counts) == max(n ** (n - 2), 1)
         for entry in entries:
             lab = find_beta(entry.tree, "first")
             assert isinstance(lab, Labeling)
     report(1, "every free tree on <= 10 vertices has a beta-labeling "
-              f"(counts {FREE_TREE_COUNTS}, Prufer-checked for n <= 8)")
+              f"(counts {FREE_TREE_COUNTS}, Prufer-checked for n <= 7, "
+              "orbit-counted against Cayley's n^(n-2) for n <= 10)")
 
 
 def test_criterion_02_figure2_reproduction():
@@ -149,12 +155,12 @@ def test_criterion_07_transposition_invariance():
 
 
 def test_criterion_08_composition_implication():
-    for n in range(1, 7):
-        reports = check_composition_implication(n)
+    for n in range(1, 10):
+        reports = [chain_report(entry.tree) for entry in catalog(n)]
         assert all(r.implications_ok for r in reports)
         assert all(r.squaring_ok for r in reports)
         assert all(r.phi_nonempty[-1] for r in reports)  # chains end at stars
-    report(8, "Phi nonemptiness propagates up every collapse chain, n <= 6")
+    report(8, "Phi nonemptiness propagates up every collapse chain, n <= 9")
 
 
 def test_criterion_09_monomial_support():

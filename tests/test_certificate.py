@@ -18,7 +18,6 @@ from treedecomp import (
     ResourceLimit,
     canonical_representative,
     certificate_magnitude_check,
-    check_composition_implication,
     check_monomial_support,
     check_transposition_invariance,
     check_variable_dependency,
@@ -30,7 +29,7 @@ from treedecomp import (
     phi_orbits,
     phi_set,
 )
-from treedecomp import labeling, perms
+from treedecomp import certificate, labeling, perms
 from treedecomp.certificate import (
     chain_report,
     collapse_chain,
@@ -277,22 +276,26 @@ class TestTranspositionInvariance:
         assert pairs == 11
 
 
+def _chain_reports(n: int) -> list:
+    return [chain_report(entry.tree) for entry in catalog(n)]
+
+
 class TestComposition:
     def test_n4_chain_lengths(self):
-        reports = {r.code.hex(): r for r in check_composition_implication(4)}
-        transitions = sorted(r.transitions for r in reports.values())
+        reports = _chain_reports(4)
+        transitions = sorted(r.transitions for r in reports)
         assert transitions == [0, 2]  # star needs nothing, path two moves
-        assert all(r.ok for r in reports.values())
+        assert all(r.ok for r in reports)
 
     def test_star_chain_empty(self):
         star = from_parent_map(5, [0] * 5)
         chain, transitions = collapse_chain(star)
         assert transitions == 0 and chain == [star]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    # the campaign's range: Phi up to n = 9
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_catalog(self, n):
-        reports = check_composition_implication(n)
-        assert len(reports) == len(catalog(n))
+        reports = _chain_reports(n)
         assert all(r.ok for r in reports)
         assert all(r.phi_nonempty[0] for r in reports)
 
@@ -301,19 +304,29 @@ class TestComposition:
             for entry in catalog(n):
                 assert squaring_chain_ends_constant(entry.tree)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # refused before the collapse chain, which grows about as n^3, is built
+        def unreachable(t):
+            raise AssertionError("collapse_chain reached above the search cap")
+
+        monkeypatch.setattr(certificate, "collapse_chain", unreachable)
+        for n in (labeling.SEARCH_CAP + 1, 5000):
+            with pytest.raises(ResourceLimit):
+                chain_report(from_parent_map(n, [0] + list(range(n - 1))))
+        monkeypatch.setattr(labeling, "SEARCH_CAP", 3)  # read on each call
         with pytest.raises(ResourceLimit):
-            check_composition_implication(7)
+            chain_report(from_parent_map(4, [0, 0, 1, 2]))
 
     def test_chain_report_keeps_catalog_code(self):
         # The catalog's codes and the per-tree report's recomputed ones agree.
-        for n in range(1, 7):
-            codes = [r.code for r in check_composition_implication(n)]
+        for n in range(1, 10):
+            codes = [r.code for r in _chain_reports(n)]
             assert codes == [entry.canonical_code for entry in catalog(n)]
 
-    def test_chain_report_above_the_chain_cap(self):
-        rep = chain_report(from_parent_map(8, [0, 0, 1, 2, 3, 4, 5, 6]))
-        assert rep.ok and rep.transitions > 0
+    def test_chain_report_at_the_search_cap(self):
+        n = labeling.SEARCH_CAP
+        rep = chain_report(from_parent_map(n, [0] + list(range(n - 1))))
+        assert rep.ok and rep.transitions > 0 and all(rep.phi_nonempty)
 
 
 class TestMonomialSupport:

@@ -172,6 +172,15 @@ class TestDecompose:
         assert code == 0
         assert out.count("graph frame_") == 3
 
+    def test_dot_above_the_cap_exit_two(self, capsys):
+        # 1,928 frames of a 16-vertex path would take 27.9 M edge lines
+        path16 = json.dumps({"n": 16, "g": [0] + list(range(15))})
+        code, out, err = run(
+            capsys,
+            "decompose", "--tree", path16, "--target", "k2n1", "--x", "8", "--format", "dot",
+        )
+        assert code == 2 and out == "" and "cap" in err
+
     def test_knxnx(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--tree", TREE4, "--target", "knxnx", "--x", "2"
@@ -229,10 +238,15 @@ class TestCertificate:
         assert code == 2 and out == "" and err.startswith("error")
 
     def test_composition(self, capsys):
-        code, out, _ = run(capsys, "certificate", "composition", "--n", "4")
+        code, out, _ = run(capsys, "certificate", "composition", "--tree", TREE4)
         assert code == 0
         obj = json.loads(out)
-        assert obj["ok"] and len(obj["trees"]) == 2
+        assert obj == {
+            "ok": True,
+            "code": trees.canonical_code(tree_from_json(TREE4)).hex(),
+            "transitions": 1,  # the star rooted at a leaf: one collapse
+            "phi_nonempty": [True, True],
+        }
 
 
 class TestGroup:
@@ -595,6 +609,7 @@ class TestVersionFlag:
 
 STAR10 = json.dumps({"n": 10, "g": [0] * 10})
 PATH5 = '{"n": 5, "g": [0, 0, 1, 2, 3]}'
+PATH17 = json.dumps({"n": 17, "g": [0] + list(range(16))})
 SPIDER5 = '{"n": 5, "g": [0, 0, 0, 1, 1]}'
 SIGMA1 = "[0, 5, 2, 3, 4, 6, 1, 7, 8]"
 S15_TRANSPOSITION = json.dumps([0, 2, 1] + list(range(3, 16)))
@@ -769,11 +784,14 @@ GOLDEN_CLI = {
     "monomial-support-zero": (["certificate", "monomial-support", "--n", "0"], 2, EMPTY),
     "monomial-support-cap": (["certificate", "monomial-support", "--n", "5"], 2, EMPTY),
     "composition": (
-        ["certificate", "composition", "--n", "5"],
+        ["certificate", "composition", "--tree", PATH5],
         0,
-        "8a9b72d70cfd24007efb7159d25901e36a76b85a4ec0e90a029c696ea9af059a",
+        "2e2dcb397a72e611e4af0a9ad0cb828b6ca505912308941e52cc299363532846",
     ),
-    "composition-cap": (["certificate", "composition", "--n", "7"], 2, EMPTY),
+    # one tree per call, refused above labeling.SEARCH_CAP
+    "composition-cap": (["certificate", "composition", "--tree", PATH17], 2, EMPTY),
+    # the catalog sweep is a campaign of the composition check
+    "composition-n": (["certificate", "composition", "--n", "5"], 2, EMPTY),
     "group-example": (
         ["group", "example"],
         0,

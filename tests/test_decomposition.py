@@ -15,6 +15,7 @@ from treedecomp import (
     Decomposition,
     Host,
     MalformedInput,
+    ResourceLimit,
     VerificationFailed,
     decompose_directed_knn,
     decompose_k2n1,
@@ -435,6 +436,15 @@ class TestSerialization:
         dot = decomposition_to_dot(d)
         assert dot.count("digraph frame_") == 4
         assert dot.count("[color=lightgray]") == 4 + 8 + 12
+
+    def test_dot_cap(self, monkeypatch):
+        # 4 frames of 4 edges draw 4 + 8 + 12 + 16 = 40 edge lines
+        d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
+        monkeypatch.setattr(decomposition, "DOT_CAP", 40)
+        assert decomposition_to_dot(d).count(" -> ") == 40
+        monkeypatch.setattr(decomposition, "DOT_CAP", 39)
+        with pytest.raises(ResourceLimit, match="40 edge lines"):
+            decomposition_to_dot(d)
 
     def test_bad_json(self):
         with pytest.raises(MalformedInput):

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 
 import pytest
-from conftest import catalog, prufer_codes, rooted_level_sequence_by_recursion
+from conftest import catalog, orbit_counts, prufer_codes, rooted_level_sequence_by_recursion
 
 from treedecomp import (
     InvalidPermutation,
@@ -221,11 +222,21 @@ class TestEnumeration:
     def test_counts(self, n, count):
         assert len(catalog(n)) == count
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    # n = 8 alone decodes 262,144 sequences; the orbit count covers it
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_prufer_brute_force_agreement(self, n):
         expected = prufer_codes(n)
         got = {entry.canonical_code for entry in catalog(n)}
         assert got == expected
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_orbit_count_oracle(self, n):
+        # pairwise non-isomorphic, and the orbits of S_n fill all n^(n-2)
+        # labeled trees (Cayley), so no class is missing
+        counts = orbit_counts(n)
+        signatures = [signature for signature, _ in counts]
+        assert len(set(signatures)) == len(signatures)
+        assert sum(math.factorial(n) // aut for _, aut in counts) == max(n ** (n - 2), 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_round_trip_validity(self, n):
