@@ -109,14 +109,6 @@ def _modulus(host: Host) -> int:
     raise MalformedInput(f"unknown host kind {host.kind!r}")
 
 
-def host_edges(host: Host) -> set[tuple[int, int]]:
-    """The full edge set of the host graph."""
-    m = _modulus(host)
-    if host.kind == "k2n1":
-        return {(u, v) for u in range(m) for v in range(u + 1, m)}
-    return {(u, m + v) for u in range(m) for v in range(m)}
-
-
 def _as_labeling(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> Labeling:
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
     result = verify_beta(t, sigma)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, pairwise, permutations
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms, trees
@@ -307,10 +307,8 @@ def find_beta(
     sigma'[pi[v]] has the same signed labels, since renumbering keeps depths.
     The numbering only orders siblings, so a tree where no vertex has two
     children (a path rooted at an end) gets one labeling for every seed.
-    mode="all" returns Phi sorted by sigma, under its own (smaller) cap as
-    well, since Phi grows like n! on stars: each member checked once, by
-    verify_beta, and as in phi_set they must be distinct and number |orbits|
-    * |Aut_r|. Phi does not depend on a seed, so this mode takes none.
+    mode="all" returns phi_set's members as Labelings, under the Phi cap.
+    Phi does not depend on a seed, so this mode takes none.
     """
     if mode not in ("first", "all"):
         raise MalformedInput(f"unknown mode {mode!r}")
@@ -319,33 +317,26 @@ def find_beta(
     if t.n > SEARCH_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
     if mode == "all":
-        phi = phi_orbits(t)
-        sigmas = _expand_orbits(t, list(phi.reps), _plan(t))
-    elif seed is None:
-        sigmas = _search(t, True)[0]
+        return [verify_beta(t, sigma) for sigma in phi_set(t)]
+    if seed is None:
+        found = _search(t, True)[0]
     else:
         pi = list(range(t.n))
         random.Random(seed).shuffle(pi)
-        found = _search(trees.conjugate(t, pi), True)[0]
-        sigmas = [tuple(s[w] for w in pi) for s in found]
-    labelings = [verify_beta(t, sigma) for sigma in sigmas]
-    for lab in labelings:
-        if not isinstance(lab, Labeling):
-            raise VerificationFailed(f"search returned a non-beta sigma: {lab}")
-    if mode == "first":
-        return labelings[0] if labelings else None
-    labelings.sort(key=attrgetter("sigma"))
-    if not len(labelings) == len({lab.sigma for lab in labelings}) == phi.size:
-        raise VerificationFailed(f"Phi expanded to {len(labelings)}, not {phi.size} distinct")
-    return labelings
+        found = [tuple(s[w] for w in pi) for s in _search(trees.conjugate(t, pi), True)[0]]
+    if not found:
+        return None
+    lab = verify_beta(t, found[0])
+    if not isinstance(lab, Labeling):
+        raise VerificationFailed(f"search returned a non-beta sigma: {lab}")
+    return lab
 
 
 def _expand_orbits(
-    t: trees.FunctionalTree,
-    reps: list[tuple[int, ...]],
-    plan: _Plan,
+    t: trees.FunctionalTree, reps: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit.
+    """Every sigma.alpha for sigma in reps and alpha in Aut_r, orbit by orbit;
+    PhiOrbits.members is its one caller.
 
     Aut_r is the product, over the runs of isomorphic siblings, of the
     permutations of each run's subtrees. A subtree is listed as a block in
@@ -362,6 +353,7 @@ def _expand_orbits(
     afresh for each orbit and applied as they come, so no orbit is held
     whole: the 8! labelings of the 9-vertex star stream past one at a time.
     """
+    plan = _plan(t)
     n, twin = t.n, plan.twin
     chains: dict[int, list[int]] = {}  # each run so far, by its last child
     for u in range(n):
@@ -423,7 +415,7 @@ class PhiOrbits:
         t = self.tree
         n, g, everything = t.n, t.g, list(range(t.n))
         sign = [t.sign(v) for v in range(n)]
-        for p in _expand_orbits(t, list(self.reps), _plan(t)):
+        for p in _expand_orbits(t, self.reps):
             signed = sorted([sign[v] * (p[g[v]] - p[v]) for v in range(n)])
             if signed != everything or not perms.is_perm(p):
                 raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
@@ -433,15 +425,18 @@ class PhiOrbits:
 def phi_orbits(t: trees.FunctionalTree) -> PhiOrbits:
     """The search's one labeling per orbit of Aut_r, checked, and |Aut_r|.
 
-    The results must be distinct, each with decreasing edge labels along
-    every run of isomorphic siblings, so no two lie in one orbit. |Aut_r| is
-    the product of len(run)!, the product of left[u] over the vertices."""
+    Each result must pass verify_beta and have decreasing edge labels along
+    every run of isomorphic siblings, and they must be distinct, so no two
+    lie in one orbit. |Aut_r| is the product of len(run)!, the product of
+    left[u] over the vertices."""
     if t.n > PHI_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the exhaustive cap {PHI_CAP}")
     n, g = t.n, t.g
     reps = _search(t, first=False)[0]
     plan = _plan(t)
     for rep in reps:
+        if not isinstance(verify_beta(t, rep), Labeling):
+            raise VerificationFailed(f"search returned a non-beta sigma {list(rep)}")
         edge = [abs(rep[v] - rep[g[v]]) for v in range(n)]
         if any(edge[w] <= edge[u] for u, w in enumerate(plan.twin) if w < n):
             raise VerificationFailed(f"search returned {list(rep)}, not its orbit's pick")

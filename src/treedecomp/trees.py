@@ -143,7 +143,9 @@ def square(t: FunctionalTree) -> FunctionalTree:
 
 
 def leaves(t: FunctionalTree) -> list[int]:
-    return [v for v in range(t.n) if t.is_leaf(v)]
+    """The vertices with no preimage under g, ascending, in one pass."""
+    parents = set(t.g)
+    return [v for v in range(t.n) if v not in parents]
 
 
 def sibling_leaf_pairs(t: FunctionalTree) -> list[tuple[int, int]]:
@@ -193,9 +195,7 @@ def normalize_for_collapse(t: FunctionalTree) -> FunctionalTree:
     if t.is_leaf(last) and t.depth[last] % 2 == 0:
         return t
 
-    even_leaves = [
-        v for v in range(t.n) if t.is_leaf(v) and t.depth[v] % 2 == 0
-    ]
+    even_leaves = [v for v in leaves(t) if t.depth[v] % 2 == 0]
     if even_leaves:
         out = conjugate(t, perms.transposition(min(even_leaves), last, t.n))
         assert out.is_leaf(last) and out.depth[last] % 2 == 0

@@ -13,13 +13,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from treedecomp import apportionment, certificate, labeling, perms, trees
+from treedecomp import apportionment, certificate, decomposition, labeling, perms, trees
 from treedecomp.decomposition import (
     Decomposition,
     Host,
     OrientedBipartiteTree,
     PartitionReport,
-    host_edges,
 )
 from treedecomp.errors import MalformedInput
 from treedecomp.groupaction import EntryPermutation
@@ -536,6 +535,14 @@ def _copy_is_tree_of_shape_by_sorting(copy, expected_code: bytes) -> str | None:
     if code != expected_code:
         return "copy shape differs from the source tree"
     return None
+
+
+def host_edges(host: Host) -> set[tuple[int, int]]:
+    """The full edge set of the host graph."""
+    m = decomposition._modulus(host)
+    if host.kind == "k2n1":
+        return {(u, v) for u in range(m) for v in range(u + 1, m)}
+    return {(u, m + v) for u in range(m) for v in range(m)}
 
 
 def verify_partition_by_sets(d: Decomposition) -> PartitionReport:

@@ -92,10 +92,10 @@ class TestOrbitLemma:
         # certificate(f.alpha) = certificate(f) for alpha in Aut_r, exactly
         for entry in catalog(n):
             t = entry.tree
-            plan = labeling._plan(t)
-            for rep in phi_orbits(t).reps:
+            phi = phi_orbits(t)
+            for rep in phi.reps:
                 value = eval_certificate(t, rep)
-                for member in labeling._expand_orbits(t, [rep], plan):
+                for member in labeling.PhiOrbits(t, (rep,), phi.aut).members():
                     assert eval_certificate(t, member) == value, (t.g, member)
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     catalog,
     decomposition_from_json,
+    host_edges,
     unorient,
     verify_partition_by_sets,
 )
@@ -27,7 +28,7 @@ from treedecomp import (
     verify_partition,
 )
 from treedecomp import decomposition
-from treedecomp.decomposition import PartitionReport, decomposition_to_dot, host_edges
+from treedecomp.decomposition import PartitionReport, decomposition_to_dot
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 IDENTITY4 = (0, 1, 2, 3)

@@ -392,8 +392,9 @@ class TestPhiSet:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_one_search_result_per_orbit(self, n):
-        # Aut_r acts freely on Phi, and the search keeps one member per orbit;
-        # phi_size counts the same members without holding them
+        # Aut_r acts freely on Phi, and the search keeps one member per orbit,
+        # so PhiOrbits.size counts Phi without expanding it; phi_size counts
+        # the same members without holding them
         for entry in catalog(n):
             phi = phi_set(entry.tree)
             reps = labeling._search(entry.tree, False)[0]
@@ -402,7 +403,7 @@ class TestPhiSet:
             orbits = labeling.phi_orbits(entry.tree)
             assert orbits.reps == tuple(reps)
             assert orbits.aut == _rooted_automorphisms(entry.tree)
-            assert labeling.phi_size(orbits) == len(phi)
+            assert orbits.size == labeling.phi_size(orbits) == len(phi)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_automorphism_count_by_scan(self, n):
@@ -430,12 +431,18 @@ class TestPhiSet:
 
     def test_expansion_short_of_the_orbit_count_fails_closed(self, monkeypatch):
         t = from_parent_map(4, [0, 0, 0, 0])
-        monkeypatch.setattr(
-            labeling, "_expand_orbits", lambda t, reps, plan: iter(reps)
-        )
+        monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps: iter(reps))
         for enumerate_phi in (phi_set, lambda t: labeling.phi_size(labeling.phi_orbits(t))):
             with pytest.raises(VerificationFailed):
                 enumerate_phi(t)
+
+    def test_non_beta_representative_fails_closed(self, monkeypatch):
+        # phi_orbits checks each representative by verify_beta, before any
+        # expansion: (0, 1, 2) gives the path 0-1-2 the signed labels 0, 1, -1
+        t = from_parent_map(3, [0, 0, 1])
+        monkeypatch.setattr(labeling, "_search", lambda t, first: ([(0, 1, 2)], 0))
+        with pytest.raises(VerificationFailed, match="non-beta"):
+            labeling.phi_orbits(t)
 
     @pytest.mark.parametrize(
         "expand",
@@ -447,13 +454,14 @@ class TestPhiSet:
         ids=["non-beta", "duplicate", "too-few"],
     )
     def test_find_all_fails_closed_on_a_bad_expansion(self, monkeypatch, expand):
-        # find_beta(t, "all") checks each expanded member once, by verify_beta,
-        # and the members must be distinct and number |orbits| * |Aut_r| = 6
+        # PhiOrbits.members re-checks each expanded member, and phi_set (so
+        # find_beta(t, "all")) needs them distinct and |orbits| * |Aut_r| = 6
         t = from_parent_map(4, [0, 0, 0, 0])
         assert len(find_beta(t, "all")) == 6
-        monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps, plan: expand(reps))
-        with pytest.raises(VerificationFailed):
-            find_beta(t, "all")
+        monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps: expand(reps))
+        for enumerate_phi in (phi_set, lambda t: find_beta(t, "all")):
+            with pytest.raises(VerificationFailed):
+                enumerate_phi(t)
 
     def test_star_at_cap(self):
         # a star's root must carry label 0; its 8 leaves take 1..8 in any order

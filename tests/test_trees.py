@@ -176,6 +176,21 @@ class TestCollapse:
         with pytest.raises(PreconditionViolated):
             collapse_leaf_siblings(from_parent_map(4, [0, 0, 3, 0]))
 
+    def test_long_path_collapse_chain(self):
+        # n - 3 rounds, each a tree-changing normalization and a collapse
+        n = 200
+        chain, transitions = collapse_chain(from_parent_map(n, [0] + list(range(n - 1))))
+        assert chain[-1].is_constant()
+        assert (len(chain), transitions) == (2 * n - 5, 2 * n - 6)
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_is_leaf(self, n):
+        for entry in catalog(n):
+            t = entry.tree
+            assert trees.leaves(t) == [v for v in range(n) if t.is_leaf(v)], t.g
+
 
 class TestNormalize:
     def test_path3_identity(self):
