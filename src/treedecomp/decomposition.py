@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Sequence
 
 from . import trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
 from .labeling import Labeling, verify_beta
 
-DOT_CAP = 2_000_000
+EXPORT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,20 @@ class OrientedBipartiteTree:
     root_edge: tuple[int, int]
 
 
-def orient(t: trees.FunctionalTree) -> OrientedBipartiteTree:
-    """The unique left-to-right orientation of a functional tree.
+def _labeled_pairs(t: trees.FunctionalTree, sigma: Sequence[int]) -> list[tuple[int, int]]:
+    """(sigma(even end), sigma(odd end)) of each vertex v's edge to g(v), in
+    vertex order, the root's loop giving (sigma(r), sigma(r)). Relabeling
+    keeps depth parity, so this is the orientation of the relabeled tree."""
+    s, g = sigma, t.g
+    return [(s[v], s[g[v]]) if d % 2 == 0 else (s[g[v]], s[v]) for v, d in enumerate(t.depth)]
 
-    An even-depth vertex v contributes (v, n+g(v)); an odd-depth vertex
-    contributes (g(v), n+v); the root contributes the loop-derived edge
-    (r, n+r). Even-depth vertices therefore appear only on the left.
-    """
-    n = t.n
-    edges = []
-    for v in range(n):
-        if v == t.root:
-            edges.append((v, n + v))
-        elif t.sign(v) > 0:
-            edges.append((v, n + t.g[v]))
-        else:
-            edges.append((t.g[v], n + v))
-    return OrientedBipartiteTree(
-        n=n, edges=tuple(sorted(edges)), root_edge=(t.root, n + t.root)
-    )
+
+def orient(t: trees.FunctionalTree) -> OrientedBipartiteTree:
+    """The unique left-to-right orientation of a functional tree: each edge
+    as (even end, n + odd end), the root's loop as (r, n+r). Even-depth
+    vertices therefore appear only on the left."""
+    edges = tuple(sorted((a, t.n + b) for a, b in _labeled_pairs(t, range(t.n))))
+    return OrientedBipartiteTree(n=t.n, edges=edges, root_edge=(t.root, t.n + t.root))
 
 
 @dataclass(frozen=True)
@@ -137,31 +132,28 @@ def _build(
 ) -> Decomposition:
     """The x base copies of the labeled tree, one per stretch k.
 
-    The labeled tree's orientation is read as (even-depth label, odd-depth
-    label) pairs; only directed K_{n,n} keeps the loop-derived pair (r, r).
-    Base k moves a pair (a, b) to (a, b+kn) mod m, with n = host.n, and
-    places it in the host: as (u, m+v) on the bipartite hosts (m = n on
-    K_{n,n}, nx on K_{nx,nx}), as (min, max) on K_{2nx+1} (m = 2nx+1). The
-    result is checked by verify_partition before it is returned.
+    The tree is read as its _labeled_pairs; only directed K_{n,n} keeps the
+    loop-derived pair (sigma(r), sigma(r)). Base k moves a pair (a, b) to
+    (a, b+kn) mod m, with n = host.n, and places it in the host: as (u, m+v)
+    on the bipartite hosts (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max)
+    on K_{2nx+1} (m = 2nx+1). An even-end label is below n <= m, so (u, m+v)
+    is already (min, max), the one order written. The result is checked by
+    verify_partition before it is returned.
     """
     if host.kind != "knn" and t.n < 2:
         raise MalformedInput("tree must have at least one edge")
     if host.x < 1:
         raise MalformedInput(f"x must be positive, got {host.x}")
     lab = _as_labeling(t, lab)
-    o = orient(trees.conjugate(t, lab.sigma))
-    pairs = [
-        (a, b - t.n)
-        for a, b in o.edges
-        if host.kind == "knn" or (a, b) != o.root_edge
-    ]
-    m = _modulus(host)
+    pairs, m = _labeled_pairs(t, lab.sigma), _modulus(host)
+    if host.kind != "knn":
+        del pairs[t.root]
     right = 0 if host.kind == "k2n1" else m
-    bases = tuple(
-        _rotate([(a, right + (b + k * host.n) % m) for a, b in pairs], 0, m, host.kind)
-        for k in range(host.x)
-    )
-    d = Decomposition(host=host, bases=bases, tree=t, sigma=lab.sigma)
+    bases = []
+    for k in range(host.x):
+        placed = [(a, right + (b + k * host.n) % m) for a, b in pairs]
+        bases.append(tuple(sorted((a, c) if a < c else (c, a) for a, c in placed)))
+    d = Decomposition(host=host, bases=tuple(bases), tree=t, sigma=lab.sigma)
     report = verify_partition(d)
     if not report.ok:
         raise VerificationFailed(f"{report.problem}; witness {report.witness}")
@@ -215,16 +207,17 @@ def _copy_is_tree_of_shape(
 ) -> str | None:
     """None if the copy is a vertex-injective tree with the expected shape."""
     index: dict[int, int] = {}
-    relabeled = [tuple(index.setdefault(v, len(index)) for v in e) for e in copy]
+    at = index.setdefault
+    relabeled = [(at(u, len(index)), at(v, len(index))) for u, v in copy]
     if len(index) != len(copy) + 1:
         return f"copy is not vertex-injective: {len(index)} vertices, {len(copy)} edges"
     adj: list[list[int]] = [[] for _ in index]
     for a, b in relabeled:
         adj[a].append(b)
         adj[b].append(a)
-    if len(trees.bfs(adj, 0)[0]) != len(index):
+    code = trees._tree_code(adj)
+    if code is None:
         return "copy is disconnected"
-    code = trees.canonical_code_of_edges(len(index), relabeled)
     if code != expected_code:
         return "copy shape differs from the source tree"
     return None
@@ -251,7 +244,7 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         # source tree plus a pendant at the root.
         t = d.tree
         expected_code = trees.canonical_code_of_edges(
-            t.n + 1, sorted(t.undirected_edges()) + [(t.root, t.n)]
+            t.n + 1, [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
         )
     else:
         expected_code = trees.canonical_code(d.tree)
@@ -289,7 +282,24 @@ def verify_partition(d: Decomposition) -> PartitionReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_export_size(d: Decomposition, dot: bool) -> None:
+    """ResourceLimit past EXPORT_CAP edge lines, counted from the bases: JSON
+    writes each copy once, and DOT frame j redraws copies 0..j, so copy
+    j = km + i is written C - j times, C = xm."""
+    m = _modulus(d.host)
+    c = len(d.bases) * m
+    lines = sum(
+        len(base) * (m * (c - k * m) - m * (m - 1) // 2 if dot else m)
+        for k, base in enumerate(d.bases)
+    )
+    if lines > EXPORT_CAP:
+        fmt = "DOT" if dot else "JSON"
+        raise ResourceLimit(f"the {fmt} export needs {lines} edge lines, past the cap {EXPORT_CAP}")
+
+
 def decomposition_to_json(d: Decomposition) -> str:
+    """Every copy and its provenance; ResourceLimit past EXPORT_CAP edges."""
+    _check_export_size(d, dot=False)
     return json.dumps(
         {
             "host": {"kind": d.host.kind, "n": d.host.n, "x": d.host.x},
@@ -305,12 +315,9 @@ def decomposition_to_json(d: Decomposition) -> str:
 
 def decomposition_to_dot(d: Decomposition) -> str:
     """One frame per copy; edges of earlier copies are grayed out. C copies
-    of e edges take e*C*(C+1)/2 edge lines, and past DOT_CAP of them
+    of e edges take e*C*(C+1)/2 edge lines, and past EXPORT_CAP of them
     ResourceLimit is raised before anything is written."""
-    m = _modulus(d.host)
-    lines = sum(accumulate(len(base) for base in d.bases for _ in range(m)))
-    if lines > DOT_CAP:
-        raise ResourceLimit(f"the DOT export needs {lines} edge lines, past the cap {DOT_CAP}")
+    _check_export_size(d, dot=True)
     kind, arrow = ("digraph", "->") if d.host.kind == "knn" else ("graph", "--")
     frames = []
     gray: list[str] = []

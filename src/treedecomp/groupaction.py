@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import perms, trees
-from .decomposition import _as_labeling, orient
+from .decomposition import _as_labeling, _labeled_pairs
 from .errors import MalformedInput, NotBijective, ResourceLimit
 from .labeling import Labeling
 
@@ -81,17 +81,15 @@ def sigma_from_labeled_tree(
 ) -> EntryPermutation:
     """Entry permutation whose columns are the tree's cyclic shift copies.
 
-    The labeled orientation's edges (x, n+y) map to entries n*x + y. The
-    copy containing entry 0 (diagonal shift by minus the root's label) is
-    taken as the first column so that sigma(0) = 0 holds.
+    The labeled pairs (x, y) map to entries n*x + y. The copy containing
+    entry 0 (diagonal shift by minus the root's label) is taken as the first
+    column so that sigma(0) = 0 holds.
     """
     lab = _as_labeling(t, lab)
-    labeled = trees.conjugate(t, lab.sigma)
-    o = orient(labeled)
     n = t.n
-    shift = (n - labeled.root) % n
+    shift = (n - lab.sigma[t.root]) % n
     entries = sorted(
-        n * ((x + shift) % n) + (y - n + shift) % n for x, y in o.edges
+        n * ((x + shift) % n) + (y + shift) % n for x, y in _labeled_pairs(t, lab.sigma)
     )
     return sigma_from_first_column(n, entries)
 

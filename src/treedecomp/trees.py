@@ -253,46 +253,53 @@ def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
     return _subtree_codes(adj, root)[root]
 
 
-def _centroids(adj: list[list[int]]) -> list[int]:
-    """The one or two vertices minimizing the largest split component."""
+def _tree_code(adj: list[list[int]]) -> bytes | None:
+    """canonical_code of the tree with these adjacency lists, or None when a
+    BFS from 0 misses a vertex. Its subtree sizes locate the centroids: walk
+    into the child holding over half the vertices until none does; a child
+    holding exactly half is the second centroid."""
     n = len(adj)
-    if n == 1:
-        return [0]
-    size = [1] * n
     order, parent = bfs(adj, 0)
-    for v in reversed(order[1:]):
+    if len(order) < n:
+        return None
+    size = [1] * n
+    for v in order[:0:-1]:
         size[parent[v]] += size[v]
-    best = n
-    cents: list[int] = []
-    for v in range(n):
-        comp = n - size[v]
-        for u in adj[v]:
-            if u != parent[v]:
-                comp = max(comp, size[u])
-        if comp < best:
-            best, cents = comp, [v]
-        elif comp == best:
-            cents.append(v)
-    return sorted(cents)
+    c = 0
+    while True:
+        heavy = [u for u in adj[c] if parent[u] == c and 2 * size[u] >= n]
+        if not heavy or 2 * size[heavy[0]] == n:
+            break
+        c = heavy[0]
+    return min(_rooted_level_sequence(adj, r) for r in [c] + heavy)
 
 
 def canonical_code(t: FunctionalTree) -> bytes:
-    """Isomorphism-complete code: centroid-rooted canonical level sequence.
-
-    For bicentroidal trees, the lexicographically smaller of the two rootings.
-    """
-    return canonical_code_of_edges(t.n, sorted(t.undirected_edges()))
+    """Isomorphism-complete code: the centroid-rooted canonical level sequence,
+    for bicentroidal trees the lexicographically smaller of the two rootings."""
+    adj: list[list[int]] = [[] for _ in range(t.n)]
+    for v, p in enumerate(t.g):
+        if v != p:
+            adj[v].append(p)
+            adj[p].append(v)
+    return _tree_code(adj)
 
 
 def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
-    """Canonical code of an arbitrary tree given as an undirected edge list."""
+    """Canonical code of an arbitrary tree given as an undirected edge list;
+    MalformedInput unless its n - 1 edges in Z_n join all n vertices."""
     if len(edges) != n - 1:
         raise MalformedInput(f"{len(edges)} edges cannot form a tree on {n} vertices")
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise MalformedInput(f"edge {(a, b)} has an end outside Z_{n}")
         adj[a].append(b)
         adj[b].append(a)
-    return min(_rooted_level_sequence(adj, c) for c in _centroids(adj))
+    code = _tree_code(adj)
+    if code is None:
+        raise MalformedInput(f"{n - 1} edges do not join all {n} vertices")
+    return code
 
 
 def tree_from_level_sequence(seq: Sequence[int]) -> FunctionalTree:

@@ -107,33 +107,39 @@ def _rooted_class(
     return classes.setdefault(key, len(classes)), aut
 
 
+def signature(
+    adj: list[list[int]], classes: dict[tuple[int, ...], int]
+) -> tuple[tuple[int, ...], int]:
+    """(signature, |Aut T|) of the tree T with these adjacency lists, without
+    canonical codes.
+
+    T is rooted at its centroid, or, with two centroids, split at the edge
+    joining them. The signature is the root's class, or the sorted pair of
+    the halves' classes, with classes shared through the classes dict, so two
+    trees coded with one dict are isomorphic exactly when their signatures
+    are equal. Every automorphism fixes the centroid set; a split tree gains
+    the swap of its halves when they have one class.
+    """
+    centroids = _centroids_by_sizes(adj)
+    if len(centroids) == 1:
+        cls, aut = _rooted_class(adj, centroids[0], -1, classes)
+        return (cls,), aut
+    a, b = centroids
+    halves = sorted([_rooted_class(adj, a, b, classes), _rooted_class(adj, b, a, classes)])
+    swap = 2 if halves[0][0] == halves[1][0] else 1
+    return (halves[0][0], halves[1][0]), halves[0][1] * halves[1][1] * swap
+
+
 def orbit_counts(n: int) -> list[tuple[tuple[int, ...], int]]:
     """(signature, |Aut T|) for every catalog tree T on n vertices, without
     canonical codes or the search plan.
 
-    T is rooted at its centroid, or, with two centroids, split at the edge
-    joining them. The signature is the root's class, or the sorted pair of
-    the halves' classes, with classes shared by the whole catalog, so two
-    trees are isomorphic exactly when their signatures are equal. Every
-    automorphism fixes the centroid set; a split tree gains the swap of its
-    halves when they have one class. The labeled trees on Z_n isomorphic
-    to T number n!/|Aut T|, so distinct signatures whose counts sum to
-    n^(n-2) (Cayley) show the catalog complete and free of duplicates.
+    The labeled trees on Z_n isomorphic to T number n!/|Aut T|, so distinct
+    signatures whose counts sum to n^(n-2) (Cayley) show the catalog
+    complete and free of duplicates.
     """
     classes: dict[tuple[int, ...], int] = {}
-    out = []
-    for entry in catalog(n):
-        adj = entry.tree.adjacency()
-        centroids = _centroids_by_sizes(adj)
-        if len(centroids) == 1:
-            cls, aut = _rooted_class(adj, centroids[0], -1, classes)
-            out.append(((cls,), aut))
-        else:
-            a, b = centroids
-            halves = sorted([_rooted_class(adj, a, b, classes), _rooted_class(adj, b, a, classes)])
-            swap = 2 if halves[0][0] == halves[1][0] else 1
-            out.append(((halves[0][0], halves[1][0]), halves[0][1] * halves[1][1] * swap))
-    return out
+    return [signature(entry.tree.adjacency(), classes) for entry in catalog(n)]
 
 
 @lru_cache(maxsize=None)
@@ -517,22 +523,32 @@ def allones_dense(
     )
 
 
-def _copy_is_tree_of_shape_by_sorting(copy, expected_code: bytes) -> str | None:
-    """decomposition._copy_is_tree_of_shape as it stood before vertices were
-    indexed in order of appearance: vertices are sorted, so mixed types raise."""
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _copy_shape_problem(copy, expected: tuple[int, ...], classes: dict) -> str | None:
+    """decomposition._copy_is_tree_of_shape by other means: vertices are
+    sorted (so mixed types raise), reached by a depth-first flood, and the
+    shape is compared by AHU signature, not by canonical code."""
     verts = sorted({v for e in copy for v in e})
     if len(verts) != len(copy) + 1:
         return f"copy is not vertex-injective: {len(verts)} vertices, {len(copy)} edges"
     index = {v: i for i, v in enumerate(verts)}
-    relabeled = [(index[a], index[b]) for a, b in copy]
-    adj: list[list[int]] = [[] for _ in verts]
-    for a, b in relabeled:
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(trees.bfs(adj, 0)[0]) != len(verts):
+    adj = _adjacency(len(verts), [(index[a], index[b]) for a, b in copy])
+    reached, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(verts):
         return "copy is disconnected"
-    code = trees.canonical_code_of_edges(len(verts), relabeled)
-    if code != expected_code:
+    if signature(adj, classes)[0] != expected:
         return "copy shape differs from the source tree"
     return None
 
@@ -548,18 +564,19 @@ def host_edges(host: Host) -> set[tuple[int, int]]:
 def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
     """The edge-by-edge oracle for decomposition.verify_partition: a full
     shape check of every developed copy and the exact cover by a set of edge
-    tuples compared with host_edges."""
+    tuples compared with host_edges. It codes no shape: each copy's AHU
+    signature is compared with the source tree's, whose knn copies carry the
+    loop-derived edge, a pendant at the root."""
+    t = d.tree
+    edges = sorted(t.undirected_edges())
     if d.host.kind == "knn":
-        t = d.tree
-        expected_code = trees.canonical_code_of_edges(
-            t.n + 1, sorted(t.undirected_edges()) + [(t.root, t.n)]
-        )
-    else:
-        expected_code = trees.canonical_code(d.tree)
+        edges.append((t.root, t.n))
+    classes: dict[tuple[int, ...], int] = {}
+    expected = signature(_adjacency(len(edges) + 1, edges), classes)[0]
 
     seen: set = set()
     for idx, copy in enumerate(d.copies):
-        shape_problem = _copy_is_tree_of_shape_by_sorting(copy, expected_code)
+        shape_problem = _copy_shape_problem(copy, expected, classes)
         if shape_problem is not None:
             return PartitionReport(False, shape_problem, (idx,), len(d.copies))
         for edge in copy:

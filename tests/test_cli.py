@@ -181,6 +181,15 @@ class TestDecompose:
         )
         assert code == 2 and out == "" and "cap" in err
 
+    def test_json_above_the_cap_exit_two(self, capsys):
+        # 300,100 copies of a 16-vertex path would list 4.5 M edges
+        path16 = json.dumps({"n": 16, "g": [0] + list(range(15))})
+        code, out, err = run(
+            capsys,
+            "decompose", "--tree", path16, "--target", "k2n1", "--x", "100", "--format", "json",
+        )
+        assert code == 2 and out == "" and "cap" in err
+
     def test_knxnx(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--tree", TREE4, "--target", "knxnx", "--x", "2"

@@ -330,6 +330,23 @@ class TestVerifyPartitionOracle:
             assert report.problem == "copies do not tile the host edge set"
             assert len(report.witness[0]) == len(report.witness[1]) == 1
 
+    def test_each_shape_problem(self):
+        # a 4-edge base that repeats a vertex, one with a triangle and a
+        # separate edge, and one of another shape: each is reported at its
+        # base, in the oracle's words too
+        t = from_parent_map(5, [0, 0, 1, 2, 1])
+        d = decompose_k2n1(t, find_beta(t, "first"), 1)
+        cases = {
+            "copy is not vertex-injective: 4 vertices, 4 edges": ((0, 1), (0, 2), (1, 2), (2, 3)),
+            "copy is disconnected": ((0, 1), (1, 2), (2, 0), (3, 4)),
+            "copy shape differs from the source tree": ((0, 1), (0, 2), (0, 3), (0, 4)),
+        }
+        for problem, base in cases.items():
+            bad = _put(d, 0, base)
+            want = PartitionReport(False, problem, (0,), len(d.copies))
+            assert verify_partition(bad) == want
+            assert verify_partition_by_sets(bad) == want
+
     def test_one_full_shape_check_per_stretch(self, monkeypatch):
         calls = []
         real = decomposition._copy_is_tree_of_shape
@@ -441,10 +458,32 @@ class TestSerialization:
     def test_dot_cap(self, monkeypatch):
         # 4 frames of 4 edges draw 4 + 8 + 12 + 16 = 40 edge lines
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
-        monkeypatch.setattr(decomposition, "DOT_CAP", 40)
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", 40)
         assert decomposition_to_dot(d).count(" -> ") == 40
-        monkeypatch.setattr(decomposition, "DOT_CAP", 39)
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", 39)
         with pytest.raises(ResourceLimit, match="40 edge lines"):
+            decomposition_to_dot(d)
+
+    def test_json_cap(self, monkeypatch):
+        # 4 copies of 4 edges list 16 edges
+        d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", 16)
+        assert sum(map(len, json.loads(decomposition_to_json(d))["copies"])) == 16
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", 15)
+        with pytest.raises(ResourceLimit, match="JSON export needs 16 edge lines"):
+            decomposition_to_json(d)
+
+    def test_dot_lines_of_bases_of_unequal_size(self, monkeypatch):
+        # frame j redraws copies 0..j: with bases of 4 and 1 edges turned
+        # by m = 17, the 34 frames draw 4 * (34 + ... + 18) + 1 * (17 + ... + 1)
+        t = from_parent_map(5, [0, 0, 1, 2, 1])
+        d = decompose_k2n1(t, find_beta(t, "first"), 2)
+        d = _put(d, 1, d.bases[1][:1])
+        lines = 4 * sum(range(18, 35)) + sum(range(1, 18))
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", lines)
+        assert decomposition_to_dot(d).count(" -- ") == lines
+        monkeypatch.setattr(decomposition, "EXPORT_CAP", lines - 1)
+        with pytest.raises(ResourceLimit, match=f"DOT export needs {lines} edge lines"):
             decomposition_to_dot(d)
 
     def test_bad_json(self):

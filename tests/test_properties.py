@@ -2,17 +2,24 @@
 
 from collections import Counter
 
-from conftest import prufer_decode, unpruned_search
+from conftest import prufer_decode, unpruned_search, verify_partition_by_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedecomp import (
     Labeling,
+    canonical_code,
+    conjugate,
+    decompose_directed_knn,
+    decompose_k2n1,
+    decompose_knxnx,
     eval_certificate,
     find_beta,
     from_parent_map,
     phi_set,
+    reroot,
     verify_beta,
+    verify_partition,
 )
 from treedecomp.trees import bfs
 
@@ -76,3 +83,27 @@ def test_search_agrees_with_the_unpruned_search(t):
     assert [find_beta(t).sigma] == unpruned_search(t, first=True)[0]
     if t.n <= 7:
         assert phi_set(t) == sorted(unpruned_search(t, first=False)[0])
+
+
+@TIER1
+@given(labeled_trees(), st.integers(1, 3))
+def test_decompositions_pass_and_equal_the_set_oracle(t, x):
+    # the difference-lemma verifier and the edge-by-edge oracle, which codes
+    # no shape, give the same report on every decomposition built from the
+    # search's labeling
+    lab = find_beta(t)
+    ds = [decompose_directed_knn(t, lab)]
+    if t.n >= 2:
+        ds += [decompose_k2n1(t, lab, x), decompose_knxnx(t, lab, x)]
+    for d in ds:
+        report = verify_partition(d)
+        assert report.ok and report == verify_partition_by_sets(d), d.host
+
+
+@TIER1
+@given(labeled_trees(), st.data())
+def test_canonical_code_ignores_labels_and_root(t, data):
+    code = canonical_code(t)
+    sigma = data.draw(st.permutations(range(t.n)))
+    assert canonical_code(conjugate(t, sigma)) == code
+    assert canonical_code(reroot(t, data.draw(st.integers(0, t.n - 1)))) == code
