@@ -24,12 +24,10 @@ from .certificate import (
 from .decomposition import (
     Decomposition,
     Host,
-    OrientedBipartiteTree,
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
     decomposition_to_json,
-    orient,
     verify_partition,
 )
 from .errors import (

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import perms, trees
-from .decomposition import orient
 from .errors import MalformedInput
-from .labeling import Labeling
+from .labeling import Labeling, labeled_pairs
 
 # Each function imports numpy itself, so that importing the package, and
 # every command that never reaches the apportionment, does not load it.
@@ -28,13 +27,15 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-9
 
 
-def biadjacency(t: trees.FunctionalTree) -> np.ndarray:
-    """0/1 matrix with A[i, j] = 1 iff (i, n+j) is an oriented edge."""
+def biadjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None = None) -> np.ndarray:
+    """calA = P A P* with P[sigma(i), i] = 1, the bi-adjacency A itself when
+    sigma is None: calA[a, b] = 1 iff (a, b) is one of labeled_pairs(t, sigma),
+    the root's loop included. InvalidPermutation unless sigma permutes Z_n."""
     import numpy as np
     n = t.n
     a = np.zeros((n, n), dtype=complex)
-    for x, y in orient(t).edges:
-        a[x, y - n] = 1.0
+    for x, y in labeled_pairs(t, range(n) if sigma is None else perms.check_perm(sigma, n)):
+        a[x, y] = 1.0
     return a
 
 
@@ -55,12 +56,6 @@ def build_block_unitary(n: int) -> np.ndarray:
 def unitarity_residual(u: np.ndarray) -> float:
     import numpy as np
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-
-
-def _relabeled_adjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None) -> np.ndarray:
-    """calA = P A P* with P[sigma(i), i] = 1. Relabeling keeps depth parity,
-    so orienting the relabeled tree gives the relabeled orientation."""
-    return biadjacency(t if sigma is None else trees.conjugate(t, sigma))
 
 
 def _diagonals(cal_a: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def check_allones_identity(
     if not 0 <= tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
-    dev = np.abs(_diagonals(_relabeled_adjacency(t, sigma)).sum(axis=2) - 1)
+    dev = np.abs(_diagonals(biadjacency(t, sigma)).sum(axis=2) - 1)
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
     return AllOnesReport(
         ok=float(dev.max()) <= tol,
@@ -150,8 +145,7 @@ def check_apportionment(
     if not 0 < tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and > 0, got {tol!r}")
     n = t.n
-    sigma = perms.check_perm(lab.sigma if isinstance(lab, Labeling) else lab, n)
-    table = _modulus_table(_relabeled_adjacency(t, sigma))
+    table = _modulus_table(biadjacency(t, lab.sigma if isinstance(lab, Labeling) else lab))
     kappa = 1.0 / n
     err = np.abs(table - kappa)
     a, b, f = np.unravel_index(int(err.argmax()), err.shape)

@@ -32,10 +32,6 @@ def sigma_from_json(text: str) -> tuple[int, ...]:
     return sigma
 
 
-def labeling_from_json(text: str, t: trees.FunctionalTree) -> lb.Labeling:
-    return decomposition._as_labeling(t, sigma_from_json(text))
-
-
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
@@ -160,13 +156,13 @@ def _campaign_record(task) -> dict:
     }
 
 
-def _span(value) -> list[int]:
+def _span(value) -> range:
     # type(), not isinstance(): a JSON true is a bool, which subclasses int
     if type(value) is int:
-        return [value]
+        return range(value, value + 1)
     if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
         if value[0] <= value[1]:
-            return list(range(value[0], value[1] + 1))
+            return range(value[0], value[1] + 1)
     raise MalformedInput(f"expected an int or [lo, hi] span with lo <= hi, got {value!r}")
 
 
@@ -187,6 +183,11 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     if unknown:
         raise MalformedInput(f"unknown checks: {unknown}")
     n_values = _span(config.get("n", [1, 6]))
+    # enumerate_free_trees checks one n as its catalog starts, so the top
+    # of the span is checked before any catalog is enumerated
+    top, cap = n_values[-1], trees.ENUMERATION_CAP
+    if top > cap:
+        raise ResourceLimit(f"n = {top} exceeds the enumeration cap {cap}")
     x_values = _span(config.get("x", [1, 1]))
     if x_values[0] < 1:
         raise MalformedInput(f"x must be at least 1, got {x_values[0]}")
@@ -264,7 +265,7 @@ def _tree_arg(value: str) -> trees.FunctionalTree:
 def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling:
     """The --sigma labeling when given, else the first one the search finds."""
     if value:
-        return labeling_from_json(_read_arg_text(value), t)
+        return lb.as_labeling(t, sigma_from_json(_read_arg_text(value)))
     lab = lb.find_beta(t, "first")
     if lab is None:
         raise VerificationFailed("no beta-labeling found")
@@ -318,6 +319,9 @@ def _decompose(args):
     if args.target == "knn" and args.x != 1:
         raise MalformedInput(f"--x must be 1 for knn (directed K_{{n,n}}), got {args.x}")
     t = _tree_arg(args.tree)
+    # refused past the cap before a labeling is searched or a base is built
+    host = decomposition.Host(args.target, t.n if args.target == "knn" else t.n - 1, args.x)
+    decomposition.check_export_size(host, args.format == "dot")
     # The constructor runs verify_partition and raises when it fails.
     d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
     if args.format == "dot":

@@ -31,34 +31,9 @@ from typing import Sequence
 
 from . import trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
-from .labeling import Labeling, verify_beta
+from .labeling import Labeling, as_labeling, labeled_pairs
 
 EXPORT_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class OrientedBipartiteTree:
-    """Left-to-right orientation: left endpoints in Z_n, right in n..2n-1."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    root_edge: tuple[int, int]
-
-
-def _labeled_pairs(t: trees.FunctionalTree, sigma: Sequence[int]) -> list[tuple[int, int]]:
-    """(sigma(even end), sigma(odd end)) of each vertex v's edge to g(v), in
-    vertex order, the root's loop giving (sigma(r), sigma(r)). Relabeling
-    keeps depth parity, so this is the orientation of the relabeled tree."""
-    s, g = sigma, t.g
-    return [(s[v], s[g[v]]) if d % 2 == 0 else (s[g[v]], s[v]) for v, d in enumerate(t.depth)]
-
-
-def orient(t: trees.FunctionalTree) -> OrientedBipartiteTree:
-    """The unique left-to-right orientation of a functional tree: each edge
-    as (even end, n + odd end), the root's loop as (r, n+r). Even-depth
-    vertices therefore appear only on the left."""
-    edges = tuple(sorted((a, t.n + b) for a, b in _labeled_pairs(t, range(t.n))))
-    return OrientedBipartiteTree(n=t.n, edges=edges, root_edge=(t.root, t.n + t.root))
 
 
 @dataclass(frozen=True)
@@ -95,6 +70,8 @@ class Decomposition:
 
 def _modulus(host: Host) -> int:
     """The rotation modulus m: n on K_{n,n}, nx on K_{nx,nx}, 2nx+1 on K_{2nx+1}."""
+    if host.x < 1:
+        raise MalformedInput(f"x must be positive, got {host.x}")
     if host.kind == "knn":
         return host.n
     if host.kind == "knxnx":
@@ -102,14 +79,6 @@ def _modulus(host: Host) -> int:
     if host.kind == "k2n1":
         return 2 * host.n * host.x + 1
     raise MalformedInput(f"unknown host kind {host.kind!r}")
-
-
-def _as_labeling(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> Labeling:
-    sigma = lab.sigma if isinstance(lab, Labeling) else lab
-    result = verify_beta(t, sigma)
-    if not isinstance(result, Labeling):
-        raise MalformedInput(f"sigma {list(sigma)} is not a beta-labeling of the tree")
-    return result
 
 
 def _rotate(copy, s: int, m: int, kind: str) -> tuple[tuple[int, int], ...]:
@@ -132,7 +101,7 @@ def _build(
 ) -> Decomposition:
     """The x base copies of the labeled tree, one per stretch k.
 
-    The tree is read as its _labeled_pairs; only directed K_{n,n} keeps the
+    The tree is read as its labeled_pairs; only directed K_{n,n} keeps the
     loop-derived pair (sigma(r), sigma(r)). Base k moves a pair (a, b) to
     (a, b+kn) mod m, with n = host.n, and places it in the host: as (u, m+v)
     on the bipartite hosts (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max)
@@ -142,10 +111,9 @@ def _build(
     """
     if host.kind != "knn" and t.n < 2:
         raise MalformedInput("tree must have at least one edge")
-    if host.x < 1:
-        raise MalformedInput(f"x must be positive, got {host.x}")
-    lab = _as_labeling(t, lab)
-    pairs, m = _labeled_pairs(t, lab.sigma), _modulus(host)
+    m = _modulus(host)
+    lab = as_labeling(t, lab)
+    pairs = labeled_pairs(t, lab.sigma)
     if host.kind != "knn":
         del pairs[t.root]
     right = 0 if host.kind == "k2n1" else m
@@ -211,12 +179,9 @@ def _copy_is_tree_of_shape(
     relabeled = [(at(u, len(index)), at(v, len(index))) for u, v in copy]
     if len(index) != len(copy) + 1:
         return f"copy is not vertex-injective: {len(index)} vertices, {len(copy)} edges"
-    adj: list[list[int]] = [[] for _ in index]
-    for a, b in relabeled:
-        adj[a].append(b)
-        adj[b].append(a)
-    code = trees._tree_code(adj)
-    if code is None:
+    try:
+        code = trees.canonical_code_of_edges(len(index), relabeled)
+    except MalformedInput:  # n - 1 edges inside Z_n, so they miss a vertex
         return "copy is disconnected"
     if code != expected_code:
         return "copy shape differs from the source tree"
@@ -282,16 +247,21 @@ def verify_partition(d: Decomposition) -> PartitionReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_export_size(d: Decomposition, dot: bool) -> None:
-    """ResourceLimit past EXPORT_CAP edge lines, counted from the bases: JSON
-    writes each copy once, and DOT frame j redraws copies 0..j, so copy
-    j = km + i is written C - j times, C = xm."""
-    m = _modulus(d.host)
-    c = len(d.bases) * m
-    lines = sum(
-        len(base) * (m * (c - k * m) - m * (m - 1) // 2 if dot else m)
-        for k, base in enumerate(d.bases)
-    )
+def check_export_size(host: Host, dot: bool, sizes: Sequence[int] | None = None) -> None:
+    """ResourceLimit past EXPORT_CAP edge lines, counted before any copy is
+    developed: from the bases' sizes e_k when given, else from the host
+    alone, whose x bases have host.n edges each (the tree's edges, on
+    directed K_{n,n} with the loop's pair). JSON writes each copy once, and
+    DOT frame j redraws copies 0..j, so copy j = km + i is written C - j
+    times, C = xm: base k's m copies take e_k (m (C - km) - m (m - 1) / 2)
+    lines. Only the sums of e_k and k e_k enter, so nothing of size x is
+    formed."""
+    m = _modulus(host)
+    if sizes is None:
+        x, edges, k_edges = host.x, host.n * host.x, host.n * host.x * (host.x - 1) // 2
+    else:
+        x, edges, k_edges = len(sizes), sum(sizes), sum(k * e for k, e in enumerate(sizes))
+    lines = edges * (m * x * m - m * (m - 1) // 2) - k_edges * m * m if dot else edges * m
     if lines > EXPORT_CAP:
         fmt = "DOT" if dot else "JSON"
         raise ResourceLimit(f"the {fmt} export needs {lines} edge lines, past the cap {EXPORT_CAP}")
@@ -299,7 +269,7 @@ def _check_export_size(d: Decomposition, dot: bool) -> None:
 
 def decomposition_to_json(d: Decomposition) -> str:
     """Every copy and its provenance; ResourceLimit past EXPORT_CAP edges."""
-    _check_export_size(d, dot=False)
+    check_export_size(d.host, False, [len(base) for base in d.bases])
     return json.dumps(
         {
             "host": {"kind": d.host.kind, "n": d.host.n, "x": d.host.x},
@@ -317,7 +287,7 @@ def decomposition_to_dot(d: Decomposition) -> str:
     """One frame per copy; edges of earlier copies are grayed out. C copies
     of e edges take e*C*(C+1)/2 edge lines, and past EXPORT_CAP of them
     ResourceLimit is raised before anything is written."""
-    _check_export_size(d, dot=True)
+    check_export_size(d.host, True, [len(base) for base in d.bases])
     kind, arrow = ("digraph", "->") if d.host.kind == "knn" else ("graph", "--")
     frames = []
     gray: list[str] = []

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import perms, trees
-from .decomposition import _as_labeling, _labeled_pairs
 from .errors import MalformedInput, NotBijective, ResourceLimit
-from .labeling import Labeling
+from .labeling import Labeling, as_labeling, labeled_pairs
 
 CHAIN_CAP = 1_200  # transversal elements a stabilizer chain may store
 
@@ -85,11 +84,11 @@ def sigma_from_labeled_tree(
     entry 0 (diagonal shift by minus the root's label) is taken as the first
     column so that sigma(0) = 0 holds.
     """
-    lab = _as_labeling(t, lab)
+    lab = as_labeling(t, lab)
     n = t.n
     shift = (n - lab.sigma[t.root]) % n
     entries = sorted(
-        n * ((x + shift) % n) + (y + shift) % n for x, y in _labeled_pairs(t, lab.sigma)
+        n * ((x + shift) % n) + (y + shift) % n for x, y in labeled_pairs(t, lab.sigma)
     )
     return sigma_from_first_column(n, entries)
 

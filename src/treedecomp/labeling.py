@@ -77,6 +77,24 @@ def verify_beta(
     )
 
 
+def as_labeling(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> Labeling:
+    """lab as a verified Labeling of t; MalformedInput if it is not one."""
+    sigma = lab.sigma if isinstance(lab, Labeling) else lab
+    result = verify_beta(t, sigma)
+    if not isinstance(result, Labeling):
+        raise MalformedInput(f"sigma {list(sigma)} is not a beta-labeling of the tree")
+    return result
+
+
+def labeled_pairs(t: trees.FunctionalTree, sigma: Sequence[int]) -> list[tuple[int, int]]:
+    """The labeled orientation: (sigma(even end), sigma(odd end)) of each
+    vertex v's edge to g(v), in vertex order, the root's loop giving
+    (sigma(r), sigma(r)). Relabeling keeps depth parity, so this is the
+    orientation of the relabeled tree; sigma = range(n) gives the tree's own."""
+    s, g = sigma, t.g
+    return [(s[v], s[g[v]]) if d % 2 == 0 else (s[g[v]], s[v]) for v, d in enumerate(t.depth)]
+
+
 class _Plan(NamedTuple):
     """What the search and the orbit expansion know of a tree; see _plan."""
 

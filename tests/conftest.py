@@ -17,7 +17,6 @@ from treedecomp import apportionment, certificate, decomposition, labeling, perm
 from treedecomp.decomposition import (
     Decomposition,
     Host,
-    OrientedBipartiteTree,
     PartitionReport,
 )
 from treedecomp.errors import MalformedInput
@@ -385,16 +384,18 @@ def nonvanishing_on_lattice(t: trees.FunctionalTree) -> bool:
     )
 
 
-def unorient(o: OrientedBipartiteTree) -> trees.FunctionalTree:
-    """Recover the parent map from an orientation (inverse of orient)."""
-    n = o.n
-    root = o.root_edge[0]
+def unorient(pairs: Sequence[tuple[int, int]]) -> trees.FunctionalTree:
+    """Recover the parent map from a tree's own labeled pairs (the inverse of
+    labeling.labeled_pairs(t, range(n))): the loop (r, r) names the root, and
+    the other pairs are the edges, rooted by a BFS from r."""
+    n = len(pairs)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for x, y in o.edges:
-        if (x, y) == o.root_edge:
-            continue
-        adj[x].append(y - n)
-        adj[y - n].append(x)
+    for x, y in pairs:
+        if x == y:
+            root = x
+        else:
+            adj[x].append(y)
+            adj[y].append(x)
     return trees.from_parent_map(n, trees.bfs(adj, root)[1])
 
 

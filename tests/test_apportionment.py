@@ -17,17 +17,17 @@ from treedecomp import (
     build_block_unitary,
     check_allones_identity,
     check_apportionment,
+    conjugate,
     find_beta,
     from_parent_map,
-    orient,
     verify_beta,
 )
 from treedecomp.apportionment import (
     _modulus_table,
-    _relabeled_adjacency,
     circulant,
     unitarity_residual,
 )
+from treedecomp.labeling import labeled_pairs
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 
@@ -68,6 +68,22 @@ class TestBiadjacency:
         for n in range(1, 8):
             for entry in catalog(n):
                 assert biadjacency(entry.tree).sum() == n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relabeled_is_p_a_p_star(self, n):
+        # calA = P A P* by dense products, and the bi-adjacency of the
+        # conjugated tree, for every sigma
+        for entry in catalog(n):
+            t = entry.tree
+            for sigma in permutations(range(n)):
+                cal_a = biadjacency(t, sigma)
+                assert np.array_equal(cal_a, relabeled_dense(t, sigma))
+                assert np.array_equal(cal_a, biadjacency(conjugate(t, sigma)))
+
+    @pytest.mark.parametrize("sigma", [[0, 0, 0, 0], [0, 1, 2], [3, 2, 1, 0, 4]])
+    def test_rejects_non_permutation(self, sigma):
+        with pytest.raises(InvalidPermutation):
+            biadjacency(FIGURE_TREE, sigma)
 
 
 class TestBlockUnitary:
@@ -193,9 +209,9 @@ class TestApportionment:
         for n in range(1, 7):
             for entry in catalog(n):
                 t = entry.tree
-                edges = orient(t).edges
+                edges = labeled_pairs(t, range(n))
                 for sigma in permutations(range(n)):
-                    distinct = len({(sigma[y - n] - sigma[x]) % n for x, y in edges}) == n
+                    distinct = len({(sigma[y] - sigma[x]) % n for x, y in edges}) == n
                     ones = check_allones_identity(t, sigma).ok
                     assert ones == check_apportionment(t, sigma).ok == distinct
                     passed += distinct
@@ -239,7 +255,7 @@ class TestFftModuli:
             sigmas = [find_beta(t, "first").sigma] + _non_beta_sigmas(t, 3, rng)
             non_beta += len(sigmas) - 1
             for sigma in sigmas:
-                table = _modulus_table(_relabeled_adjacency(t, sigma))
+                table = _modulus_table(biadjacency(t, sigma))
                 # dense[i, a, k, b] = |entry (i*n+a, k*n+b)|
                 dense = np.abs(apportion_dense(t, sigma)).reshape(n, n, n, n)
                 want = table[:, :, f].transpose(2, 0, 3, 1)

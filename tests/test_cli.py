@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import decomposition_from_json
@@ -17,12 +20,12 @@ from treedecomp import (
 from treedecomp import cli, decomposition, labeling, trees
 from treedecomp.cli import (
     _campaign_record,
-    labeling_from_json,
     main,
     run_campaign,
     sigma_from_json,
 )
 from treedecomp.errors import MalformedInput, TreeDecompError, VerificationFailed
+from treedecomp.labeling import as_labeling
 
 TREE4 = '{"n": 4, "g": [0, 0, 1, 1]}'
 FIGURE = '{"n": 4, "g": [0, 3, 3, 0]}'
@@ -60,7 +63,7 @@ class TestLabel:
         assert code == 0
         sigma = json.loads(out)["sigma"]
         t = tree_from_json(TREE4)
-        assert isinstance(labeling_from_json(out, t), Labeling)
+        assert isinstance(as_labeling(t, sigma_from_json(out)), Labeling)
         assert len(sigma) == 4
 
     def test_find_all(self, capsys):
@@ -196,6 +199,18 @@ class TestDecompose:
         )
         assert code == 0
         assert len(json.loads(out)["copies"]) == 12
+
+    def test_huge_x_refused_before_building(self):
+        # 10^9 stretches of a 16-vertex path: refused from the host alone,
+        # before a labeling is searched or a base is built
+        path16 = json.dumps({"n": 16, "g": [0] + list(range(15))})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "treedecomp.cli", "decompose", "--tree", path16,
+             "--target", "k2n1", "--x", "1000000000", "--format", "json"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 2 and out.stdout == "" and "cap" in out.stderr
 
     @pytest.mark.parametrize("x", ["-5", "0", "2"])
     def test_knn_rejects_x_other_than_one(self, capsys, x):
@@ -394,6 +409,20 @@ class TestCampaign:
         assert code == 2 and out == ""
         assert err.startswith("error") and err.count("\n") == 1
 
+    def test_n_past_the_enumeration_cap_refused_before_enumerating(self, capsys, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"catalog {n} enumerated")
+
+        monkeypatch.setattr(trees, "enumerate_free_trees", fail)
+        code, out, err = run(capsys, "campaign", "run", "--config", '{"checks": [], "n": [1, 19]}')
+        assert code == 2 and out == "" and "enumeration cap" in err
+
+    def test_span_is_not_materialized(self):
+        span = cli._span([1, 10**18])
+        assert isinstance(span, range) and len(span) == 10**18
+        assert (span[0], span[-1]) == (1, 10**18)
+        assert cli._span(5) == range(5, 6)
+
     def test_workers_bad_flag_exit_two(self, capsys):
         config = '{"checks": ["beta"], "n": 2}'
         code, out, err = run(capsys, "campaign", "run", "--config", config, "--workers", "0")
@@ -529,7 +558,7 @@ class TestExportRoundTrip:
         t = from_parent_map(4, [0, 0, 1, 1])
         lab = find_beta(t, "first")
         text = json.dumps({"sigma": list(lab.sigma)})
-        assert labeling_from_json(text, t) == lab
+        assert as_labeling(t, sigma_from_json(text)) == lab
         assert sigma_from_json(text) == lab.sigma
 
     def test_decomposition(self):

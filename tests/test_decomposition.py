@@ -24,41 +24,45 @@ from treedecomp import (
     decomposition_to_json,
     find_beta,
     from_parent_map,
-    orient,
     verify_partition,
 )
 from treedecomp import decomposition
 from treedecomp.decomposition import PartitionReport, decomposition_to_dot
+from treedecomp.labeling import labeled_pairs
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 IDENTITY4 = (0, 1, 2, 3)
 
 
 class TestOrient:
+    """The labeled orientation labeled_pairs(t, sigma) that every host is
+    built from; sigma = range(n) gives the tree's own."""
+
     def test_figure_tree(self):
-        o = orient(FIGURE_TREE)
-        assert set(o.edges) == {(0, 4), (0, 7), (2, 7), (1, 7)}
-        assert o.root_edge == (0, 4)
+        pairs = labeled_pairs(FIGURE_TREE, IDENTITY4)
+        assert set(pairs) == {(0, 0), (0, 3), (2, 3), (1, 3)}
+        assert pairs[FIGURE_TREE.root] == (0, 0)
 
     def test_single_vertex(self):
-        o = orient(from_parent_map(1, [0]))
-        assert o.edges == ((0, 1),)
+        assert labeled_pairs(from_parent_map(1, [0]), (0,)) == [(0, 0)]
 
     def test_star(self):
-        o = orient(from_parent_map(3, [0, 0, 0]))
-        assert set(o.edges) == {(0, 3), (0, 4), (0, 5)}
+        assert set(labeled_pairs(from_parent_map(3, [0, 0, 0]), range(3))) == {
+            (0, 0), (0, 1), (0, 2)
+        }
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_even_depth_vertices_only_left(self, n):
         for entry in catalog(n):
             t = entry.tree
-            for x, y in orient(t).edges:
+            for x, y in labeled_pairs(t, range(n)):
                 assert t.depth[x] % 2 == 0
+                assert y == x or t.depth[y] % 2 == 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_unorient_round_trip(self, n):
         for entry in catalog(n):
-            assert unorient(orient(entry.tree)) == entry.tree
+            assert unorient(labeled_pairs(entry.tree, range(n))) == entry.tree
 
 
 class TestDirectedKnn:
@@ -472,6 +476,26 @@ class TestSerialization:
         monkeypatch.setattr(decomposition, "EXPORT_CAP", 15)
         with pytest.raises(ResourceLimit, match="JSON export needs 16 edge lines"):
             decomposition_to_json(d)
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    def test_host_alone_counts_the_written_lines(self, monkeypatch, x):
+        # the count from the host, before anything is built, is the number
+        # of edge lines each export writes
+        t = catalog(6)[2].tree
+        lab = find_beta(t, "first")
+        builds = (decompose_directed_knn(t, lab), decompose_k2n1(t, lab, x),
+                  decompose_knxnx(t, lab, x))
+        for d in builds:
+            arrow = " -> " if d.host.kind == "knn" else " -- "
+            monkeypatch.setattr(decomposition, "EXPORT_CAP", 10**9)
+            dot = decomposition_to_dot(d).count(arrow)
+            listed = sum(map(len, json.loads(decomposition_to_json(d))["copies"]))
+            for lines, is_dot in ((dot, True), (listed, False)):
+                monkeypatch.setattr(decomposition, "EXPORT_CAP", lines)
+                decomposition.check_export_size(d.host, is_dot)
+                monkeypatch.setattr(decomposition, "EXPORT_CAP", lines - 1)
+                with pytest.raises(ResourceLimit, match=f" {lines} edge lines"):
+                    decomposition.check_export_size(d.host, is_dot)
 
     def test_dot_lines_of_bases_of_unequal_size(self, monkeypatch):
         # frame j redraws copies 0..j: with bases of 4 and 1 edges turned
