@@ -5,8 +5,12 @@ by a beta-labeling into calA = P A P*, satisfies the circulant identity
 1_{nxn} = sum_j C^j calA C^{-j}. Conjugating I (x) A by the block unitary U
 built from C and the root-of-unity diagonal flattens every entry modulus to
 the apportionment constant 1/n. Both identities read calA's diagonals
-j -> calA[a+j, b+j] (their sums and their DFTs), and U's unitarity is its
-n x n DFT factor's, so no n^2 x n^2 matrix is formed: O(n^3 log n), not O(n^6).
+j -> calA[a+j, b+j] (their sums and their DFTs). That diagonal is the cyclic
+diagonal j -> calA[j, j+e] of offset e = b - a turned by a, and turning a
+sequence keeps its sum and multiplies its DFT by a unit phase, so the n
+cyclic diagonals and their n FFTs stand for all n^2: O(n^2 log n) time. U's
+unitarity is its n x n DFT factor's, by one n x n product. No array has more
+than n^2 entries, so memory is O(n^2), and no n^2 x n^2 product is formed.
 """
 
 from __future__ import annotations
@@ -59,11 +63,13 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 
 def _diagonals(cal_a: np.ndarray) -> np.ndarray:
-    """seq[a, b, j] = calA[a+j, b+j] = (C^j calA C^{-j})[a, b], indices mod n."""
+    """seq[e, j] = calA[j, j+e], indices mod n: the cyclic diagonal of offset
+    e. The diagonal j -> calA[a+j, b+j] = (C^j calA C^{-j})[a, b] is
+    seq[b-a] turned by a."""
     import numpy as np
     n = cal_a.shape[0]
     d = np.arange(n)
-    return cal_a[(d[:, None, None] + d) % n, (d[:, None] + d) % n]
+    return cal_a[d, (d[:, None] + d) % n]
 
 
 @dataclass(frozen=True)
@@ -80,22 +86,23 @@ def check_allones_identity(
 ) -> AllOnesReport:
     """1_{nxn} = sum_j C^j calA C^{-j} for the (relabeled) bi-adjacency.
 
-    Entry (a, b) of the sum totals the diagonal j -> calA[a+j, b+j], exactly
-    on 0/1 entries. lab=None checks the raw, unlabeled matrix (it fails
-    whenever the raw orientation's differences collide mod n). Raises
-    InvalidPermutation unless sigma permutes Z_n, MalformedInput unless
-    0 <= tol < inf (its sums are exact, so tol = 0 is attainable).
+    Entry (a, b) of the sum totals the diagonal j -> calA[a+j, b+j], the
+    cyclic diagonal of offset b - a turned, exactly on 0/1 entries; the worst
+    offset e is reported as the entry (0, e). lab=None checks the raw,
+    unlabeled matrix (it fails whenever the raw orientation's differences
+    collide mod n). Raises InvalidPermutation unless sigma permutes Z_n,
+    MalformedInput unless 0 <= tol < inf (its sums are exact, so tol = 0 is
+    attainable).
     """
     import numpy as np
     if not 0 <= tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = lab.sigma if isinstance(lab, Labeling) else lab
-    dev = np.abs(_diagonals(biadjacency(t, sigma)).sum(axis=2) - 1)
-    worst = np.unravel_index(int(dev.argmax()), dev.shape)
+    dev = np.abs(_diagonals(biadjacency(t, sigma)).sum(axis=1) - 1)
     return AllOnesReport(
         ok=float(dev.max()) <= tol,
         max_deviation=float(dev.max()),
-        worst_entry=(int(worst[0]), int(worst[1])),
+        worst_entry=(0, int(dev.argmax())),
     )
 
 
@@ -110,15 +117,17 @@ class ApportionReport:
 
 
 def _modulus_table(cal_a: np.ndarray) -> np.ndarray:
-    """table[a, b, f] = |entry (i*n+a, k*n+b)| of U (I (x) calA) U* for every
-    i, k with k - i = f (mod n).
+    """table[e, f] = |entry (i*n+a, k*n+b)| of U (I (x) calA) U* for every
+    a, b, i, k with b - a = e and k - i = f (mod n).
 
     That entry is (1/n) w^{ia-kb} sum_j calA[a+j, b+j] w^{(i-k)j}, so its
-    modulus is 1/n times the f-th DFT coefficient of the diagonal sequence
-    j -> calA[a+j, b+j]: n^2 FFTs of length n instead of n^2 x n^2 products.
+    modulus is 1/n times the f-th DFT coefficient of the diagonal
+    j -> calA[a+j, b+j]. That diagonal is the cyclic diagonal of offset e
+    turned by a, which multiplies the coefficient by w^{fa}, of modulus 1:
+    n FFTs of length n instead of n^2 x n^2 products.
     """
     import numpy as np
-    return np.abs(np.fft.fft(_diagonals(cal_a), axis=2)) / cal_a.shape[0]
+    return np.abs(np.fft.fft(_diagonals(cal_a), axis=1)) / cal_a.shape[0]
 
 
 def check_apportionment(
@@ -132,8 +141,8 @@ def check_apportionment(
     (1/n) sum_j C^j diag(w)^i calA diag(w)^{-k} C^{-j}: one unit-modulus
     term survives per entry once calA has one edge per difference class.
     The moduli come from _modulus_table; worst_entry is still a (row, col)
-    index into Q (I (x) A) Q*: the worst table cell (a, b, f) is reported
-    as (a, f*n + b), the entry with i = 0 and k = f.
+    index into Q (I (x) A) Q*: the worst table cell (e, f) is reported as
+    (0, f*n + e), the entry with i = a = 0, k = f and b = e.
 
     unitary_residual = max |U U* - I| = max |F F*/n - I| for F[d, m] = w^{dm}:
     the (i, i')-block of U U*, (1/n) sum_j C^j diag(w)^{i-i'} C^{-j}, is
@@ -148,16 +157,16 @@ def check_apportionment(
     table = _modulus_table(biadjacency(t, lab.sigma if isinstance(lab, Labeling) else lab))
     kappa = 1.0 / n
     err = np.abs(table - kappa)
-    a, b, f = np.unravel_index(int(err.argmax()), err.shape)
+    e, f = np.unravel_index(int(err.argmax()), err.shape)
     d = np.arange(n)
     unitary = unitarity_residual(np.exp(2j * np.pi * (np.outer(d, d) % n) / n) / math.sqrt(n))
-    # each table cell stands for the n entries with k - i = f
-    frob = float(np.sqrt(n * np.square(table).sum())) / (n * n)
+    # each table cell stands for the n^2 entries with b - a = e and k - i = f
+    frob = float(np.sqrt(n * n * np.square(table).sum())) / (n * n)
     return ApportionReport(
         ok=float(err.max()) <= tol and unitary <= tol,
         kappa=kappa,
         kappa_max_error=float(err.max()),
         unitary_residual=unitary,
         frobenius_modulus=frob,
-        worst_entry=(int(a), int(f * n + b)),
+        worst_entry=(0, int(f * n + e)),
     )

@@ -191,6 +191,11 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     x_values = _span(config.get("x", [1, 1]))
     if x_values[0] < 1:
         raise MalformedInput(f"x must be at least 1, got {x_values[0]}")
+    # decompose's own bound, on the span's top host: the largest tree has
+    # top - 1 edges, and the export size grows with the edges and with x
+    for kind in ("k2n1", "knxnx"):
+        if kind in checks:
+            decomposition.check_export_size(decomposition.Host(kind, top - 1, x_values[-1]), False)
     workers = workers if workers is not None else config.get("workers", 1)
     if type(workers) is not int or workers < 1:
         raise MalformedInput(f"workers must be a positive int, got {workers!r}")

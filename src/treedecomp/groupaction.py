@@ -39,18 +39,14 @@ class EntryPermutation:
         return [{self.sigma[n * i + j] for i in range(n)} for j in range(n)]
 
 
-def diagonal_shift(entry: int, n: int) -> int:
-    """(row, col) -> (row+1, col+1), the C_n action on entry indices."""
-    r, c = divmod(entry, n)
-    return ((r + 1) % n) * n + (c + 1) % n
-
-
 def sigma_from_first_column(n: int, first_column: Sequence[int]) -> EntryPermutation:
     """Generate the full entry permutation from its first column.
 
     first_column[i] is the entry displayed at (i, 0); entry 0 must come
     first (the sigma(0)=0 anchor). Column j receives the j-fold diagonal
-    shifts, each placed one row below its predecessor.
+    shifts, each placed one row below its predecessor: the j-fold shift of
+    the entry at (r, c) under (row, col) -> (row+1, col+1), the C_n action
+    on entry indices, is the entry at ((r+j) % n, (c+j) % n).
     """
     first_column = tuple(first_column)
     if len(first_column) != n:
@@ -62,12 +58,13 @@ def sigma_from_first_column(n: int, first_column: Sequence[int]) -> EntryPermuta
     if first_column[0] != 0:
         raise MalformedInput("first column must start with entry 0 (sigma(0)=0)")
 
+    row = [n * (k % n) for k in range(2 * n)]
+    col = [k % n for k in range(2 * n)]
     sigma = [-1] * (n * n)
     for i0, entry in enumerate(first_column):
-        cur = entry
+        r, c = divmod(entry, n)
         for j in range(n):
-            sigma[n * ((i0 + j) % n) + j] = cur
-            cur = diagonal_shift(cur, n)
+            sigma[row[i0 + j] + j] = row[r + j] + col[c + j]
     if sorted(sigma) != list(range(n * n)):
         raise NotBijective(
             "induced entry map repeats an index (first column differences collide)"
@@ -178,13 +175,15 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Lev
 
 def _perm_order(p: Sequence[int]) -> int:
     """The lcm of the cycle lengths."""
-    order, seen = 1, bytearray(len(p))
+    lengths, seen = set(), bytearray(len(p))
     for start in range(len(p)):
+        if seen[start]:
+            continue
         length, j = 0, start
         while not seen[j]:
             seen[j], j, length = 1, p[j], length + 1
-        order = math.lcm(order, length or 1)
-    return order
+        lengths.add(length)
+    return math.lcm(*lengths)
 
 
 def closure(generators: Sequence[EntryPermutation]) -> GroupSummary:

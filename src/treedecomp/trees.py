@@ -233,7 +233,9 @@ class TreeCatalogEntry:
 def _subtree_codes(adj: list[list[int]], root: int) -> list[bytes]:
     """Canonical preorder depth sequence of every vertex's subtree, with the
     tree rooted at root and depths counted from root; children sorted
-    descending. Two siblings' subtrees are isomorphic iff their codes match."""
+    descending. Two siblings' subtrees are isomorphic iff their codes match.
+    A leaf's code is its depth byte and a vertex with one child prefixes
+    that child's code, so only a vertex with two or more children sorts."""
     order, parent = bfs(adj, root)
     depth = [0] * len(adj)
     for v in order[1:]:
@@ -242,8 +244,13 @@ def _subtree_codes(adj: list[list[int]], root: int) -> list[bytes]:
     codes = [b""] * len(adj)
     for v in reversed(order):  # children before parents; the root comes last
         d = depth[v]
-        head = _DEPTH_BYTES[d] if d < 255 else b"\xff" + d.to_bytes(4, "big")
-        codes[v] = code = head + b"".join(sorted(subs[v], reverse=True))
+        code = _DEPTH_BYTES[d] if d < 255 else b"\xff" + d.to_bytes(4, "big")
+        kids = subs[v]
+        if len(kids) == 1:
+            code += kids[0]
+        elif kids:
+            code += b"".join(sorted(kids, reverse=True))
+        codes[v] = code
         subs[parent[v]].append(code)
     return codes
 

@@ -504,6 +504,16 @@ def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray
     return q @ np.kron(eye, apportionment.biadjacency(t)) @ q.conj().T
 
 
+def apportion_dense_report(t: trees.FunctionalTree, sigma: Sequence[int], tol: float = 1e-9):
+    """(ok, kappa_max_error, frobenius_modulus, |m|, unitary) by dense products."""
+    n = t.n
+    mod = np.abs(apportion_dense(t, sigma))
+    unitary = apportionment.unitarity_residual(apportionment.build_block_unitary(n))
+    err = float(np.abs(mod - 1.0 / n).max())
+    frob = float(np.sqrt(np.square(mod).sum())) / (n * n)
+    return err <= tol and unitary <= tol, err, frob, mod, unitary
+
+
 def allones_dense(
     cal_a: np.ndarray, tol: float = apportionment.DEFAULT_TOL
 ) -> apportionment.AllOnesReport:

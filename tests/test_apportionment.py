@@ -3,11 +3,18 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import allones_dense, apportion_dense, catalog, relabeled_dense
+from conftest import (
+    allones_dense,
+    apportion_dense,
+    apportion_dense_report,
+    catalog,
+    relabeled_dense,
+)
 
 from treedecomp import (
     InvalidPermutation,
@@ -231,24 +238,15 @@ def _non_beta_sigmas(t, count, rng):
     return found
 
 
-def _dense_report(t, sigma, tol=1e-9):
-    """(ok, kappa_max_error, frobenius_modulus, |m|, unitary) by dense products."""
-    n = t.n
-    mod = np.abs(apportion_dense(t, sigma))
-    unitary = unitarity_residual(build_block_unitary(n))
-    err = float(np.abs(mod - 1.0 / n).max())
-    frob = float(np.sqrt(np.square(mod).sum())) / (n * n)
-    return err <= tol and unitary <= tol, err, frob, mod, unitary
-
-
 class TestFftModuli:
-    """The FFT table of calA's diagonals against the dense n^2 x n^2 oracle."""
+    """The FFT table of calA's cyclic diagonals against the dense n^2 x n^2
+    oracle."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_table_matches_dense_oracle(self, n):
         rng = random.Random(4000 + n)
         i = np.arange(n)
-        f = (i[None, :] - i[:, None]) % n  # f[i, k] = k - i mod n
+        diff = (i[None, :] - i[:, None]) % n  # diff[a, b] = b - a mod n
         non_beta = 0
         for entry in catalog(n):
             t = entry.tree
@@ -258,10 +256,27 @@ class TestFftModuli:
                 table = _modulus_table(biadjacency(t, sigma))
                 # dense[i, a, k, b] = |entry (i*n+a, k*n+b)|
                 dense = np.abs(apportion_dense(t, sigma)).reshape(n, n, n, n)
-                want = table[:, :, f].transpose(2, 0, 3, 1)
+                # want[i, a, k, b] = table[(b - a) % n, (k - i) % n]
+                want = table[diff[None, :, None, :], diff[:, None, :, None]]
                 assert np.abs(dense - want).max() <= 1e-12
         if n >= 4:
             assert non_beta == 3 * len(catalog(n))
+
+    def test_memory_stays_quadratic(self):
+        # at n = 200 an n x n complex array takes 640 kB, while a gather of
+        # every diagonal j -> calA[a+j, b+j] would take n^3 entries, 128 MB
+        n = 200
+        path = from_parent_map(n, [0] + list(range(n - 1)))
+        snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+        tracemalloc.start()
+        try:
+            ones = check_allones_identity(path, snake)
+            rep = check_apportionment(path, snake)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ones.ok and rep.ok
+        assert peak < 16 * 2**20, peak
 
     def test_report_matches_dense_route(self):
         rng = random.Random(12)
@@ -273,7 +288,7 @@ class TestFftModuli:
                 non_beta += len(extra)
                 for sigma in [find_beta(t, "first").sigma] + extra:
                     rep = check_apportionment(t, sigma)
-                    ok, err, frob, mod, unitary = _dense_report(t, sigma)
+                    ok, err, frob, mod, unitary = apportion_dense_report(t, sigma)
                     assert rep.ok == ok
                     assert abs(rep.kappa_max_error - err) <= 1e-12
                     assert abs(rep.frobenius_modulus - frob) <= 1e-12

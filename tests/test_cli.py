@@ -417,6 +417,24 @@ class TestCampaign:
         code, out, err = run(capsys, "campaign", "run", "--config", '{"checks": [], "n": [1, 19]}')
         assert code == 2 and out == "" and "enumeration cap" in err
 
+    def test_x_past_the_export_cap_refused_before_enumerating(self):
+        # a million stretches of K_{2nx+1}: refused by decompose's export
+        # bound on the span's top host, before any catalog is enumerated
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = (
+            "import sys; from treedecomp import cli, trees\n"
+            "def fail(n):\n"
+            "    raise AssertionError(f'catalog {n} enumerated')\n"
+            "trees.enumerate_free_trees = fail\n"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        config = '{"checks": ["k2n1"], "n": [3, 3], "x": [1, 1000000]}'
+        out = subprocess.run(
+            [sys.executable, "-c", probe, "campaign", "run", "--config", config],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 2 and out.stdout == "" and "cap" in out.stderr
+
     def test_span_is_not_materialized(self):
         span = cli._span([1, 10**18])
         assert isinstance(span, range) and len(span) == 10**18
@@ -526,13 +544,14 @@ ALL_CHECKS = [
 ]
 
 
-def _record_digest(records) -> str:
-    """SHA-256 over the campaign records with their timings dropped."""
+def _record_digest(records, drop=()) -> str:
+    """SHA-256 over the campaign records with their timings dropped, and
+    with each (check, field) pair in drop."""
     lines = []
     for r in records:
         r = {k: v for k, v in r.items() if k != "search_ms"}
         r["checks"] = {
-            name: {k: v for k, v in res.items() if k != "runtime_ms"}
+            name: {k: v for k, v in res.items() if k != "runtime_ms" and (name, k) not in drop}
             for name, res in r["checks"].items()
         }
         lines.append(json.dumps(r))
@@ -545,7 +564,13 @@ class TestGoldenRecords:
         summary, records = run_campaign({"checks": ALL_CHECKS, "n": [1, 7], "x": [1, 2]})
         assert summary["records"] == 25 and summary["skipped"] == 11
         assert _record_digest(records) == (
-            "a18290141d3a231b23b84cc526e0b757fc2211b4169229886fff76e7b1a04b3e"
+            "7b4bad06b3ea6d0450dca56f3b44c22e0be278ec53435b5b3f9ecc9ed9680523"
+        )
+        # The apportion residual is the worst modulus error over the n cyclic
+        # diagonals, rounding-level; pinned without it as well, so that a
+        # change to any other field shows apart from it.
+        assert _record_digest(records, drop={("apportion", "residual")}) == (
+            "5fbb103d74792ef46feda76f1889f3cc280348e6d4258e24b79b6a4f5926f346"
         )
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from conftest import catalog, closure_by_bfs
@@ -17,7 +19,25 @@ from treedecomp import (
     sigma_from_labeled_tree,
 )
 from treedecomp import groupaction, perms
-from treedecomp.groupaction import diagonal_shift
+
+
+def diagonal_shift(entry: int, n: int) -> int:
+    """(row, col) -> (row+1, col+1), the C_n action on entry indices."""
+    r, c = divmod(entry, n)
+    return ((r + 1) % n) * n + (c + 1) % n
+
+
+def sigma_by_chained_shifts(n: int, first_column) -> tuple[int, ...] | None:
+    """The entry permutation with each column's entries reached by one more
+    diagonal_shift than the column before, or None when it is not a bijection."""
+    sigma = [-1] * (n * n)
+    for i0, entry in enumerate(first_column):
+        cur = entry
+        for j in range(n):
+            sigma[n * ((i0 + j) % n) + j] = cur
+            cur = diagonal_shift(cur, n)
+    return tuple(sigma) if sorted(sigma) == list(range(n * n)) else None
+
 
 # the worked n=3 orbit: sigma_1(A) and sigma_2(A) = sigma_1^2(A)
 SIGMA1_MATRIX = [[0, 5, 2], [3, 4, 6], [1, 7, 8]]
@@ -56,6 +76,32 @@ class TestSigmaFromFirstColumn:
             sigma_from_first_column(2, [0, 0])
         with pytest.raises(MalformedInput):
             sigma_from_first_column(2, [0])
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_chained_shifts_on_every_first_column(self, n):
+        valid = 0
+        for rest in itertools.permutations(range(1, n * n), n - 1):
+            first_column = (0, *rest)
+            want = sigma_by_chained_shifts(n, first_column)
+            if want is None:
+                with pytest.raises(NotBijective):
+                    sigma_from_first_column(n, first_column)
+            else:
+                assert sigma_from_first_column(n, first_column).sigma == want
+                valid += 1
+        # one entry per difference class c - r mod n, each in one of n rows
+        assert valid == math.factorial(n - 1) * n ** (n - 1)
+
+    def test_matches_chained_shifts_at_32(self):
+        n, rng = 32, random.Random(32)
+        for _ in range(20):
+            # entry (r, r + d) for a random row r of each difference class d
+            classes = [0] + rng.sample(range(1, n), n - 1)
+            rows = [0] + [rng.randrange(n) for _ in range(n - 1)]
+            first_column = [n * r + (r + d) % n for r, d in zip(rows, classes)]
+            want = sigma_by_chained_shifts(n, first_column)
+            assert want is not None
+            assert sigma_from_first_column(n, first_column).sigma == want
 
     def test_diagonal_shift_orbits(self):
         n = 3

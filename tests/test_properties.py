@@ -2,13 +2,22 @@
 
 from collections import Counter
 
-from conftest import prufer_decode, unpruned_search, verify_partition_by_sets
+from conftest import (
+    allones_dense,
+    apportion_dense_report,
+    prufer_decode,
+    relabeled_dense,
+    unpruned_search,
+    verify_partition_by_sets,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedecomp import (
     Labeling,
     canonical_code,
+    check_allones_identity,
+    check_apportionment,
     conjugate,
     decompose_directed_knn,
     decompose_k2n1,
@@ -107,3 +116,19 @@ def test_canonical_code_ignores_labels_and_root(t, data):
     sigma = data.draw(st.permutations(range(t.n)))
     assert canonical_code(conjugate(t, sigma)) == code
     assert canonical_code(reroot(t, data.draw(st.integers(0, t.n - 1)))) == code
+
+
+@TIER1
+@given(trees_with_points())
+def test_apportionment_reports_agree_with_the_dense_oracles(case):
+    # the n cyclic diagonals stand for all n^2 diagonals: both reports are
+    # the dense routes', and each witness is a real worst entry of its matrix
+    t, sigma = case
+    assert check_allones_identity(t, sigma) == allones_dense(relabeled_dense(t, sigma))
+    rep = check_apportionment(t, sigma)
+    ok, err, frob, mod, unitary = apportion_dense_report(t, sigma)
+    assert rep.ok == ok
+    assert abs(rep.kappa_max_error - err) <= 1e-12
+    assert abs(rep.frobenius_modulus - frob) <= 1e-12
+    assert abs(rep.unitary_residual - unitary) <= 1e-12
+    assert abs(abs(mod[rep.worst_entry] - 1.0 / t.n) - err) <= 1e-12
