@@ -5,7 +5,6 @@ certificates, entry-permutation group actions, and unitary apportionment."""
 __version__ = "0.1.0"
 
 from .apportionment import (
-    biadjacency,
     build_block_unitary,
     check_allones_identity,
     check_apportionment,

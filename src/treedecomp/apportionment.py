@@ -4,13 +4,13 @@ The bi-adjacency matrix A of a tree's left-to-right orientation, relabeled
 by a beta-labeling into calA = P A P*, satisfies the circulant identity
 1_{nxn} = sum_j C^j calA C^{-j}. Conjugating I (x) A by the block unitary U
 built from C and the root-of-unity diagonal flattens every entry modulus to
-the apportionment constant 1/n. Both identities read calA's diagonals
-j -> calA[a+j, b+j] (their sums and their DFTs). That diagonal is the cyclic
-diagonal j -> calA[j, j+e] of offset e = b - a turned by a, and turning a
-sequence keeps its sum and multiplies its DFT by a unit phase, so the n
-cyclic diagonals and their n FFTs stand for all n^2: O(n^2 log n) time. U's
-unitarity is its n x n DFT factor's, by one n x n product. No array has more
-than n^2 entries, so memory is O(n^2), and no n^2 x n^2 product is formed.
+the apportionment constant 1/n. calA[x, y] = 1 exactly for the labeled
+pairs (x, y) of labeling.labeled_pairs, so both checks read those n pairs
+and form no calA. Entry (a, b) of the circulant sum counts the pairs with
+y - x = b - a (mod n): the all-ones identity is an O(n) count of label
+differences. The moduli are the DFTs of calA's n cyclic diagonals
+j -> calA[j, j+e], filled from the pairs: O(n^2 log n) time and O(n^2)
+memory, with U's unitarity from its n x n DFT factor, by one n x n product.
 """
 
 from __future__ import annotations
@@ -20,27 +20,21 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import perms, trees
-from .errors import MalformedInput
+from .errors import MalformedInput, ResourceLimit
 from .labeling import Labeling, labeled_pairs
 
-# Each function imports numpy itself, so that importing the package, and
-# every command that never reaches the apportionment, does not load it.
+# The numpy functions import it themselves, so that importing the package,
+# the all-ones check and every command that never reaches the apportionment
+# do not load it.
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-
-def biadjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None = None) -> np.ndarray:
-    """calA = P A P* with P[sigma(i), i] = 1, the bi-adjacency A itself when
-    sigma is None: calA[a, b] = 1 iff (a, b) is one of labeled_pairs(t, sigma),
-    the root's loop included. InvalidPermutation unless sigma permutes Z_n."""
-    import numpy as np
-    n = t.n
-    a = np.zeros((n, n), dtype=complex)
-    for x, y in labeled_pairs(t, range(n) if sigma is None else perms.check_perm(sigma, n)):
-        a[x, y] = 1.0
-    return a
+# Largest n that check_apportionment takes: its table and DFT factor are
+# n x n complex arrays (64 MB each at n = 2,000) and the unitarity residual
+# an n x n product.
+APPORTION_CAP = 2_000
 
 
 def circulant(n: int) -> np.ndarray:
@@ -62,14 +56,11 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
-def _diagonals(cal_a: np.ndarray) -> np.ndarray:
-    """seq[e, j] = calA[j, j+e], indices mod n: the cyclic diagonal of offset
-    e. The diagonal j -> calA[a+j, b+j] = (C^j calA C^{-j})[a, b] is
-    seq[b-a] turned by a."""
-    import numpy as np
-    n = cal_a.shape[0]
-    d = np.arange(n)
-    return cal_a[d, (d[:, None] + d) % n]
+def _pairs(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> list[tuple[int, int]]:
+    """The labeled pairs of t under lab: calA[x, y] = 1 for each (x, y).
+    InvalidPermutation unless sigma permutes Z_n."""
+    sigma = lab.sigma if isinstance(lab, Labeling) else lab
+    return labeled_pairs(t, perms.check_perm(sigma, t.n))
 
 
 @dataclass(frozen=True)
@@ -80,29 +71,26 @@ class AllOnesReport:
 
 
 def check_allones_identity(
-    t: trees.FunctionalTree,
-    lab: Labeling | Sequence[int] | None,
-    tol: float = DEFAULT_TOL,
+    t: trees.FunctionalTree, lab: Labeling | Sequence[int]
 ) -> AllOnesReport:
-    """1_{nxn} = sum_j C^j calA C^{-j} for the (relabeled) bi-adjacency.
+    """1_{nxn} = sum_j C^j calA C^{-j} for the relabeled bi-adjacency.
 
-    Entry (a, b) of the sum totals the diagonal j -> calA[a+j, b+j], the
-    cyclic diagonal of offset b - a turned, exactly on 0/1 entries; the worst
-    offset e is reported as the entry (0, e). lab=None checks the raw,
-    unlabeled matrix (it fails whenever the raw orientation's differences
-    collide mod n). Raises InvalidPermutation unless sigma permutes Z_n,
-    MalformedInput unless 0 <= tol < inf (its sums are exact, so tol = 0 is
-    attainable).
+    Entry (a, b) of the sum counts the labeled pairs (x, y) with
+    y - x = b - a (mod n), so the identity holds iff each difference class
+    mod n holds one pair: the difference lemma's condition for the cyclic
+    decomposition of directed K_{n,n} (decomposition's module docstring).
+    The deviations |count - 1| are exact integers; the first worst class e
+    is reported as the entry (0, e). Raises InvalidPermutation unless sigma
+    permutes Z_n.
     """
-    import numpy as np
-    if not 0 <= tol < math.inf:
-        raise MalformedInput(f"tolerance must be finite and >= 0, got {tol!r}")
-    sigma = lab.sigma if isinstance(lab, Labeling) else lab
-    dev = np.abs(_diagonals(biadjacency(t, sigma)).sum(axis=1) - 1)
+    n = t.n
+    count = [0] * n
+    for x, y in _pairs(t, lab):
+        count[(y - x) % n] += 1
+    dev = [abs(c - 1) for c in count]
+    worst = dev.index(max(dev))
     return AllOnesReport(
-        ok=float(dev.max()) <= tol,
-        max_deviation=float(dev.max()),
-        worst_entry=(0, int(dev.argmax())),
+        ok=dev[worst] == 0, max_deviation=float(dev[worst]), worst_entry=(0, worst)
     )
 
 
@@ -116,18 +104,23 @@ class ApportionReport:
     worst_entry: tuple[int, int]
 
 
-def _modulus_table(cal_a: np.ndarray) -> np.ndarray:
+def _modulus_table(t: trees.FunctionalTree, lab: Labeling | Sequence[int]) -> np.ndarray:
     """table[e, f] = |entry (i*n+a, k*n+b)| of U (I (x) calA) U* for every
     a, b, i, k with b - a = e and k - i = f (mod n).
 
     That entry is (1/n) w^{ia-kb} sum_j calA[a+j, b+j] w^{(i-k)j}, so its
     modulus is 1/n times the f-th DFT coefficient of the diagonal
-    j -> calA[a+j, b+j]. That diagonal is the cyclic diagonal of offset e
-    turned by a, which multiplies the coefficient by w^{fa}, of modulus 1:
-    n FFTs of length n instead of n^2 x n^2 products.
+    j -> calA[a+j, b+j]. That diagonal is the cyclic diagonal
+    seq[e, j] = calA[j, j+e] turned by a, which multiplies the coefficient
+    by w^{fa}, of modulus 1: n FFTs of length n instead of n^2 x n^2
+    products. The pair (x, y) is seq[y - x, x].
     """
     import numpy as np
-    return np.abs(np.fft.fft(_diagonals(cal_a), axis=1)) / cal_a.shape[0]
+    n = t.n
+    seq = np.zeros((n, n), dtype=complex)
+    for x, y in _pairs(t, lab):
+        seq[(y - x) % n, x] = 1.0
+    return np.abs(np.fft.fft(seq, axis=1)) / n
 
 
 def check_apportionment(
@@ -146,15 +139,18 @@ def check_apportionment(
 
     unitary_residual = max |U U* - I| = max |F F*/n - I| for F[d, m] = w^{dm}:
     the (i, i')-block of U U*, (1/n) sum_j C^j diag(w)^{i-i'} C^{-j}, is
-    (F F*/n)[i, i'] times I. Raises InvalidPermutation unless sigma permutes
-    Z_n, MalformedInput unless 0 < tol < inf: the residual is rounding-level,
-    not exact, so tol = 0 could never pass.
+    (F F*/n)[i, i'] times I. Raises ResourceLimit above APPORTION_CAP,
+    InvalidPermutation unless sigma permutes Z_n, MalformedInput unless
+    0 < tol < inf: the residual is rounding-level, not exact, so tol = 0
+    could never pass.
     """
-    import numpy as np
+    n = t.n
+    if n > APPORTION_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the apportionment cap {APPORTION_CAP}")
     if not 0 < tol < math.inf:
         raise MalformedInput(f"tolerance must be finite and > 0, got {tol!r}")
-    n = t.n
-    table = _modulus_table(biadjacency(t, lab.sigma if isinstance(lab, Labeling) else lab))
+    import numpy as np
+    table = _modulus_table(t, lab)
     kappa = 1.0 / n
     err = np.abs(table - kappa)
     e, f = np.unravel_index(int(err.argmax()), err.shape)

@@ -211,7 +211,7 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
                 (n, list(entry.tree.g), entry.canonical_code.hex(), checks, x_values)
             )
 
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             records = pool.map(_campaign_record, tasks)
@@ -337,6 +337,8 @@ def _decompose(args):
 def _certificate_eval(args):
     t = _tree_arg(args.tree)
     point = json.loads(_read_arg_text(args.point))
+    if not isinstance(point, list):
+        raise MalformedInput(f"point must be a JSON array, got {point!r}")
     return {"value": str(certificate.eval_certificate(t, point))}, True
 
 

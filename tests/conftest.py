@@ -490,10 +490,23 @@ def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
     return p
 
 
+def biadjacency(t: trees.FunctionalTree, sigma: Sequence[int] | None = None) -> np.ndarray:
+    """The dense calA = P A P* with P[sigma(i), i] = 1, the bi-adjacency A
+    itself when sigma is None: calA[a, b] = 1 iff (a, b) is one of
+    labeled_pairs(t, sigma), the root's loop included. InvalidPermutation
+    unless sigma permutes Z_n."""
+    n = t.n
+    sigma = range(n) if sigma is None else perms.check_perm(sigma, n)
+    a = np.zeros((n, n), dtype=complex)
+    for x, y in labeling.labeled_pairs(t, sigma):
+        a[x, y] = 1.0
+    return a
+
+
 def relabeled_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
     """calA = P A P* by dense products."""
     p = permutation_matrix(sigma)
-    return p @ apportionment.biadjacency(t) @ p.conj().T
+    return p @ biadjacency(t) @ p.conj().T
 
 
 def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
@@ -501,7 +514,7 @@ def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray
     n = t.n
     eye = np.eye(n, dtype=complex)
     q = apportionment.build_block_unitary(n) @ np.kron(eye, permutation_matrix(sigma))
-    return q @ np.kron(eye, apportionment.biadjacency(t)) @ q.conj().T
+    return q @ np.kron(eye, biadjacency(t)) @ q.conj().T
 
 
 def apportion_dense_report(t: trees.FunctionalTree, sigma: Sequence[int], tol: float = 1e-9):

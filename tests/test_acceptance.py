@@ -194,7 +194,7 @@ def test_criterion_11_apportionment():
         assert unitarity_residual(build_block_unitary(n)) <= TOL
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            ones = check_allones_identity(entry.tree, lab, tol=TOL)
+            ones = check_allones_identity(entry.tree, lab)
             assert ones.ok
             rep = check_apportionment(entry.tree, lab, tol=TOL)
             assert rep.ok and rep.kappa == 1.0 / n

@@ -12,6 +12,7 @@ from conftest import (
     allones_dense,
     apportion_dense,
     apportion_dense_report,
+    biadjacency,
     catalog,
     relabeled_dense,
 )
@@ -20,7 +21,7 @@ from treedecomp import (
     InvalidPermutation,
     Labeling,
     MalformedInput,
-    biadjacency,
+    ResourceLimit,
     build_block_unitary,
     check_allones_identity,
     check_apportionment,
@@ -29,6 +30,7 @@ from treedecomp import (
     from_parent_map,
     verify_beta,
 )
+from treedecomp import apportionment
 from treedecomp.apportionment import (
     _modulus_table,
     circulant,
@@ -40,21 +42,23 @@ FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 
 
 def test_import_does_not_load_numpy():
-    # numpy loads on the first apportionment call; a labeling search or a
-    # catalog never needs it
+    # numpy loads on the first check_apportionment call; a labeling search,
+    # a catalog or the all-ones count never needs it
     src = os.path.dirname(os.path.dirname(sys.modules["treedecomp"].__file__))
     probe = (
         "import sys, treedecomp, treedecomp.cli; "
-        "treedecomp.find_beta(treedecomp.from_parent_map(4, [0, 0, 1, 1])); "
+        "t = treedecomp.from_parent_map(4, [0, 0, 1, 1]); "
+        "lab = treedecomp.find_beta(t); "
+        "ok = treedecomp.check_allones_identity(t, lab).ok; "
         "loaded = 'numpy' in sys.modules; "
-        "treedecomp.check_apportionment(treedecomp.from_parent_map(2, [0, 0]), [0, 1]); "
-        "print(loaded, 'numpy' in sys.modules)"
+        "treedecomp.check_apportionment(t, lab); "
+        "print(ok, loaded, 'numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["True", "False", "True"]
 
 
 class TestBiadjacency:
@@ -123,7 +127,7 @@ class TestAllOnes:
 
     def test_raw_path4_negative_control(self):
         # signed labels of the unlabeled 4-path collide mod 4
-        rep = check_allones_identity(from_parent_map(4, [0, 0, 1, 2]), None)
+        rep = check_allones_identity(from_parent_map(4, [0, 0, 1, 2]), (0, 1, 2, 3))
         assert not rep.ok
         assert rep.max_deviation >= 1
 
@@ -131,8 +135,9 @@ class TestAllOnes:
     def test_catalog(self, n):
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            # the diagonal sums are exact, so even tol = 0 passes
-            assert check_allones_identity(entry.tree, lab, tol=0.0).ok
+            # the difference counts are exact integers
+            rep = check_allones_identity(entry.tree, lab)
+            assert rep.ok and rep.max_deviation == 0.0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_dense_oracle(self, n):
@@ -147,6 +152,20 @@ class TestAllOnes:
     def test_rejects_non_permutation(self, sigma):
         with pytest.raises(InvalidPermutation):
             check_allones_identity(FIGURE_TREE, sigma)
+
+    def test_large_path_in_linear_memory(self):
+        # one n x n complex array would take 160 GB at n = 100,000
+        n = 100_000
+        path = from_parent_map(n, [0] + list(range(n - 1)))
+        snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+        tracemalloc.start()
+        try:
+            rep = check_allones_identity(path, snake)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.max_deviation == 0.0
+        assert peak < 64 * 2**20, peak
 
 
 class TestApportionment:
@@ -193,11 +212,18 @@ class TestApportionment:
         with pytest.raises(InvalidPermutation):
             check_apportionment(FIGURE_TREE, sigma)
 
-    @pytest.mark.parametrize("check", [check_apportionment, check_allones_identity])
+    @pytest.mark.parametrize("check", [check_apportionment])
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, check, tol):
         with pytest.raises(MalformedInput):
             check(FIGURE_TREE, (0, 1, 2, 3), tol=tol)
+
+    def test_refused_above_the_cap(self, monkeypatch):
+        # a valid labeling of a tree past the cap is refused; one at the cap passes
+        monkeypatch.setattr(apportionment, "APPORTION_CAP", 3)
+        with pytest.raises(ResourceLimit, match="apportionment cap"):
+            check_apportionment(FIGURE_TREE, (0, 1, 2, 3))
+        assert check_apportionment(from_parent_map(3, [0, 0, 1]), (0, 2, 1)).ok
 
     def test_zero_tolerance_rejected(self):
         # the unitarity residual is rounding-level, so tol = 0 could never pass
@@ -253,7 +279,7 @@ class TestFftModuli:
             sigmas = [find_beta(t, "first").sigma] + _non_beta_sigmas(t, 3, rng)
             non_beta += len(sigmas) - 1
             for sigma in sigmas:
-                table = _modulus_table(biadjacency(t, sigma))
+                table = _modulus_table(t, sigma)
                 # dense[i, a, k, b] = |entry (i*n+a, k*n+b)|
                 dense = np.abs(apportion_dense(t, sigma)).reshape(n, n, n, n)
                 # want[i, a, k, b] = table[(b - a) % n, (k - i) % n]

@@ -17,7 +17,7 @@ from treedecomp import (
     tree_from_json,
     tree_to_json,
 )
-from treedecomp import cli, decomposition, labeling, trees
+from treedecomp import apportionment, cli, decomposition, labeling, trees
 from treedecomp.cli import (
     _campaign_record,
     main,
@@ -238,6 +238,16 @@ class TestCertificate:
         assert code == 2 and out == ""
         assert err.startswith("error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["5", "null", "true", "2.5"])
+    def test_eval_point_not_an_array_exit_two(self, capsys, tmp_path, text):
+        path = tmp_path / "point.json"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "certificate", "eval", "--tree", TREE4, "--point", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error") and "Traceback" not in err
+
     def test_magnitude(self, capsys):
         code, out, _ = run(capsys, "certificate", "magnitude", "--tree", TREE4)
         assert code == 0
@@ -307,6 +317,13 @@ class TestApportion:
         assert code == 0
         obj = json.loads(out)
         assert obj["ok"] and obj["kappa"] == 0.25
+
+    def test_tree_above_the_cap_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(apportionment, "APPORTION_CAP", 3)
+        code, out, err = run(
+            capsys, "apportion", "check", "--tree", FIGURE, "--sigma", "[0, 1, 2, 3]"
+        )
+        assert code == 2 and out == "" and "apportionment cap" in err
 
     def test_sweep(self, capsys):
         # the catalog sweep is a campaign of the apportion check
@@ -447,9 +464,12 @@ class TestCampaign:
         assert code == 2 and out == "" and err.startswith("error")
 
     @pytest.mark.parametrize(
-        "n,workers,sizes", [([1, 4], 64, [5]), ([1, 4], 2, [2]), (3, 8, [])]
+        "n,workers,sizes",
+        [([1, 4], 64, [4]), ([1, 4], 2, [2]), (3, 8, []), ([1, 6], 10**6, [4])],
     )
     def test_pool_no_larger_than_the_task_list(self, monkeypatch, n, workers, sizes):
+        # nor than the CPU count: no real process is started here
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         asked = []
 
         class FakePool:  # records the size; runs the tasks in this process
@@ -467,7 +487,8 @@ class TestCampaign:
 
         monkeypatch.setattr(cli, "Pool", FakePool)
         summary, _ = run_campaign({"checks": ["beta"], "n": n}, workers=workers)
-        assert summary["records"] == (5 if n == [1, 4] else 1) and asked == sizes
+        want = sum(1 for k in cli._span(n) for _ in trees.enumerate_free_trees(k))
+        assert summary["records"] == want and asked == sizes
 
     def test_record_above_search_cap_is_skipped(self):
         # A 17-vertex path is over find_beta's cap; the record still comes back.
