@@ -408,7 +408,7 @@ def _group_closure(args):
 
 def _apportion_check(args):
     t = _tree_arg(args.tree)
-    rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t), tol=args.tol)
+    rep = apportionment.check_apportionment(t, _labeling_arg(args.sigma, t))
     return {
         "ok": rep.ok,
         "kappa": rep.kappa,
@@ -509,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_appc = _leaf(app_sub, "check", _apportion_check)
     p_appc.add_argument("--tree", required=True)
     p_appc.add_argument("--sigma")
-    p_appc.add_argument("--tol", type=float, default=apportionment.DEFAULT_TOL)
 
     p_camp = sub.add_parser("campaign", help="batch sweeps over the catalog")
     camp_sub = p_camp.add_subparsers(dest="subcommand", required=True)

@@ -517,22 +517,73 @@ def apportion_dense(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray
     return q @ np.kron(eye, biadjacency(t)) @ q.conj().T
 
 
+def circulant(n: int) -> np.ndarray:
+    """Adjacency matrix of the directed n-cycle; first row [0,1,0,...]."""
+    return np.roll(np.eye(n, dtype=complex), 1, axis=1)
+
+
+def unitarity_residual(u: np.ndarray) -> float:
+    """max |U U* - I| by one dense product."""
+    return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
+
+
 def apportion_dense_report(t: trees.FunctionalTree, sigma: Sequence[int], tol: float = 1e-9):
     """(ok, kappa_max_error, frobenius_modulus, |m|, unitary) by dense products."""
     n = t.n
     mod = np.abs(apportion_dense(t, sigma))
-    unitary = apportionment.unitarity_residual(apportionment.build_block_unitary(n))
+    unitary = unitarity_residual(apportionment.build_block_unitary(n))
     err = float(np.abs(mod - 1.0 / n).max())
     frob = float(np.sqrt(np.square(mod).sum())) / (n * n)
     return err <= tol and unitary <= tol, err, frob, mod, unitary
 
 
-def allones_dense(
-    cal_a: np.ndarray, tol: float = apportionment.DEFAULT_TOL
-) -> apportionment.AllOnesReport:
+def modulus_table(t: trees.FunctionalTree, sigma: Sequence[int]) -> np.ndarray:
+    """table[e, f] = |entry (i*n+a, k*n+b)| of U (I (x) calA) U* for every
+    a, b, i, k with b - a = e and k - i = f (mod n).
+
+    That entry is (1/n) w^{ia-kb} sum_j calA[a+j, b+j] w^{(i-k)j}, so its
+    modulus is 1/n times the f-th DFT coefficient of the diagonal
+    j -> calA[a+j, b+j]. That diagonal is the cyclic diagonal
+    seq[e, j] = calA[j, j+e] turned by a, which multiplies the coefficient
+    by w^{fa}, of modulus 1: n FFTs of length n instead of n^2 x n^2
+    products. The pair (x, y) is seq[y - x, x].
+    """
+    n = t.n
+    seq = np.zeros((n, n), dtype=complex)
+    for x, y in labeling.labeled_pairs(t, perms.check_perm(sigma, n)):
+        seq[(y - x) % n, x] = 1.0
+    return np.abs(np.fft.fft(seq, axis=1)) / n
+
+
+def apportion_fft_report(
+    t: trees.FunctionalTree, sigma: Sequence[int], tol: float = 1e-9
+) -> apportionment.ApportionReport:
+    """The apportionment report in floating point: the moduli from
+    modulus_table, the worst cell (e, f) at entry (0, f*n + e) (i = a = 0,
+    k = f, b = e), and the residual of U's n x n DFT factor, whose
+    (i, i')-entry times I is the (i, i')-block of U U*."""
+    n = t.n
+    table = modulus_table(t, sigma)
+    err = np.abs(table - 1.0 / n)
+    e, f = np.unravel_index(int(err.argmax()), err.shape)
+    d = np.arange(n)
+    unitary = unitarity_residual(np.exp(2j * np.pi * (np.outer(d, d) % n) / n) / math.sqrt(n))
+    # each table cell stands for the n^2 entries with b - a = e and k - i = f
+    frob = float(np.sqrt(n * n * np.square(table).sum())) / (n * n)
+    return apportionment.ApportionReport(
+        ok=float(err.max()) <= tol and unitary <= tol,
+        kappa=1.0 / n,
+        kappa_max_error=float(err.max()),
+        unitary_residual=unitary,
+        frobenius_modulus=frob,
+        worst_entry=(0, int(f * n + e)),
+    )
+
+
+def allones_dense(cal_a: np.ndarray, tol: float = 1e-9) -> apportionment.AllOnesReport:
     """The all-ones identity sum_j C^j calA C^{-j} = 1 by 3n dense products."""
     n = cal_a.shape[0]
-    c = apportionment.circulant(n)
+    c = circulant(n)
     total = np.zeros((n, n), dtype=complex)
     c_j = np.eye(n, dtype=complex)
     for _ in range(n):

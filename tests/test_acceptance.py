@@ -2,13 +2,15 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here: exact (zero-tolerance) big-integer and
-rational equality for the combinatorial/algebraic criteria, 1e-9 absolute
-for the floating-point apportionment criteria.
+rational equality for the combinatorial/algebraic criteria and the
+apportionment, 1e-9 absolute for its floating-point oracles (the explicit
+block unitary and the FFT moduli).
 """
 
 import math
 
 from conftest import (
+    apportion_fft_report,
     catalog,
     lattice_points,
     magnitude_by_members,
@@ -16,10 +18,12 @@ from conftest import (
     orbit_counts,
     prufer_codes,
     transposition_invariance_sweep,
+    unitarity_residual,
 )
 
 from treedecomp import (
     Labeling,
+    build_block_unitary,
     canonical_representative,
     certificate_magnitude_check,
     check_apportionment,
@@ -42,7 +46,6 @@ from treedecomp import (
     verify_partition,
 )
 from treedecomp import perms
-from treedecomp.apportionment import build_block_unitary, unitarity_residual
 from treedecomp.certificate import chain_report, transposition_witness
 from treedecomp.decomposition import decomposition_to_dot
 from treedecomp.trees import sibling_leaf_pairs
@@ -187,19 +190,21 @@ def test_criterion_10_group_example():
 
 
 def test_criterion_11_apportionment():
+    # exact from the count of label differences; the block unitary and the
+    # FFT moduli are checked in floating point to TOL
     worst_kappa = 0.0
     worst_unitary = 0.0
-    worst_ones = 0.0
     for n in range(1, 9):
-        assert unitarity_residual(build_block_unitary(n)) <= TOL
+        worst_unitary = max(worst_unitary, unitarity_residual(build_block_unitary(n)))
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
             ones = check_allones_identity(entry.tree, lab)
-            assert ones.ok
-            rep = check_apportionment(entry.tree, lab, tol=TOL)
-            assert rep.ok and rep.kappa == 1.0 / n
-            worst_kappa = max(worst_kappa, rep.kappa_max_error)
-            worst_unitary = max(worst_unitary, rep.unitary_residual)
-            worst_ones = max(worst_ones, ones.max_deviation)
-    report(11, f"kappa = 1/n to {worst_kappa:.2e}, unitarity {worst_unitary:.2e}, "
-               f"all-ones {worst_ones:.2e} over all trees n <= 8 (tol 1e-9)")
+            rep = check_apportionment(entry.tree, lab)
+            assert ones.ok and ones.max_deviation == 0.0
+            assert rep.ok and rep.kappa == 1.0 / n and rep.kappa_max_error == 0.0
+            fft = apportion_fft_report(entry.tree, lab.sigma, tol=TOL)
+            assert fft.ok
+            worst_kappa = max(worst_kappa, fft.kappa_max_error)
+    assert worst_unitary <= TOL
+    report(11, f"kappa = 1/n and all-ones exactly over all trees n <= 8; FFT moduli "
+               f"within {worst_kappa:.2e}, block unitary within {worst_unitary:.2e} (tol 1e-9)")

@@ -1,4 +1,4 @@
-import math
+import json
 import os
 import random
 import subprocess
@@ -12,16 +12,18 @@ from conftest import (
     allones_dense,
     apportion_dense,
     apportion_dense_report,
+    apportion_fft_report,
     biadjacency,
     catalog,
+    circulant,
+    modulus_table,
     relabeled_dense,
+    unitarity_residual,
 )
 
 from treedecomp import (
     InvalidPermutation,
     Labeling,
-    MalformedInput,
-    ResourceLimit,
     build_block_unitary,
     check_allones_identity,
     check_apportionment,
@@ -30,35 +32,45 @@ from treedecomp import (
     from_parent_map,
     verify_beta,
 )
-from treedecomp import apportionment
-from treedecomp.apportionment import (
-    _modulus_table,
-    circulant,
-    unitarity_residual,
-)
+from treedecomp import cli
 from treedecomp.labeling import labeled_pairs
 
 FIGURE_TREE = from_parent_map(4, [0, 3, 3, 0])
 
 
 def test_import_does_not_load_numpy():
-    # numpy loads on the first check_apportionment call; a labeling search,
-    # a catalog or the all-ones count never needs it
+    # numpy is a test dependency: with it blocked, the package, both checks,
+    # `apportion check` and a campaign of all twelve checks still run, and
+    # only build_block_unitary needs it
     src = os.path.dirname(os.path.dirname(sys.modules["treedecomp"].__file__))
-    probe = (
-        "import sys, treedecomp, treedecomp.cli; "
-        "t = treedecomp.from_parent_map(4, [0, 0, 1, 1]); "
-        "lab = treedecomp.find_beta(t); "
-        "ok = treedecomp.check_allones_identity(t, lab).ok; "
-        "loaded = 'numpy' in sys.modules; "
-        "treedecomp.check_apportionment(t, lab); "
-        "print(ok, loaded, 'numpy' in sys.modules)"
-    )
+    campaign = json.dumps({"checks": list(cli.CHECKS), "n": [1, 5], "x": [1, 2]})
+    probe = f"""
+import sys
+sys.modules["numpy"] = None
+import treedecomp
+from treedecomp.cli import main
+t = treedecomp.from_parent_map(4, [0, 0, 1, 1])
+lab = treedecomp.find_beta(t)
+assert treedecomp.check_allones_identity(t, lab).ok
+assert treedecomp.check_apportionment(t, lab).ok
+try:
+    treedecomp.build_block_unitary(2)
+    sys.exit("numpy was not blocked")
+except ImportError:
+    pass
+codes = [
+    main(["apportion", "check", "--tree", '{{"n": 4, "g": [0, 0, 1, 1]}}']),
+    main(["campaign", "run", "--config", {campaign!r}]),
+]
+sys.exit(max(codes))
+"""
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert out.stdout.split() == ["True", "False", "True"]
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    apportion, summary = out.stdout.splitlines()
+    assert json.loads(apportion)["ok"] and json.loads(summary)["all_pass"]
 
 
 class TestBiadjacency:
@@ -115,6 +127,16 @@ class TestBlockUnitary:
         c = circulant(4)
         assert c[0].tolist() == [0, 1, 0, 0]
         assert np.allclose(np.linalg.matrix_power(c, 4), np.eye(4))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_are_circulant_powers(self, n):
+        w = np.exp(2j * np.pi * np.arange(n) / n)
+        u = build_block_unitary(n) * np.sqrt(n)
+        for i in range(n):
+            for j in range(n):
+                block = u[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                want = np.linalg.matrix_power(circulant(n), j) @ np.diag(w**i)
+                assert np.abs(block - want).max() <= 1e-12
 
 
 class TestAllOnes:
@@ -212,32 +234,25 @@ class TestApportionment:
         with pytest.raises(InvalidPermutation):
             check_apportionment(FIGURE_TREE, sigma)
 
-    @pytest.mark.parametrize("check", [check_apportionment])
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
-    def test_rejects_bad_tolerance(self, check, tol):
-        with pytest.raises(MalformedInput):
-            check(FIGURE_TREE, (0, 1, 2, 3), tol=tol)
-
-    def test_refused_above_the_cap(self, monkeypatch):
-        # a valid labeling of a tree past the cap is refused; one at the cap passes
-        monkeypatch.setattr(apportionment, "APPORTION_CAP", 3)
-        with pytest.raises(ResourceLimit, match="apportionment cap"):
-            check_apportionment(FIGURE_TREE, (0, 1, 2, 3))
-        assert check_apportionment(from_parent_map(3, [0, 0, 1]), (0, 2, 1)).ok
-
-    def test_zero_tolerance_rejected(self):
-        # the unitarity residual is rounding-level, so tol = 0 could never pass
-        with pytest.raises(MalformedInput):
-            check_apportionment(FIGURE_TREE, (0, 1, 2, 3), tol=0.0)
+    def test_runs_past_the_old_cap(self):
+        # the check holds no n x n array, so it needs no cap on n
+        n = 2001
+        path = from_parent_map(n, [0] + list(range(n - 1)))
+        snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+        rep = check_apportionment(path, snake)
+        assert rep.ok and rep.kappa_max_error == 0.0 and rep.kappa == 1 / n
 
     def test_unitary_residual_matches_dense(self):
+        # exactly 0: F F*/n = I; the dense product is rounding-level
         for n in range(1, 25):
             rep = check_apportionment(from_parent_map(n, [0] + list(range(n - 1))), range(n))
-            assert abs(rep.unitary_residual - unitarity_residual(build_block_unitary(n))) <= 1e-12
+            assert rep.unitary_residual == 0.0
+            assert unitarity_residual(build_block_unitary(n)) <= 1e-12
 
     def test_ok_iff_edge_differences_distinct(self):
         # Both identities hold exactly when the labeled oriented edges fall in
-        # n distinct difference classes mod n, beta-labeling or not.
+        # n distinct difference classes mod n, beta-labeling or not; the
+        # report is the count's closed forms for every sigma.
         passed = pairs = 0
         for n in range(1, 7):
             for entry in catalog(n):
@@ -245,8 +260,12 @@ class TestApportionment:
                 edges = labeled_pairs(t, range(n))
                 for sigma in permutations(range(n)):
                     distinct = len({(sigma[y] - sigma[x]) % n for x, y in edges}) == n
-                    ones = check_allones_identity(t, sigma).ok
-                    assert ones == check_apportionment(t, sigma).ok == distinct
+                    ones = check_allones_identity(t, sigma)
+                    rep = check_apportionment(t, sigma)
+                    assert ones.ok == rep.ok == distinct
+                    assert rep.kappa_max_error == ones.max_deviation / n
+                    assert rep.worst_entry == ones.worst_entry
+                    assert rep.frobenius_modulus == 1 / n and rep.unitary_residual == 0.0
                     passed += distinct
                     pairs += 1
         assert (pairs, passed) == (4737, 1433)
@@ -265,8 +284,8 @@ def _non_beta_sigmas(t, count, rng):
 
 
 class TestFftModuli:
-    """The FFT table of calA's cyclic diagonals against the dense n^2 x n^2
-    oracle."""
+    """The exact reports against the FFT oracle, and that oracle's table
+    against the dense n^2 x n^2 matrix."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_table_matches_dense_oracle(self, n):
@@ -279,7 +298,7 @@ class TestFftModuli:
             sigmas = [find_beta(t, "first").sigma] + _non_beta_sigmas(t, 3, rng)
             non_beta += len(sigmas) - 1
             for sigma in sigmas:
-                table = _modulus_table(t, sigma)
+                table = modulus_table(t, sigma)
                 # dense[i, a, k, b] = |entry (i*n+a, k*n+b)|
                 dense = np.abs(apportion_dense(t, sigma)).reshape(n, n, n, n)
                 # want[i, a, k, b] = table[(b - a) % n, (k - i) % n]
@@ -288,9 +307,31 @@ class TestFftModuli:
         if n >= 4:
             assert non_beta == 3 * len(catalog(n))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_report_matches_fft_oracle(self, n):
+        # the first labeling and 15 uniform permutations of every catalog tree
+        rng = random.Random(6000 + n)
+        failed = 0
+        for entry in catalog(n):
+            t = entry.tree
+            sigmas = [find_beta(t, "first").sigma]
+            sigmas += [tuple(rng.sample(range(n), n)) for _ in range(15)]
+            for sigma in sigmas:
+                rep, fft = check_apportionment(t, sigma), apportion_fft_report(t, sigma)
+                assert rep.ok == fft.ok and rep.kappa == fft.kappa
+                assert abs(rep.kappa_max_error - fft.kappa_max_error) <= 1e-12
+                assert abs(rep.frobenius_modulus - fft.frobenius_modulus) <= 1e-12
+                assert abs(rep.unitary_residual - fft.unitary_residual) <= 1e-12
+                if not rep.ok:
+                    # on a passing sigma the FFT argmax picks rounding noise
+                    assert rep.worst_entry == fft.worst_entry
+                    failed += 1
+        if n >= 4:
+            assert failed > 0
+
     def test_memory_stays_quadratic(self):
-        # at n = 200 an n x n complex array takes 640 kB, while a gather of
-        # every diagonal j -> calA[a+j, b+j] would take n^3 entries, 128 MB
+        # below one n x n complex table (640 kB at n = 200): both checks
+        # hold the n pairs and n counts only
         n = 200
         path = from_parent_map(n, [0] + list(range(n - 1)))
         snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
@@ -302,7 +343,7 @@ class TestFftModuli:
         finally:
             tracemalloc.stop()
         assert ones.ok and rep.ok
-        assert peak < 16 * 2**20, peak
+        assert peak < 16 * n * n, peak
 
     def test_report_matches_dense_route(self):
         rng = random.Random(12)

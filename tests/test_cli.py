@@ -17,7 +17,7 @@ from treedecomp import (
     tree_from_json,
     tree_to_json,
 )
-from treedecomp import apportionment, cli, decomposition, labeling, trees
+from treedecomp import cli, decomposition, labeling, trees
 from treedecomp.cli import (
     _campaign_record,
     main,
@@ -318,12 +318,17 @@ class TestApportion:
         obj = json.loads(out)
         assert obj["ok"] and obj["kappa"] == 0.25
 
-    def test_tree_above_the_cap_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(apportionment, "APPORTION_CAP", 3)
-        code, out, err = run(
-            capsys, "apportion", "check", "--tree", FIGURE, "--sigma", "[0, 1, 2, 3]"
-        )
-        assert code == 2 and out == "" and "apportionment cap" in err
+    def test_tree_past_the_old_cap_passes(self, capsys):
+        # a 2,001-vertex path with its snake labeling; --sigma skips the
+        # search and its cap
+        n = 2001
+        path = json.dumps({"n": n, "g": [0] + list(range(n - 1))})
+        snake = json.dumps([v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)])
+        code, out, _ = run(capsys, "apportion", "check", "--tree", path, "--sigma", snake)
+        assert code == 0
+        assert json.loads(out) == {
+            "ok": True, "kappa": 1 / n, "kappa_max_error": 0.0, "unitary_residual": 0.0,
+        }
 
     def test_sweep(self, capsys):
         # the catalog sweep is a campaign of the apportion check
@@ -346,8 +351,12 @@ class TestApportion:
         "target", [["--tree", FIGURE], ["--tree", TREE4, "--sigma", "[0, 3, 2, 1]"]]
     )
     def test_bad_tolerance_exit_two(self, capsys, target, tol):
-        code, out, err = run(capsys, "apportion", "check", *target, "--tol", tol)
-        assert code == 2 and out == "" and err.startswith("error")
+        # the check is exact, so every --tol is refused as an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["apportion", "check", *target, "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
 
 class TestCampaign:
@@ -585,11 +594,10 @@ class TestGoldenRecords:
         summary, records = run_campaign({"checks": ALL_CHECKS, "n": [1, 7], "x": [1, 2]})
         assert summary["records"] == 25 and summary["skipped"] == 11
         assert _record_digest(records) == (
-            "7b4bad06b3ea6d0450dca56f3b44c22e0be278ec53435b5b3f9ecc9ed9680523"
+            "44f35060b3c689cd4dbc723cb000f234f5f34c6060542ef19d5b51ef9052376e"
         )
-        # The apportion residual is the worst modulus error over the n cyclic
-        # diagonals, rounding-level; pinned without it as well, so that a
-        # change to any other field shows apart from it.
+        # Pinned without the apportion residual as well, so that a change to
+        # any other field shows apart from it.
         assert _record_digest(records, drop={("apportion", "residual")}) == (
             "5fbb103d74792ef46feda76f1889f3cc280348e6d4258e24b79b6a4f5926f346"
         )
@@ -918,23 +926,18 @@ GOLDEN_CLI = {
     "apportion-tree": (
         ["apportion", "check", "--tree", FIGURE],
         0,
-        "2f0baeecd91dcc88a0ca54f5b090471bd713183f09ec78c358a59d36547e14df",
+        "01f4c75c7e74d03e0882642ca7178ccd573c9531fc416a1f772254364585ae46",
     ),
     # --tree is required; the catalog sweep is a campaign of the apportion check
     "apportion-sweep": (["apportion", "check", "--n-max", "4"], 2, EMPTY),
-    "apportion-tiny-tol": (
-        ["apportion", "check", "--tree", FIGURE, "--tol", "1e-300"],
-        1,
-        "a9989c0ab1a4f264d2a310543c61fccbe356dfa77d552c37aed5639896160a82",
-    ),
-    # a rounding-level residual can never meet tol = 0
+    # the check is exact and takes no --tol
     "apportion-tol-zero": (
         ["apportion", "check", "--tree", FIGURE, "--tol", "0"],
         2,
         EMPTY,
     ),
-    # on --tree, so that these reject a tolerance and an empty tree, not a
-    # missing flag
+    # on --tree, so that these reject the flag and an empty tree, not a
+    # missing --tree
     "apportion-tol-negative": (
         ["apportion", "check", "--tree", FIGURE, "--tol", "-1"],
         2,

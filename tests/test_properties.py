@@ -30,7 +30,7 @@ from treedecomp import (
     verify_beta,
     verify_partition,
 )
-from treedecomp.trees import bfs
+from treedecomp.trees import bfs, tree_from_level_sequence
 
 # The same examples on every run, few enough for tier-1.
 TIER1 = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -58,6 +58,15 @@ def trees_with_points(draw):
     if draw(st.booleans()):
         return t, find_beta(t, "first", seed=draw(st.integers(0, 2**16))).sigma
     return t, tuple(draw(st.permutations(range(t.n))))
+
+
+@TIER1
+@given(labeled_trees(max_n=60))
+def test_level_sequence_round_trip(t):
+    # a canonical code decodes to a tree with that code, so a record's
+    # tree_code rebuilds its tree
+    code = canonical_code(t)
+    assert canonical_code(tree_from_level_sequence(code)) == code
 
 
 @TIER1

@@ -32,7 +32,28 @@ FREE_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
     11: 235, 12: 551, 13: 1301, 14: 3159,
 }  # OEIS A000055
-ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]  # A000081
+ROOTED_TREE_COUNTS = [
+    1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973,
+]  # OEIS A000081
+
+
+def otter_counts(n_max: int) -> tuple[list[int], list[int]]:
+    """Rooted and free tree counts for n = 1..n_max, without the enumerator:
+    A000081 by its recurrence r(m+1) = (1/m) sum_k (sum_{d|k} d r(d)) r(m-k+1),
+    and A000055 by Otter's formula (Ann. Math. 1948),
+    f(n) = r(n) - (sum_{i+j=n} r(i) r(j) - [n even] r(n/2)) / 2."""
+    r = [0, 1]
+    for m in range(1, n_max):
+        total = sum(
+            sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[m - k + 1]
+            for k in range(1, m + 1)
+        )
+        r.append(total // m)
+    free = []
+    for n in range(1, n_max + 1):
+        pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+        free.append(r[n] - pairs // 2)
+    return r[1:], free
 
 
 class TestFromParentMap:
@@ -238,6 +259,14 @@ class TestEnumeration:
         assert len(catalog(n)) == count
 
     # n = 8 alone decodes 262,144 sequences; the orbit count covers it
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_otter_count(self, n):
+        # the catalog's completeness by a count that runs no generator
+        rooted, free = otter_counts(14)
+        assert rooted[n - 1] == ROOTED_TREE_COUNTS[n - 1]
+        assert rooted[n - 1] == sum(1 for _ in trees._rooted_level_sequences(n))
+        assert free[n - 1] == FREE_TREE_COUNTS[n] == len(catalog(n))
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_prufer_brute_force_agreement(self, n):
         expected = prufer_codes(n)
