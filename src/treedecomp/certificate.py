@@ -132,11 +132,9 @@ def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:
     """Exact coefficient table of sum over Phi of certificate(f) * basis_f.
 
     Agrees with eval_certificate on every lattice point; identically zero
-    exactly when Phi is empty.
+    exactly when Phi is empty. lagrange_basis refuses n above SYMBOLIC_CAP.
     """
     t = phi.tree
-    if t.n > SYMBOLIC_CAP:
-        raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     terms = (lagrange_basis(f, t.n).scale(eval_certificate(t, f)) for f in phi.members())
     return sum(terms, Polynomial.zero(t.n))
 
@@ -166,28 +164,27 @@ def transposition_witness(phi: lb.PhiOrbits, tau: Sequence[int]) -> tuple[int, .
 class InvarianceReport:
     ok: bool
     pairs: tuple[tuple[int, int], ...]
-    table_checked: bool
     witness: tuple[int, ...] | None
 
 
 def check_transposition_invariance(phi: lb.PhiOrbits) -> InvarianceReport:
-    """Both invariance claims for every sibling-leaf transposition tau of t,
-    a rooted automorphism. Claim I: certificate(f.tau) = certificate(f) at
-    every lattice point f, checked at the representatives (transposition_witness).
-    Claim II, when n <= SYMBOLIC_CAP (table_checked): the canonical coefficient
-    table is fixed by the same variable transposition."""
+    """Claim I for every sibling-leaf transposition tau of t, a rooted
+    automorphism: certificate(f.tau) = certificate(f) at every lattice point f,
+    checked at the representatives (transposition_witness). Claim II, the
+    canonical table P fixed by tau, is the same statement: P is the one
+    polynomial of per-variable degree below n that agrees with the certificate
+    on the lattice (Alon, Combinatorial Nullstellensatz, 1999), and P.tau keeps
+    those degrees and takes certificate(f.tau) at f, so P.tau = P exactly when
+    Claim I holds. No table is built."""
     t = phi.tree
     pairs = tuple(trees.sibling_leaf_pairs(t))
     if not pairs:
         raise PreconditionViolated("tree has no sibling-leaf pair")
-    table_checked = t.n <= SYMBOLIC_CAP
-    table = canonical_representative(phi) if table_checked else None
     for a, b in pairs:
-        tau = perms.transposition(a, b, t.n)
-        witness = transposition_witness(phi, tau)
-        if witness is not None or (table is not None and table.permute_variables(tau) != table):
-            return InvarianceReport(False, pairs, table_checked, witness)
-    return InvarianceReport(True, pairs, table_checked, None)
+        witness = transposition_witness(phi, perms.transposition(a, b, t.n))
+        if witness is not None:
+            return InvarianceReport(False, pairs, witness)
+    return InvarianceReport(True, pairs, None)
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,10 @@ class MonomialSupportReport:
 
 
 def check_monomial_support(n: int) -> MonomialSupportReport:
-    """Every monomial of every Lagrange basis misses at most one variable."""
+    """Every monomial of every Lagrange basis misses at most one variable;
+    lagrange_basis refuses n above SYMBOLIC_CAP."""
     if n < 1:
         raise MalformedInput(f"n must be at least 1, got {n}")
-    if n > SYMBOLIC_CAP:
-        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     violations = []
     count = 0
     for sigma in itertools.permutations(range(n)):

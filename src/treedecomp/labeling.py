@@ -429,15 +429,21 @@ class PhiOrbits:
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """Every member of Phi, orbit by orbit, each re-checked as it passes: a
-        permutation whose n signed labels, sorted, are 0, 1, ..., n - 1."""
+        permutation whose n signed labels, sorted, are 0, 1, ..., n - 1. Read
+        to its end, the stream must have yielded size members, distinct as the
+        representatives lie in distinct orbits, on which Aut_r acts freely."""
         t = self.tree
         n, g, everything = t.n, t.g, list(range(t.n))
         sign = [t.sign(v) for v in range(n)]
+        count = 0
         for p in _expand_orbits(t, self.reps):
             signed = sorted([sign[v] * (p[g[v]] - p[v]) for v in range(n)])
             if signed != everything or not perms.is_perm(p):
                 raise VerificationFailed(f"search returned a non-beta sigma {list(p)}")
+            count += 1
             yield p
+        if count != self.size:
+            raise VerificationFailed(f"Phi expanded to {count} labelings, not {self.size}")
 
 
 def phi_orbits(t: trees.FunctionalTree) -> PhiOrbits:
@@ -464,24 +470,12 @@ def phi_orbits(t: trees.FunctionalTree) -> PhiOrbits:
 
 
 def phi_set(t: trees.FunctionalTree) -> list[tuple[int, ...]]:
-    """Phi, every beta-labeling sigma in lexicographic order. Every member is
-    re-checked, and they must be distinct and number |orbits| * |Aut_r|."""
-    phi = phi_orbits(t)
-    out = sorted(phi.members())
-    if len(out) != phi.size or any(a == b for a, b in pairwise(out)):
-        raise VerificationFailed(f"Phi expanded to {len(out)}, not {phi.size} distinct labelings")
+    """Phi, every beta-labeling sigma in lexicographic order, as
+    PhiOrbits.members re-checks and counts them; they must be distinct."""
+    out = sorted(phi_orbits(t).members())
+    if any(a == b for a, b in pairwise(out)):
+        raise VerificationFailed("Phi expanded to a labeling twice")
     return out
-
-
-def phi_size(phi: PhiOrbits) -> int:
-    """|Phi|, without holding Phi: the members stream past the re-check and
-    must number |orbits| * |Aut_r|. They are distinct, as phi_orbits checks
-    that the representatives lie in distinct orbits, on which Aut_r acts
-    freely; phi_set also checks it by sorting, which needs the whole list."""
-    count = sum(1 for _ in phi.members())
-    if count != phi.size:
-        raise VerificationFailed(f"Phi expanded to {count} labelings, not {phi.size}")
-    return count
 
 
 @dataclass(frozen=True)

@@ -387,7 +387,7 @@ def tree_from_json(text: str) -> FunctionalTree:
     try:
         obj = json.loads(text)
         return from_parent_map(obj["n"], obj["g"])
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (ValueError, RecursionError, TypeError, KeyError) as exc:
         raise MalformedInput(f"bad tree JSON: {exc}") from exc
 
 

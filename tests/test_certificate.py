@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from conftest import (
@@ -221,8 +221,7 @@ class TestCanonicalRepresentative:
 class TestTranspositionInvariance:
     def test_sibling_pair_figure_tree(self):
         rep = check_transposition_invariance(phi_orbits(from_parent_map(4, [0, 0, 1, 1])))
-        assert rep.ok and rep.pairs == ((2, 3),)
-        assert rep.table_checked
+        assert rep.ok and rep.pairs == ((2, 3),) and rep.witness is None
 
     def test_star3(self):
         assert check_transposition_invariance(phi_orbits(from_parent_map(3, [0, 0, 0]))).ok
@@ -247,19 +246,23 @@ class TestTranspositionInvariance:
             check_transposition_invariance(phi_orbits(from_parent_map(3, [0, 0, 1])))
 
     def test_raised_symbolic_cap_reaches_the_table(self, monkeypatch):
-        # One constant bounds the table check and the canonical table it builds.
-        from treedecomp import certificate
-
+        # lagrange_basis alone checks the cap; the canonical table and the
+        # monomial-support check reach it through the bases they build
+        phi = phi_orbits(from_parent_map(5, [0, 0, 0, 1, 1]))
+        for build in (lambda: canonical_representative(phi), lambda: check_monomial_support(5)):
+            with pytest.raises(ResourceLimit, match="^n = 5 exceeds the symbolic cap 4$"):
+                build()
         monkeypatch.setattr(certificate, "SYMBOLIC_CAP", 5)
-        rep = check_transposition_invariance(phi_orbits(from_parent_map(5, [0, 0, 0, 1, 1])))
-        assert rep.ok and rep.table_checked
+        table = canonical_representative(phi)
+        assert table.evaluate(phi.reps[0]) == eval_certificate(phi.tree, phi.reps[0])
+        assert check_monomial_support(5).bases_checked == 120
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_catalog_sweeps(self, n):
         for entry in catalog(n):
             if sibling_leaf_pairs(entry.tree):
                 rep = check_transposition_invariance(phi_orbits(entry.tree))
-                assert rep.ok and rep.table_checked == (n <= 4)
+                assert rep.ok and rep.witness is None
 
     def test_claim_one_agrees_with_the_lattice_sweep(self):
         # every sibling-leaf pair with n <= 5: the orbit route and the full
@@ -274,6 +277,21 @@ class TestTranspositionInvariance:
                     assert by_orbits == (transposition_invariance_sweep(entry.tree, tau) is None)
                     pairs += 1
         assert pairs == 11
+
+    def test_claim_two_agrees_with_claim_one(self):
+        # Claim II (the canonical table fixed by the variable transposition)
+        # holds exactly when Claim I (the certificate fixed by it at every
+        # lattice point) does, for every transposition, automorphism or not
+        fixed = []
+        for n in range(1, 5):
+            for entry in catalog(n):
+                table = canonical_representative(phi_orbits(entry.tree))
+                for a, b in combinations(range(n), 2):
+                    tau = perms.transposition(a, b, n)
+                    claim_two = table.permute_variables(tau) == table
+                    assert claim_two == (transposition_invariance_sweep(entry.tree, tau) is None)
+                    fixed.append(claim_two)
+        assert (fixed.count(True), fixed.count(False)) == (4, 12)
 
 
 def _chain_reports(n: int) -> list:

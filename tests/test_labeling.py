@@ -147,7 +147,7 @@ class TestFindBeta:
         try:
             gc.collect()
             for call in (lambda: find_beta(t, "first"), lambda: find_beta(t, "all"),
-                         lambda: phi_set(t), lambda: labeling.phi_size(labeling.phi_orbits(t))):
+                         lambda: phi_set(t), lambda: sum(1 for _ in labeling.phi_orbits(t).members())):
                 assert call()
                 assert gc.collect() == 0
         finally:
@@ -393,8 +393,8 @@ class TestPhiSet:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_one_search_result_per_orbit(self, n):
         # Aut_r acts freely on Phi, and the search keeps one member per orbit,
-        # so PhiOrbits.size counts Phi without expanding it; phi_size counts
-        # the same members without holding them
+        # so PhiOrbits.size counts Phi without expanding it; the member
+        # stream counts the same members without holding them
         for entry in catalog(n):
             phi = phi_set(entry.tree)
             reps = labeling._search(entry.tree, False)[0]
@@ -403,7 +403,7 @@ class TestPhiSet:
             orbits = labeling.phi_orbits(entry.tree)
             assert orbits.reps == tuple(reps)
             assert orbits.aut == _rooted_automorphisms(entry.tree)
-            assert orbits.size == labeling.phi_size(orbits) == len(phi)
+            assert orbits.size == sum(1 for _ in orbits.members()) == len(phi)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_automorphism_count_by_scan(self, n):
@@ -432,9 +432,21 @@ class TestPhiSet:
     def test_expansion_short_of_the_orbit_count_fails_closed(self, monkeypatch):
         t = from_parent_map(4, [0, 0, 0, 0])
         monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps: iter(reps))
-        for enumerate_phi in (phi_set, lambda t: labeling.phi_size(labeling.phi_orbits(t))):
+        for enumerate_phi in (phi_set, lambda t: list(labeling.phi_orbits(t).members())):
             with pytest.raises(VerificationFailed):
                 enumerate_phi(t)
+
+    @pytest.mark.parametrize(
+        "g", [[0, 0, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1, 1]], ids=["star", "path", "spider"]
+    )
+    def test_member_stream_checks_its_count(self, g):
+        # the stream is short of a size that claims twice the automorphisms,
+        # and says so once it is read to its end
+        phi = labeling.phi_orbits(from_parent_map(len(g), g))
+        members = labeling.PhiOrbits(phi.tree, phi.reps, 2 * phi.aut).members()
+        with pytest.raises(VerificationFailed, match=f"^Phi expanded to {phi.size} labelings"):
+            for _ in members:
+                pass
 
     def test_non_beta_representative_fails_closed(self, monkeypatch):
         # phi_orbits checks each representative by verify_beta, before any
@@ -454,8 +466,9 @@ class TestPhiSet:
         ids=["non-beta", "duplicate", "too-few"],
     )
     def test_find_all_fails_closed_on_a_bad_expansion(self, monkeypatch, expand):
-        # PhiOrbits.members re-checks each expanded member, and phi_set (so
-        # find_beta(t, "all")) needs them distinct and |orbits| * |Aut_r| = 6
+        # PhiOrbits.members re-checks each expanded member and needs them to
+        # number |orbits| * |Aut_r| = 6, and phi_set (so find_beta(t, "all"))
+        # needs them distinct
         t = from_parent_map(4, [0, 0, 0, 0])
         assert len(find_beta(t, "all")) == 6
         monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps: expand(reps))
