@@ -132,9 +132,11 @@ def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:
     """Exact coefficient table of sum over Phi of certificate(f) * basis_f.
 
     Agrees with eval_certificate on every lattice point; identically zero
-    exactly when Phi is empty. lagrange_basis refuses n above SYMBOLIC_CAP.
+    exactly when Phi is empty.
     """
     t = phi.tree
+    if t.n > SYMBOLIC_CAP:
+        raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     terms = (lagrange_basis(f, t.n).scale(eval_certificate(t, f)) for f in phi.members())
     return sum(terms, Polynomial.zero(t.n))
 
@@ -266,10 +268,11 @@ class MonomialSupportReport:
 
 
 def check_monomial_support(n: int) -> MonomialSupportReport:
-    """Every monomial of every Lagrange basis misses at most one variable;
-    lagrange_basis refuses n above SYMBOLIC_CAP."""
+    """Every monomial of every Lagrange basis misses at most one variable."""
     if n < 1:
         raise MalformedInput(f"n must be at least 1, got {n}")
+    if n > SYMBOLIC_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     violations = []
     count = 0
     for sigma in itertools.permutations(range(n)):

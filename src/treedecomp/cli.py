@@ -254,28 +254,29 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
 # ---------------------------------------------------------------------------
 
 
-def _read_arg_text(value: str) -> str:
-    """Inline JSON if it looks like JSON, else the contents of a file."""
-    stripped = value.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return stripped
-    if not os.path.exists(value):
-        raise MalformedInput(f"no such file: {value}")
-    with open(value, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _json_arg(value: str):
-    """The JSON in value, inline or a file; MalformedInput for whatever json.loads
+    """The JSON in value, inline if it looks like JSON, else a file's contents;
+    MalformedInput for a file that is not UTF-8 and for whatever json.loads
     refuses, a nesting too deep or an integer too long among them."""
+    text = value.strip()
+    inline = text.startswith(("{", "["))
+    if not inline and not os.path.exists(value):
+        raise MalformedInput(f"no such file: {value}")
     try:
-        return json.loads(_read_arg_text(value))
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        if not inline:
+            with open(value, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
         raise MalformedInput(f"bad JSON: {exc}") from exc
 
 
 def _tree_arg(value: str) -> trees.FunctionalTree:
-    return trees.tree_from_json(_read_arg_text(value))
+    obj = _json_arg(value)
+    try:
+        return trees.from_parent_map(obj["n"], obj["g"])
+    except (TypeError, KeyError) as exc:
+        raise MalformedInput(f"bad tree JSON: {exc}") from exc
 
 
 def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling:

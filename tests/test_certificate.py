@@ -246,8 +246,8 @@ class TestTranspositionInvariance:
             check_transposition_invariance(phi_orbits(from_parent_map(3, [0, 0, 1])))
 
     def test_raised_symbolic_cap_reaches_the_table(self, monkeypatch):
-        # lagrange_basis alone checks the cap; the canonical table and the
-        # monomial-support check reach it through the bases they build
+        # the canonical table and the monomial-support check refuse n above
+        # the cap before any work, with the text lagrange_basis uses
         phi = phi_orbits(from_parent_map(5, [0, 0, 0, 1, 1]))
         for build in (lambda: canonical_representative(phi), lambda: check_monomial_support(5)):
             with pytest.raises(ResourceLimit, match="^n = 5 exceeds the symbolic cap 4$"):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from unittest.mock import ANY
@@ -260,6 +261,19 @@ class TestCertificate:
     def test_monomial_support_empty_exit_two(self, capsys, n):
         code, out, err = run(capsys, "certificate", "monomial-support", "--n", n)
         assert code == 2 and out == "" and err.startswith("error")
+
+    def test_huge_monomial_support_refused_before_work(self):
+        # n = 10^9 is refused before the permutations of range(n) are built;
+        # the address-space limit turns a regression into a MemoryError
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "treedecomp.cli", "certificate", "monomial-support",
+             "--n", "1000000000"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: n = 1000000000 exceeds the symbolic cap 4\n"
 
     def test_composition(self, capsys):
         code, out, _ = run(capsys, "certificate", "composition", "--tree", TREE4)
@@ -644,15 +658,16 @@ class TestExitCodes:
         ids=["tree", "sigma", "point", "perm", "config"],
     )
     @pytest.mark.parametrize(
-        "text",
-        ["[" * 200_000 + "]" * 200_000, "1" * 5_000],
-        ids=["nested-array", "long-integer"],
+        "data",
+        [b"[" * 200_000 + b"]" * 200_000, b"1" * 5_000, b"\xff[1]"],
+        ids=["nested-array", "long-integer", "not-utf8"],
     )
-    def test_json_that_does_not_load_exit_two(self, capsys, tmp_path, argv, text):
-        # json.loads raises RecursionError on the one and ValueError (the
-        # 4,300-digit conversion limit) on the other, neither a JSONDecodeError
+    def test_json_that_does_not_load_exit_two(self, capsys, tmp_path, argv, data):
+        # json.loads raises RecursionError on the first and ValueError (the
+        # 4,300-digit conversion limit) on the second, neither a JSONDecodeError;
+        # reading the third file raises UnicodeDecodeError
         path = tmp_path / "input.json"
-        path.write_text(text)
+        path.write_bytes(data)
         code, out, err = run(capsys, *argv, str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: bad ") and err.count("\n") == 1
