@@ -88,22 +88,20 @@ def nonvanishing_by_sweep(phi: lb.PhiOrbits) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-def lagrange_basis(f: Sequence[int], n: int) -> Polynomial:
-    """The basis polynomial taking value 1 at f and 0 elsewhere on the lattice.
-
-    Product over variables i of prod_{j != f(i)} (x_i - j) / (f(i) - j),
-    expanded to an exact coefficient table (per-variable degree n-1).
-    """
+def lagrange_basis(f: Sequence[int]) -> Polynomial:
+    """The basis polynomial taking value 1 at f and 0 elsewhere on Z_n^{Z_n},
+    n = len(f): the product over i of prod_{j != f(i)} (x_i - j) / (f(i) - j),
+    expanded to an exact coefficient table (per-variable degree n-1)."""
+    n = len(f)
     if n > SYMBOLIC_CAP:
         raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
     f = tuple(f)
-    m = len(f)
     if any(not (0 <= v < n) for v in f):
         raise MalformedInput(f"evaluation point must map into Z_{n}")
 
     # Univariate factor for each variable, as a dense coefficient list.
     factors: list[list[Fraction]] = []
-    for i in range(m):
+    for i in range(n):
         num = [1]  # coefficients by power
         den = 1
         for j in range(n):
@@ -125,7 +123,7 @@ def lagrange_basis(f: Sequence[int], n: int) -> Polynomial:
                 if a:
                     nxt_table[e + (d,)] = c * a
         table = nxt_table
-    return Polynomial(m, table)
+    return Polynomial(n, table)
 
 
 def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:
@@ -137,7 +135,7 @@ def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:
     t = phi.tree
     if t.n > SYMBOLIC_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the symbolic cap {SYMBOLIC_CAP}")
-    terms = (lagrange_basis(f, t.n).scale(eval_certificate(t, f)) for f in phi.members())
+    terms = (lagrange_basis(f).scale(eval_certificate(t, f)) for f in phi.members())
     return sum(terms, Polynomial.zero(t.n))
 
 
@@ -277,7 +275,7 @@ def check_monomial_support(n: int) -> MonomialSupportReport:
     count = 0
     for sigma in itertools.permutations(range(n)):
         count += 1
-        basis = lagrange_basis(sigma, n)
+        basis = lagrange_basis(sigma)
         for e in basis.coeffs:
             if sum(1 for d in e if d == 0) > 1:
                 violations.append((sigma, e))
@@ -286,11 +284,9 @@ def check_monomial_support(n: int) -> MonomialSupportReport:
     )
 
 
-def check_variable_dependency(
-    p: Polynomial, support: Sequence[int], t_power: int, n: int
-) -> bool:
-    """Reduce p**t_power modulo the falling factorials, one product at a
-    time, and test its support.
+def check_variable_dependency(p: Polynomial, support: Sequence[int], t_power: int) -> bool:
+    """Reduce p**t_power modulo the degree-n falling factorials, n = p.n_vars,
+    one product at a time, and test its support.
 
     True iff the reduced table only touches variables in support.
     """
@@ -299,8 +295,8 @@ def check_variable_dependency(
     support_set = set(support)
     if not support_set <= set(range(p.n_vars)) or len(support_set) >= p.n_vars:
         raise MalformedInput("support must be a proper subset of the variables")
-    if not p.per_variable_degree_below(n):
+    if not p.per_variable_degree_below(p.n_vars):
         raise MalformedInput("p must have per-variable degree below n")
     if not p.variables_used() <= support_set:
         raise MalformedInput("p already depends on variables outside support")
-    return reduced_power(p, t_power, n).variables_used() <= support_set
+    return reduced_power(p, t_power, p.n_vars).variables_used() <= support_set

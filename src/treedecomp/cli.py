@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -385,7 +384,7 @@ def _certificate_composition(args):
 
 
 def _group_example(args):
-    sigma1 = groupaction.sigma_from_first_column(3, [0, 3, 1])
+    sigma1 = groupaction.sigma_from_first_column([0, 3, 1])
     summary = groupaction.closure([sigma1])
     return {
         "sigma1": list(sigma1.sigma),
@@ -407,9 +406,7 @@ def _group_closure(args):
         sigma = _json_arg(text)
         if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
             raise MalformedInput("entry permutation must be a JSON array of ints")
-        # closure rejects a length that is not a square
-        side = math.isqrt(len(sigma))
-        gens.append(groupaction.EntryPermutation(n=side, sigma=tuple(sigma)))
+        gens.append(groupaction.EntryPermutation(tuple(sigma)))
     group = groupaction.closure(gens)
     return {"order": group.order, "cyclic": group.cyclic, "closed": group.closed_ok}, True
 

@@ -180,7 +180,7 @@ def _copy_is_tree_of_shape(
     if len(index) != len(copy) + 1:
         return f"copy is not vertex-injective: {len(index)} vertices, {len(copy)} edges"
     try:
-        code = trees.canonical_code_of_edges(len(index), relabeled)
+        code = trees.canonical_code_of_edges(relabeled)
     except MalformedInput:  # n - 1 edges inside Z_n, so they miss a vertex
         return "copy is disconnected"
     if code != expected_code:
@@ -209,7 +209,7 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         # source tree plus a pendant at the root.
         t = d.tree
         expected_code = trees.canonical_code_of_edges(
-            t.n + 1, [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
+            [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
         )
     else:
         expected_code = trees.canonical_code(d.tree)

@@ -20,14 +20,18 @@ from .errors import MalformedInput, NotBijective, ResourceLimit
 from .labeling import Labeling, as_labeling, labeled_pairs
 
 CHAIN_CAP = 1_200  # transversal elements a stabilizer chain may store
+ENTRY_CAP = 2_000_000  # entries sigma_from_first_column may place (n <= 1,414)
 
 
 @dataclass(frozen=True)
 class EntryPermutation:
     """A permutation of matrix entry indices (length n*n, fixes 0)."""
 
-    n: int
     sigma: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(len(self.sigma))
 
     def matrix(self) -> list[list[int]]:
         """Entry index displayed at each position: row i, column j."""
@@ -39,8 +43,8 @@ class EntryPermutation:
         return [{self.sigma[n * i + j] for i in range(n)} for j in range(n)]
 
 
-def sigma_from_first_column(n: int, first_column: Sequence[int]) -> EntryPermutation:
-    """Generate the full entry permutation from its first column.
+def sigma_from_first_column(first_column: Sequence[int]) -> EntryPermutation:
+    """Generate the full entry permutation from its first column of n entries.
 
     first_column[i] is the entry displayed at (i, 0); entry 0 must come
     first (the sigma(0)=0 anchor). Column j receives the j-fold diagonal
@@ -49,13 +53,14 @@ def sigma_from_first_column(n: int, first_column: Sequence[int]) -> EntryPermuta
     on entry indices, is the entry at ((r+j) % n, (c+j) % n).
     """
     first_column = tuple(first_column)
-    if len(first_column) != n:
-        raise MalformedInput(f"first column must have {n} entries")
+    n = len(first_column)
+    if n * n > ENTRY_CAP:
+        raise ResourceLimit(f"n = {n} needs {n * n} entries, past the entry cap {ENTRY_CAP}")
     if any(not (0 <= e < n * n) for e in first_column):
         raise MalformedInput(f"entries must lie in Z_{n * n}")
     if len(set(first_column)) != n:
         raise MalformedInput("first column entries must be distinct")
-    if first_column[0] != 0:
+    if first_column[:1] != (0,):
         raise MalformedInput("first column must start with entry 0 (sigma(0)=0)")
 
     row = [n * (k % n) for k in range(2 * n)]
@@ -69,7 +74,7 @@ def sigma_from_first_column(n: int, first_column: Sequence[int]) -> EntryPermuta
         raise NotBijective(
             "induced entry map repeats an index (first column differences collide)"
         )
-    return EntryPermutation(n=n, sigma=tuple(sigma))
+    return EntryPermutation(tuple(sigma))
 
 
 def sigma_from_labeled_tree(
@@ -87,7 +92,7 @@ def sigma_from_labeled_tree(
     entries = sorted(
         n * ((x + shift) % n) + (y + shift) % n for x, y in labeled_pairs(t, lab.sigma)
     )
-    return sigma_from_first_column(n, entries)
+    return sigma_from_first_column(entries)
 
 
 @dataclass(frozen=True)

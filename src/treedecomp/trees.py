@@ -292,11 +292,10 @@ def canonical_code(t: FunctionalTree) -> bytes:
     return _tree_code(adj)
 
 
-def canonical_code_of_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
-    """Canonical code of an arbitrary tree given as an undirected edge list;
-    MalformedInput unless its n - 1 edges in Z_n join all n vertices."""
-    if len(edges) != n - 1:
-        raise MalformedInput(f"{len(edges)} edges cannot form a tree on {n} vertices")
+def canonical_code_of_edges(edges: Sequence[tuple[int, int]]) -> bytes:
+    """Canonical code of a tree on n = len(edges) + 1 vertices given as an
+    undirected edge list; MalformedInput unless the edges join all of Z_n."""
+    n = len(edges) + 1
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):

@@ -60,7 +60,7 @@ def prufer_codes(n: int) -> frozenset[bytes]:
     codes = set()
     for seq in product(range(n), repeat=n - 2):
         edges = prufer_decode(seq, n)
-        codes.add(trees.canonical_code_of_edges(n, edges))
+        codes.add(trees.canonical_code_of_edges(edges))
     return frozenset(codes)
 
 

@@ -179,7 +179,7 @@ def test_criterion_09_monomial_support():
 
 
 def test_criterion_10_group_example():
-    sigma1 = sigma_from_first_column(3, [0, 3, 1])
+    sigma1 = sigma_from_first_column([0, 3, 1])
     assert sigma1.matrix() == [[0, 5, 2], [3, 4, 6], [1, 7, 8]]
     sigma2 = perms.compose(sigma1.sigma, sigma1.sigma)
     matrix2 = [[sigma2[3 * i + j] for j in range(3)] for i in range(3)]

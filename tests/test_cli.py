@@ -300,6 +300,25 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["sigma"][0] == 0
 
+    def test_from_tree_past_the_entry_cap_refused_before_work(self, tmp_path):
+        # a 20,000-vertex path with its snake labeling would need 4 * 10^8
+        # entries; the address-space limit turns a regression into a MemoryError
+        n = 20000
+        tree, sigma = tmp_path / "tree.json", tmp_path / "sigma.json"
+        tree.write_text(json.dumps({"n": n, "g": [0] + list(range(n - 1))}))
+        sigma.write_text(json.dumps([v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "treedecomp.cli", "group", "from-tree", "--tree", str(tree),
+             "--sigma", str(sigma)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "error: n = 20000 needs 400000000 entries, past the entry cap 2000000\n"
+        )
+
     def test_closure(self, capsys):
         sigma1 = [0, 5, 2, 3, 4, 6, 1, 7, 8]
         code, out, _ = run(capsys, "group", "closure", "--perm", json.dumps(sigma1))

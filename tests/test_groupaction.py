@@ -46,36 +46,47 @@ SIGMA2_MATRIX = [[0, 6, 2], [3, 4, 1], [5, 7, 8]]
 
 class TestSigmaFromFirstColumn:
     def test_worked_example_sigma1(self):
-        ep = sigma_from_first_column(3, [0, 3, 1])
+        ep = sigma_from_first_column([0, 3, 1])
         assert ep.matrix() == SIGMA1_MATRIX
         assert ep.sigma[0] == 0
 
     def test_worked_example_sigma2_is_square(self):
-        sigma1 = sigma_from_first_column(3, [0, 3, 1])
+        sigma1 = sigma_from_first_column([0, 3, 1])
         sigma2 = perms.compose(sigma1.sigma, sigma1.sigma)
-        ep2 = EntryPermutation(3, sigma2)
+        ep2 = EntryPermutation(sigma2)
         assert ep2.matrix() == SIGMA2_MATRIX
         # sigma_2 is itself generated by its own first column
         first_col = [sigma2[3 * i] for i in range(3)]
-        assert sigma_from_first_column(3, first_col).sigma == sigma2
+        assert sigma_from_first_column(first_col).sigma == sigma2
 
     def test_identity_first_column(self):
         for n in (1, 2, 3, 4):
-            ep = sigma_from_first_column(n, [n * i for i in range(n)])
+            ep = sigma_from_first_column([n * i for i in range(n)])
             assert ep.sigma == perms.identity(n * n)
 
     def test_colliding_differences_rejected(self):
         # entries 0 and 3 both lie on the main diagonal orbit for n=2
         with pytest.raises(NotBijective):
-            sigma_from_first_column(2, [0, 3])
+            sigma_from_first_column([0, 3])
 
     def test_malformed(self):
         with pytest.raises(MalformedInput):
-            sigma_from_first_column(2, [1, 2])  # must start with 0
+            sigma_from_first_column([1, 2])  # must start with 0
         with pytest.raises(MalformedInput):
-            sigma_from_first_column(2, [0, 0])
+            sigma_from_first_column([0, 0])
         with pytest.raises(MalformedInput):
-            sigma_from_first_column(2, [0])
+            sigma_from_first_column([])  # no entry 0 to anchor
+
+    def test_size_read_from_the_entries(self):
+        ep = sigma_from_first_column([0, 3, 1])
+        assert ep.n == 3 and EntryPermutation(ep.sigma) == ep
+
+    def test_entry_cap(self, monkeypatch):
+        # the n^2 entries are checked against the cap before any is placed
+        monkeypatch.setattr(groupaction, "ENTRY_CAP", 9)
+        assert sigma_from_first_column([0, 3, 1]).matrix() == SIGMA1_MATRIX
+        with pytest.raises(ResourceLimit, match="^n = 4 needs 16 entries, past the entry cap 9$"):
+            sigma_from_first_column([0, 4, 8, 12])
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_chained_shifts_on_every_first_column(self, n):
@@ -85,9 +96,9 @@ class TestSigmaFromFirstColumn:
             want = sigma_by_chained_shifts(n, first_column)
             if want is None:
                 with pytest.raises(NotBijective):
-                    sigma_from_first_column(n, first_column)
+                    sigma_from_first_column(first_column)
             else:
-                assert sigma_from_first_column(n, first_column).sigma == want
+                assert sigma_from_first_column(first_column).sigma == want
                 valid += 1
         # one entry per difference class c - r mod n, each in one of n rows
         assert valid == math.factorial(n - 1) * n ** (n - 1)
@@ -101,7 +112,7 @@ class TestSigmaFromFirstColumn:
             first_column = [n * r + (r + d) % n for r, d in zip(rows, classes)]
             want = sigma_by_chained_shifts(n, first_column)
             assert want is not None
-            assert sigma_from_first_column(n, first_column).sigma == want
+            assert sigma_from_first_column(first_column).sigma == want
 
     def test_diagonal_shift_orbits(self):
         n = 3
@@ -114,18 +125,18 @@ class TestSigmaFromFirstColumn:
 
 class TestClosure:
     def test_worked_example_order_three(self):
-        summary = closure([sigma_from_first_column(3, [0, 3, 1])])
+        summary = closure([sigma_from_first_column([0, 3, 1])])
         assert summary.order == 3
         assert summary.cyclic is True
         assert summary.closed_ok
 
     def test_identity_only(self):
-        ident = EntryPermutation(2, perms.identity(4))
+        ident = EntryPermutation(perms.identity(4))
         summary = closure([ident])
         assert summary.order == 1 and summary.cyclic
 
     def test_power_returns_to_identity(self):
-        ep = sigma_from_first_column(3, [0, 3, 1])
+        ep = sigma_from_first_column([0, 3, 1])
         cur = perms.identity(9)
         for _ in range(closure([ep]).order):
             cur = perms.compose(ep.sigma, cur)
@@ -142,8 +153,8 @@ class TestClosure:
             closure([])
 
     def test_mixed_sizes_rejected(self):
-        a = sigma_from_first_column(2, [0, 2])
-        b = sigma_from_first_column(3, [0, 3, 6])
+        a = sigma_from_first_column([0, 2])
+        b = sigma_from_first_column([0, 3, 6])
         with pytest.raises(MalformedInput):
             closure([a, b])
 
@@ -158,7 +169,7 @@ class TestClosure:
     )
     def test_non_permutation_rejected(self, sigma, error):
         with pytest.raises(error):
-            closure([EntryPermutation(2, sigma)])
+            closure([EntryPermutation(sigma)])
 
 
 def cycle(points, degree):
@@ -183,17 +194,17 @@ class TestClosureOracle:
             self.check([sigma_from_labeled_tree(entry.tree, find_beta(entry.tree, "first"))])
 
     def test_worked_example(self):
-        assert self.check([sigma_from_first_column(3, [0, 3, 1])]).order == 3
+        assert self.check([sigma_from_first_column([0, 3, 1])]).order == 3
 
     def test_identity(self):
-        summary = self.check([EntryPermutation(2, perms.identity(4))])
+        summary = self.check([EntryPermutation(perms.identity(4))])
         assert summary.order == 1 and summary.cyclic is True
 
     def test_two_generators(self):
         # the closure-two CLI input: sigma1 and a product of three transpositions
         gens = [
-            sigma_from_first_column(3, [0, 3, 1]),
-            EntryPermutation(3, (0, 2, 1, 3, 5, 4, 6, 8, 7)),
+            sigma_from_first_column([0, 3, 1]),
+            EntryPermutation((0, 2, 1, 3, 5, 4, 6, 8, 7)),
         ]
         summary = self.check(gens)
         assert summary.order == 120 and summary.cyclic is False
@@ -202,8 +213,8 @@ class TestClosureOracle:
         # two disjoint transpositions commute, but the lcm 2 of their orders
         # is not the order 4
         klein = [
-            EntryPermutation(3, perms.transposition(1, 2, 9)),
-            EntryPermutation(3, perms.transposition(3, 4, 9)),
+            EntryPermutation(perms.transposition(1, 2, 9)),
+            EntryPermutation(perms.transposition(3, 4, 9)),
         ]
         summary = self.check(klein)
         assert (summary.order, summary.cyclic) == (4, False)
@@ -212,8 +223,8 @@ class TestClosureOracle:
         # (1 2 3) and (1 2) have orders 3 and 2 with lcm 6 = |S_3|, yet they
         # do not commute, so S_3 is not cyclic
         gens = [
-            EntryPermutation(2, cycle([1, 2, 3], 4)),
-            EntryPermutation(2, perms.transposition(1, 2, 4)),
+            EntryPermutation(cycle([1, 2, 3], 4)),
+            EntryPermutation(perms.transposition(1, 2, 4)),
         ]
         summary = self.check(gens)
         assert (summary.order, summary.cyclic) == (6, False)
@@ -223,17 +234,17 @@ class TestClosureBeyondElementLists:
     def test_coprime_cycles_give_a_cyclic_group(self):
         # cycles of lengths 7, 8 and 9 on Z_25, fixing 0: order 504, cyclic
         parts = [list(range(1, 8)), list(range(8, 16)), list(range(16, 25))]
-        gens = [EntryPermutation(5, cycle(c, 25)) for c in parts]
+        gens = [EntryPermutation(cycle(c, 25)) for c in parts]
         product = perms.compose(gens[0].sigma, perms.compose(gens[1].sigma, gens[2].sigma))
-        for generators in (gens, [EntryPermutation(5, product)]):
+        for generators in (gens, [EntryPermutation(product)]):
             summary = closure(generators)
             assert (summary.order, summary.cyclic, summary.closed_ok) == (504, True, True)
 
     def test_symmetric_group_on_fifteen_points(self):
         # the transposition (1 2) and the 15-cycle on 1..15 generate S_15
         gens = [
-            EntryPermutation(4, perms.transposition(1, 2, 16)),
-            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+            EntryPermutation(perms.transposition(1, 2, 16)),
+            EntryPermutation(cycle(list(range(1, 16)), 16)),
         ]
         summary = closure(gens)
         assert summary.order == math.factorial(15) == 1_307_674_368_000
@@ -244,14 +255,14 @@ class TestClosureBeyondElementLists:
         # whose chain would store 2,015 transversal elements; and the cap is
         # read on each call, so S_15's 119 elements pass under one of 119
         gens = [
-            EntryPermutation(8, perms.transposition(1, 2, 64)),
-            EntryPermutation(8, cycle(list(range(1, 64)), 64)),
+            EntryPermutation(perms.transposition(1, 2, 64)),
+            EntryPermutation(cycle(list(range(1, 64)), 64)),
         ]
         with pytest.raises(ResourceLimit):
             closure(gens)
         s15 = [
-            EntryPermutation(4, perms.transposition(1, 2, 16)),
-            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+            EntryPermutation(perms.transposition(1, 2, 16)),
+            EntryPermutation(cycle(list(range(1, 16)), 16)),
         ]
         monkeypatch.setattr(groupaction, "CHAIN_CAP", 119)
         assert closure(s15).order == math.factorial(15)
@@ -265,8 +276,8 @@ class TestClosureBeyondElementLists:
         build = groupaction._stabilizer_chain
         monkeypatch.setattr(groupaction, "_stabilizer_chain", lambda *a: build(*a)[:1])
         gens = [
-            EntryPermutation(4, perms.transposition(1, 2, 16)),
-            EntryPermutation(4, cycle(list(range(1, 16)), 16)),
+            EntryPermutation(perms.transposition(1, 2, 16)),
+            EntryPermutation(cycle(list(range(1, 16)), 16)),
         ]
         summary = closure(gens)
         assert summary.order == 15 and summary.closed_ok is False

@@ -27,10 +27,12 @@ from treedecomp import (
     from_parent_map,
     phi_set,
     reroot,
+    tree_from_json,
+    tree_to_json,
     verify_beta,
     verify_partition,
 )
-from treedecomp.trees import bfs, tree_from_level_sequence
+from treedecomp.trees import bfs, canonical_code_of_edges, tree_from_level_sequence
 
 # The same examples on every run, few enough for tier-1.
 TIER1 = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -67,6 +69,26 @@ def test_level_sequence_round_trip(t):
     # tree_code rebuilds its tree
     code = canonical_code(t)
     assert canonical_code(tree_from_level_sequence(code)) == code
+
+
+@TIER1
+@given(labeled_trees())
+def test_json_round_trip(t):
+    assert tree_from_json(tree_to_json(t)) == t
+
+
+@TIER1
+@given(labeled_trees(), st.data())
+def test_reroot_round_trip(t, data):
+    r = data.draw(st.integers(0, t.n - 1))
+    assert reroot(reroot(t, r), t.root) == t
+
+
+@TIER1
+@given(labeled_trees())
+def test_code_of_the_edge_list_is_the_trees_code(t):
+    # the edge-list route the partition verifier takes, on the tree's own edges
+    assert canonical_code_of_edges(sorted(t.undirected_edges())) == canonical_code(t)
 
 
 @TIER1

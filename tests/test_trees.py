@@ -361,12 +361,11 @@ class TestCodeOfEdges:
             [(0, 1), (1, 2), (2, 0)],  # a triangle and an isolated vertex
             [(0, 1), (1, 2), (2, 4)],  # an end past Z_4
             [(0, 1), (1, 2), (-1, 2)],  # a negative end
-            [(0, 1), (1, 2)],  # too few edges
         ],
     )
     def test_edges_not_forming_a_tree_rejected(self, edges):
         with pytest.raises(MalformedInput):
-            trees.canonical_code_of_edges(4, edges)
+            trees.canonical_code_of_edges(edges)
 
 
 class TestDeepTrees:
