@@ -26,14 +26,17 @@ from typing import Sequence
 from . import labeling as lb
 from . import perms, trees
 from .errors import MalformedInput, PreconditionViolated, ResourceLimit
-from .polynomial import Polynomial, reduced_power
+from .polynomial import Polynomial, reduced_power, root_product_coeffs
 
 SYMBOLIC_CAP = 4
+EVAL_CAP = 41  # vertices; past it, |certificate| can pass str()'s 4,300 digits
 
 
 def eval_certificate(t: trees.FunctionalTree, f: Sequence[int]) -> int:
     """Exact integer value of the certificate at the lattice point f."""
     n = t.n
+    if n > EVAL_CAP:
+        raise ResourceLimit(f"n = {n} exceeds the evaluation cap {EVAL_CAP}")
     f = tuple(f)
     if len(f) != n or any(type(v) is not int or not (0 <= v < n) for v in f):
         raise MalformedInput(f"lattice point must be a length-{n} map into Z_{n}")
@@ -90,8 +93,9 @@ def nonvanishing_by_sweep(phi: lb.PhiOrbits) -> tuple[int, ...] | None:
 
 def lagrange_basis(f: Sequence[int]) -> Polynomial:
     """The basis polynomial taking value 1 at f and 0 elsewhere on Z_n^{Z_n},
-    n = len(f): the product over i of prod_{j != f(i)} (x_i - j) / (f(i) - j),
-    expanded to an exact coefficient table (per-variable degree n-1)."""
+    n = len(f): the Polynomial product over i of the univariate
+    prod_{j != f(i)} (x_i - j) / (f(i) - j), an exact coefficient table of
+    per-variable degree n-1."""
     n = len(f)
     if n > SYMBOLIC_CAP:
         raise ResourceLimit(f"n = {n} exceeds the symbolic cap {SYMBOLIC_CAP}")
@@ -99,31 +103,16 @@ def lagrange_basis(f: Sequence[int]) -> Polynomial:
     if any(not (0 <= v < n) for v in f):
         raise MalformedInput(f"evaluation point must map into Z_{n}")
 
-    # Univariate factor for each variable, as a dense coefficient list.
-    factors: list[list[Fraction]] = []
-    for i in range(n):
-        num = [1]  # coefficients by power
-        den = 1
-        for j in range(n):
-            if j == f[i]:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for d, a in enumerate(num):
-                nxt[d + 1] += a
-                nxt[d] -= j * a
-            num = nxt
-            den *= f[i] - j
-        factors.append([Fraction(a, den) for a in num])
-
-    table: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for coeffs in factors:
-        nxt_table: dict[tuple[int, ...], Fraction] = {}
-        for e, c in table.items():
-            for d, a in enumerate(coeffs):
-                if a:
-                    nxt_table[e + (d,)] = c * a
-        table = nxt_table
-    return Polynomial(n, table)
+    basis = Polynomial.constant(n, 1)
+    for i, v in enumerate(f):
+        others = [j for j in range(n) if j != v]
+        den = math.prod(v - j for j in others)
+        factor = {
+            (0,) * i + (d,) + (0,) * (n - 1 - i): Fraction(a, den)
+            for d, a in enumerate(root_product_coeffs(others))
+        }
+        basis = basis * Polynomial(n, factor)
+    return basis
 
 
 def canonical_representative(phi: lb.PhiOrbits) -> Polynomial:

@@ -21,14 +21,17 @@ from .errors import MalformedInput, ResourceLimit, TreeDecompError, Verification
 
 
 def sigma_from_json(value: str) -> tuple[int, ...]:
-    """The labeling in value, inline JSON or a file: an array or {"sigma": array}."""
+    """The int array in value, inline JSON or a file: an array or {"sigma": array}.
+    It reads --sigma, --perm and --point, so the output of label find and of
+    group from-tree can be passed on as it is."""
     obj = _json_arg(value)
     try:
         sigma = tuple(obj["sigma"] if isinstance(obj, dict) else obj)
     except (TypeError, KeyError) as exc:
-        raise MalformedInput(f"bad labeling JSON: {exc}") from exc
-    if any(type(v) is not int for v in sigma):
-        raise MalformedInput(f"labeling entries must be ints: {list(sigma)}")
+        raise MalformedInput(f"bad int-array JSON: {exc}") from exc
+    bad = [v for v in sigma if type(v) is not int]
+    if bad:
+        raise MalformedInput(f"array entries must be ints, got {bad[0]!r}")
     return sigma
 
 
@@ -343,9 +346,7 @@ def _decompose(args):
 
 def _certificate_eval(args):
     t = _tree_arg(args.tree)
-    point = _json_arg(args.point)
-    if not isinstance(point, list):
-        raise MalformedInput(f"point must be a JSON array, got {point!r}")
+    point = sigma_from_json(args.point)
     return {"value": str(certificate.eval_certificate(t, point))}, True
 
 
@@ -401,12 +402,7 @@ def _group_from_tree(args):
 
 
 def _group_closure(args):
-    gens = []
-    for text in args.perm:
-        sigma = _json_arg(text)
-        if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
-            raise MalformedInput("entry permutation must be a JSON array of ints")
-        gens.append(groupaction.EntryPermutation(tuple(sigma)))
+    gens = [groupaction.EntryPermutation(sigma_from_json(p)) for p in args.perm]
     group = groupaction.closure(gens)
     return {"order": group.order, "cyclic": group.cyclic, "closed": group.closed_ok}, True
 
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert_sub = p_cert.add_subparsers(dest="subcommand", required=True)
     p_eval = _leaf(cert_sub, "eval", _certificate_eval)
     p_eval.add_argument("--tree", required=True)
-    p_eval.add_argument("--point", required=True, help="JSON list in Z_n^n")
+    p_eval.add_argument("--point", required=True, help="JSON list in Z_n^n, or {\"sigma\": list}")
     p_mag = _leaf(cert_sub, "magnitude", _certificate_magnitude)
     p_mag.add_argument("--tree", required=True)
     p_nz = _leaf(cert_sub, "nonzero", _certificate_nonzero)
@@ -505,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gft.add_argument("--sigma")
     p_gcl = _leaf(group_sub, "closure", _group_closure)
     p_gcl.add_argument("--perm", action="append", required=True,
-                       help="entry permutation as a JSON index array (repeatable)")
+                       help="entry permutation as a JSON index array, or {\"sigma\": array} "
+                       "(repeatable)")
 
     p_app = sub.add_parser("apportion", help="unitary apportionment checks")
     app_sub = p_app.add_subparsers(dest="subcommand", required=True)

@@ -20,6 +20,7 @@ from .errors import MalformedInput, NotBijective, ResourceLimit
 from .labeling import Labeling, as_labeling, labeled_pairs
 
 CHAIN_CAP = 1_200  # transversal elements a stabilizer chain may store
+CHAIN_ENTRY_CAP = 20_000_000  # their entries: elements times the degree
 ENTRY_CAP = 2_000_000  # entries sigma_from_first_column may place (n <= 1,414)
 
 
@@ -142,7 +143,8 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Lev
     group, so the order is the product of the orbit lengths.
 
     It stores one transversal element per orbit point of each level, and
-    raises ResourceLimit past CHAIN_CAP of them (S_m stores m(m+1)/2 - 1).
+    raises ResourceLimit past CHAIN_CAP of them (S_m stores m(m+1)/2 - 1) or
+    past CHAIN_ENTRY_CAP entries, degree entries each.
     """
     ident = perms.identity(degree)
     levels: list[_Level] = []
@@ -167,8 +169,11 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], degree: int) -> list[_Lev
             sp = perms.compose(s, lvl.fwd[p])
             q = s[p]
             if q not in lvl.fwd:
-                if sum(len(level.fwd) for level in levels) >= CHAIN_CAP:
+                stored = sum(len(level.fwd) for level in levels)
+                if stored >= CHAIN_CAP:
                     raise ResourceLimit(f"the chain outgrew {CHAIN_CAP} transversal elements")
+                if (stored + 1) * degree > CHAIN_ENTRY_CAP:
+                    raise ResourceLimit(f"the chain outgrew {CHAIN_ENTRY_CAP} entries")
                 lvl.fwd[q], lvl.inv[q] = sp, perms.compose(lvl.inv[p], s_inv)
                 todo.extend((m, q, t, t_inv) for t, t_inv in lvl.gens)
                 continue

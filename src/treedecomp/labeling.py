@@ -315,27 +315,22 @@ def find_beta(
     t: trees.FunctionalTree,
     mode: str = "first",
     seed: int | None = None,
-) -> Labeling | list[Labeling] | None:
-    """Beta-labelings by the backtracking search, each checked by verify_beta.
+) -> Labeling | None:
+    """A beta-labeling by the backtracking search, checked by verify_beta.
 
-    mode="first" returns one Labeling (or None if the space is exhausted,
-    which would falsify the search, not the existence theorem). A seed
+    mode must be "first" (Phi, every beta-labeling, is phi_set's). It returns
+    one Labeling, or None if the space is exhausted, which would falsify the
+    search, not the existence theorem. A seed
     renumbers the tree: with pi = range(n) shuffled by random.Random(seed),
     the search labels conjugate(t, pi) by sigma', and sigma[v] =
     sigma'[pi[v]] has the same signed labels, since renumbering keeps depths.
     The numbering only orders siblings, so a tree where no vertex has two
     children (a path rooted at an end) gets one labeling for every seed.
-    mode="all" returns phi_set's members as Labelings, under the Phi cap.
-    Phi does not depend on a seed, so this mode takes none.
     """
-    if mode not in ("first", "all"):
+    if mode != "first":
         raise MalformedInput(f"unknown mode {mode!r}")
-    if mode == "all" and seed is not None:
-        raise MalformedInput("a seed picks one labeling; mode 'all' takes none")
     if t.n > SEARCH_CAP:
         raise ResourceLimit(f"n = {t.n} exceeds the search cap {SEARCH_CAP}")
-    if mode == "all":
-        return [verify_beta(t, sigma) for sigma in phi_set(t)]
     if seed is None:
         found = _search(t, True)[0]
     else:

@@ -8,7 +8,7 @@ is Fraction-exact -- no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -135,16 +135,17 @@ class Polynomial:
         return f"Polynomial(n_vars={self.n_vars}, terms={len(self.coeffs)})"
 
 
+def root_product_coeffs(roots: Iterable[int]) -> list[int]:
+    """Coefficients (by power) of the product of (x - r) over roots; leading 1."""
+    c = [1]
+    for r in roots:
+        c = [lo - r * hi for lo, hi in zip([0] + c, c + [0])]
+    return c
+
+
 def falling_factorial_coeffs(n: int) -> list[int]:
     """Coefficients (by power) of x(x-1)...(x-(n-1)); degree n, leading 1."""
-    c = [1]
-    for j in range(n):
-        nc = [0] * (len(c) + 1)
-        for d, a in enumerate(c):
-            nc[d + 1] += a
-            nc[d] -= j * a
-        c = nc
-    return c
+    return root_product_coeffs(range(n))
 
 
 def reduce_falling_factorial(p: Polynomial, n: int) -> Polynomial:

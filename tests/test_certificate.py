@@ -66,6 +66,15 @@ class TestEvalCertificate:
         with pytest.raises(MalformedInput):
             eval_certificate(t, (0,))
 
+    def test_eval_cap_keeps_every_value_printable(self):
+        # |certificate| is expected_magnitude(n) on Phi and 0 elsewhere, and
+        # past EVAL_CAP vertices it passes the default int-to-str limit
+        cap = certificate.EVAL_CAP
+        assert expected_magnitude(cap) < 10**4300 <= expected_magnitude(cap + 1)
+        path = from_parent_map(cap + 1, [0] + list(range(cap)))
+        with pytest.raises(ResourceLimit, match="evaluation cap"):
+            eval_certificate(path, range(cap + 1))
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_agrees_with_the_loop_oracle(self, n):
         # every member of Phi, random permutations and random lattice points

@@ -14,10 +14,12 @@ from treedecomp import (
     decompose_directed_knn,
     decomposition_to_json,
     eval_certificate,
+    expected_magnitude,
     find_beta,
     from_parent_map,
     tree_from_json,
     tree_to_json,
+    verify_beta,
 )
 from treedecomp import cli, decomposition, labeling, trees
 from treedecomp.cli import (
@@ -239,6 +241,27 @@ class TestCertificate:
         assert code == 2 and out == ""
         assert err.startswith("error") and "Traceback" not in err
 
+    def test_eval_reads_the_output_of_label_find(self, capsys, tmp_path):
+        # label find prints {"sigma": [...]}, which --point takes as it is
+        found = tmp_path / "found.json"
+        assert run(capsys, "label", "find", "--tree", TREE4, "--out", str(found))[0] == 0
+        code, out, _ = run(capsys, "certificate", "eval", "--tree", TREE4, "--point", str(found))
+        assert code == 0 and abs(int(json.loads(out)["value"])) == expected_magnitude(4)
+
+    def test_eval_past_the_eval_cap_exit_two(self, capsys):
+        # a 50-vertex path at its snake labeling, a beta-labeling, where
+        # |certificate| has 6,690 digits, past the default int-to-str limit
+        n = 50
+        g = [0] + list(range(n - 1))
+        snake = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+        assert isinstance(verify_beta(from_parent_map(n, g), snake), Labeling)
+        code, out, err = run(
+            capsys, "certificate", "eval", "--tree", json.dumps({"n": n, "g": g}),
+            "--point", json.dumps(snake),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: n = 50 exceeds the evaluation cap 41\n"
+
     def test_magnitude(self, capsys):
         code, out, _ = run(capsys, "certificate", "magnitude", "--tree", TREE4)
         assert code == 0
@@ -324,6 +347,32 @@ class TestGroup:
         code, out, _ = run(capsys, "group", "closure", "--perm", json.dumps(sigma1))
         assert code == 0
         assert json.loads(out)["order"] == 3
+
+    def test_closure_reads_the_output_of_from_tree(self, capsys, tmp_path):
+        # group from-tree prints {"n": ..., "sigma": [...]}, which --perm
+        # takes as it is
+        code, out, _ = run(capsys, "group", "from-tree", "--tree", TREE4)
+        assert code == 0
+        entry_perm = tmp_path / "entry_perm.json"
+        entry_perm.write_text(out)
+        code, out, _ = run(capsys, "group", "closure", "--perm", str(entry_perm))
+        assert code == 0 and json.loads(out) == {"order": 4, "cyclic": True, "closed": True}
+
+    def test_closure_of_a_long_cycle_refused_by_the_entry_bound(self, tmp_path):
+        # the cycle (1 2 ... 159999) on the entries of a 400 x 400 matrix: its
+        # chain would store 159,999 transversal elements of 160,000 entries
+        # each; the address-space limit turns a regression into a MemoryError
+        degree = 400 * 400
+        perm = tmp_path / "perm.json"
+        perm.write_text(json.dumps([0] + list(range(2, degree)) + [1]))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "treedecomp.cli", "group", "closure", "--perm", str(perm)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: the chain outgrew 20000000 entries\n"
 
     @pytest.mark.parametrize(
         "perm", ["[0, 0, 0, 0]", "[1, 0, 2, 3]", "[0, 1, 2]", "[0, 1.0, 2, 3]", '{"a": 1}']

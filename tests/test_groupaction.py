@@ -15,8 +15,10 @@ from treedecomp import (
     decompose_directed_knn,
     find_beta,
     from_parent_map,
+    phi_set,
     sigma_from_first_column,
     sigma_from_labeled_tree,
+    verify_beta,
 )
 from treedecomp import groupaction, perms
 
@@ -270,6 +272,16 @@ class TestClosureBeyondElementLists:
         with pytest.raises(ResourceLimit):
             closure(s15)
 
+    def test_entry_cap_bounds_the_stored_entries(self, monkeypatch):
+        # the 15-cycle on 1..15 has a one-level chain of 15 transversal
+        # elements of degree 16, 240 entries; the cap is read on each call
+        gens = [EntryPermutation(cycle(list(range(1, 16)), 16))]
+        monkeypatch.setattr(groupaction, "CHAIN_ENTRY_CAP", 240)
+        assert closure(gens).order == 15
+        monkeypatch.setattr(groupaction, "CHAIN_ENTRY_CAP", 239)
+        with pytest.raises(ResourceLimit, match="239 entries"):
+            closure(gens)
+
     def test_closed_ok_checks_the_chain(self, monkeypatch):
         # a chain cut after its first level holds only the 15-cycle's orbit:
         # the 15-cycle then leaves a residue, so closed_ok must be False
@@ -306,7 +318,8 @@ class TestSigmaFromLabeledTree:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_catalog_columns_equal_copies_up_to_rotation(self, n):
         for entry in catalog(n):
-            for lab in find_beta(entry.tree, "all")[:10]:
+            for sigma in phi_set(entry.tree)[:10]:
+                lab = verify_beta(entry.tree, sigma)
                 ep = sigma_from_labeled_tree(entry.tree, lab)
                 assert ep.sigma[0] == 0
                 d = decompose_directed_knn(entry.tree, lab)

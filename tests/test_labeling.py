@@ -112,31 +112,15 @@ class TestFindBeta:
         b = find_beta(t, seed=7)
         assert isinstance(a, Labeling) and a.sigma == b.sigma
 
-    def test_all_mode_takes_no_seed(self):
-        # Phi does not depend on a seed, so one there is a usage error
-        with pytest.raises(MalformedInput):
-            find_beta(from_parent_map(4, [0, 0, 1, 1]), "all", seed=3)
-
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             find_beta(from_parent_map(17, [0] * 17))
 
-    def test_all_mode_keeps_the_phi_cap(self):
-        # Phi of the 10-vertex star has 9! members; "all" fails closed on it
-        star = from_parent_map(10, [0] * 10)
-        with pytest.raises(ResourceLimit):
-            find_beta(star, "all")
-        assert isinstance(find_beta(star, "first"), Labeling)
-
     def test_bad_mode(self):
-        with pytest.raises(MalformedInput):
-            find_beta(from_parent_map(1, [0]), mode="some")
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_all_mode_matches_exhaustive_phi(self, n):
-        for entry in catalog(n):
-            sigmas = [lab.sigma for lab in find_beta(entry.tree, "all")]
-            assert sigmas == list(phi_by_scan(entry.tree))
+        # Phi is phi_set's, so "first" is the one mode
+        for mode in ("some", "all"):
+            with pytest.raises(MalformedInput):
+                find_beta(from_parent_map(1, [0]), mode=mode)
 
     def test_search_leaves_no_garbage(self):
         # the recursive search must not leave a reference cycle holding its
@@ -146,8 +130,8 @@ class TestFindBeta:
         gc.disable()
         try:
             gc.collect()
-            for call in (lambda: find_beta(t, "first"), lambda: find_beta(t, "all"),
-                         lambda: phi_set(t), lambda: sum(1 for _ in labeling.phi_orbits(t).members())):
+            for call in (lambda: find_beta(t, "first"), lambda: phi_set(t),
+                         lambda: sum(1 for _ in labeling.phi_orbits(t).members())):
                 assert call()
                 assert gc.collect() == 0
         finally:
@@ -467,14 +451,12 @@ class TestPhiSet:
     )
     def test_find_all_fails_closed_on_a_bad_expansion(self, monkeypatch, expand):
         # PhiOrbits.members re-checks each expanded member and needs them to
-        # number |orbits| * |Aut_r| = 6, and phi_set (so find_beta(t, "all"))
-        # needs them distinct
+        # number |orbits| * |Aut_r| = 6, and phi_set needs them distinct
         t = from_parent_map(4, [0, 0, 0, 0])
-        assert len(find_beta(t, "all")) == 6
+        assert len(phi_set(t)) == 6
         monkeypatch.setattr(labeling, "_expand_orbits", lambda t, reps: expand(reps))
-        for enumerate_phi in (phi_set, lambda t: find_beta(t, "all")):
-            with pytest.raises(VerificationFailed):
-                enumerate_phi(t)
+        with pytest.raises(VerificationFailed):
+            phi_set(t)
 
     def test_star_at_cap(self):
         # a star's root must carry label 0; its 8 leaves take 1..8 in any order
@@ -485,8 +467,8 @@ class TestGraceful:
     def test_beta_implies_graceful_full_catalog(self):
         for n in range(1, 9):
             for entry in catalog(n):
-                for lab in find_beta(entry.tree, "all"):
-                    assert verify_graceful(entry.tree, lab.sigma).ok
+                for sigma in phi_set(entry.tree):
+                    assert verify_graceful(entry.tree, sigma).ok
 
     def test_star_identity(self):
         assert verify_graceful(from_parent_map(4, [0, 0, 0, 0]), range(4)).ok
@@ -546,7 +528,8 @@ class TestBipartitionConsistency:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_label_zero_in_positive_partition(self, n):
         for entry in catalog(n):
-            for lab in find_beta(entry.tree, "all")[:50]:
+            for sigma in phi_set(entry.tree)[:50]:
+                lab = verify_beta(entry.tree, sigma)
                 h_tree = from_parent_map(n, lab.h)
                 assert h_tree.depth[0] % 2 == 0
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from conftest import reduce_by_rewriting
 
@@ -8,6 +9,7 @@ from treedecomp.polynomial import (
     Polynomial,
     falling_factorial_coeffs,
     reduce_falling_factorial,
+    root_product_coeffs,
 )
 
 
@@ -64,6 +66,17 @@ class TestFallingFactorial:
         # x(x-1)(x-2) = x^3 - 3x^2 + 2x
         assert falling_factorial_coeffs(3) == [0, 2, -3, 1]
         assert falling_factorial_coeffs(1) == [0, 1]
+
+    def test_root_product(self):
+        # (x - 2)(x + 1) = x^2 - x - 2; the empty product is 1
+        assert root_product_coeffs([2, -1]) == [-2, -1, 1]
+        assert root_product_coeffs([]) == [1]
+        rng = random.Random(7)
+        for _ in range(10):
+            roots = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6))]
+            p = Polynomial(1, {(d,): a for d, a in enumerate(root_product_coeffs(roots))})
+            assert all(p.evaluate((r,)) == 0 for r in roots)
+            assert p.evaluate((5,)) == prod(5 - r for r in roots)
 
     def test_reduction_is_lattice_preserving(self):
         rng = random.Random(12345)
