@@ -2,8 +2,9 @@
 
 A decomposition is held as its host, the beta-labeled tree and x base
 copies, one per stretch k. Copy (k, i) is base k turned by the host rotation
-v -> v + i (mod m), so the copies and their shifts are derived, developed on
-demand; the three hosts differ only in m and in where a pair lands.
+v -> v + i (mod m), so the copies and their shifts are derived: `copies` is a
+sequence that develops each copy when it is read, and no step holds them all
+at once; the three hosts differ only in m and in where a pair lands.
 
 verify_partition is the independent ground truth, and the builder runs it
 before returning and raises VerificationFailed, with the report's witness,
@@ -25,6 +26,7 @@ copy of the tree exactly when the base is.
 from __future__ import annotations
 
 import json
+from collections import abc
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -61,11 +63,41 @@ class Decomposition:
         return tuple((k, i) for k in range(len(self.bases)) for i in range(m))
 
     @property
-    def copies(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def copies(self) -> Copies:
         """Copy (k, i), base k turned by i, for every shift, in (k, i) order."""
-        m = _modulus(self.host)
-        kind = self.host.kind
-        return tuple(_rotate(base, i, m, kind) for base in self.bases for i in range(m))
+        return Copies(self.bases, _modulus(self.host), self.host.kind)
+
+
+class Copies(abc.Sequence):
+    """The x*m copies of a decomposition as a read-only sequence: copy
+    j = km + i is base k turned by i, developed when it is read, so
+    iterating holds one copy at a time. Two views are equal when their
+    copies are, copy by copy; the hash keeps one int per copy."""
+
+    def __init__(self, bases: Sequence[tuple[tuple[int, int], ...]], m: int, kind: str):
+        self._bases, self._m, self._kind = bases, m, kind
+
+    def __len__(self) -> int:
+        return len(self._bases) * self._m
+
+    def __getitem__(self, j: int) -> tuple[tuple[int, int], ...]:
+        size = len(self)
+        if not -size <= j < size:
+            raise IndexError(f"copy {j} of {size}")
+        k, i = divmod(j % size, self._m)
+        return _rotate(self._bases[k], i, self._m, self._kind)
+
+    def __iter__(self):
+        m, kind = self._m, self._kind
+        return (_rotate(base, i, m, kind) for base in self._bases for i in range(m))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Copies):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(hash(c) for c in self))
 
 
 def _modulus(host: Host) -> int:
@@ -268,18 +300,15 @@ def check_export_size(host: Host, dot: bool, sizes: Sequence[int] | None = None)
 
 
 def decomposition_to_json(d: Decomposition) -> str:
-    """Every copy and its provenance; ResourceLimit past EXPORT_CAP edges."""
+    """Every copy and its provenance, the copies written one at a time (json
+    writes a tuple as an array); ResourceLimit past EXPORT_CAP edges."""
     check_export_size(d.host, False, [len(base) for base in d.bases])
-    return json.dumps(
-        {
-            "host": {"kind": d.host.kind, "n": d.host.n, "x": d.host.x},
-            "copies": [[[a, b] for a, b in copy] for copy in d.copies],
-            "provenance": {
-                "tree": {"n": d.tree.n, "g": list(d.tree.g)},
-                "sigma": list(d.sigma),
-                "shifts": [[k, i] for k, i in d.shifts],
-            },
-        }
+    host = {"kind": d.host.kind, "n": d.host.n, "x": d.host.x}
+    prov = {"tree": {"n": d.tree.n, "g": d.tree.g}, "sigma": d.sigma, "shifts": d.shifts}
+    return (
+        f'{{"host": {json.dumps(host)}, "copies": ['
+        + ", ".join(map(json.dumps, d.copies))
+        + f'], "provenance": {json.dumps(prov)}}}'
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from . import perms, trees
@@ -38,10 +39,6 @@ class EntryPermutation:
         """Entry index displayed at each position: row i, column j."""
         n = self.n
         return [[self.sigma[n * i + j] for j in range(n)] for i in range(n)]
-
-    def column_entry_sets(self) -> list[set[int]]:
-        n = self.n
-        return [{self.sigma[n * i + j] for i in range(n)} for j in range(n)]
 
 
 def sigma_from_first_column(first_column: Sequence[int]) -> EntryPermutation:
@@ -203,22 +200,24 @@ def closure(generators: Sequence[EntryPermutation]) -> GroupSummary:
     The group is cyclic iff the generators commute pairwise and the lcm of
     their orders (an abelian group's exponent) equals the order. closed_ok
     is checked apart from how the chain was built: every generator and
-    every product of two generators must sift to the identity.
+    every product of two generators must sift to the identity. A repeated
+    generator counts once, and each product is sifted or compared as it is
+    made, so at most two are held at once.
     """
     if not generators:
         raise MalformedInput("need at least one generator")
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise MalformedInput("generators must share the same n")
-    gens = [perms.check_perm(g.sigma, n * n) for g in generators]
+    gens = list(dict.fromkeys(perms.check_perm(g.sigma, n * n) for g in generators))
     if any(g[:1] != (0,) for g in gens):
         raise MalformedInput("entry permutation must fix 0")
     levels = _stabilizer_chain(gens, n * n)
     order = math.prod(len(lvl.fwd) for lvl in levels)
     ident = perms.identity(n * n)
-    k = len(gens)
-    products = [perms.compose(a, b) for a in gens for b in gens]
-    closed_ok = all(_sift(levels, p, 0)[0] == ident for p in gens + products)
-    commute = all(products[i * k + j] == products[j * k + i] for i in range(k) for j in range(i))
+    products = (perms.compose(a, b) for a in gens for b in gens)
+    closed_ok = all(_sift(levels, p, 0)[0] == ident for p in chain(gens, products))
+    pairs = ((a, b) for i, a in enumerate(gens) for b in gens[:i])
+    commute = all(perms.compose(a, b) == perms.compose(b, a) for a, b in pairs)
     cyclic = commute and math.lcm(*map(_perm_order, gens)) == order
     return GroupSummary(order=order, cyclic=cyclic, closed_ok=closed_ok)

@@ -94,14 +94,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.n_vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, point: Sequence[int]) -> Fraction:
         total = Fraction(0)
         for e, c in self.coeffs.items():
@@ -112,21 +104,8 @@ class Polynomial:
             total += term
         return total
 
-    def permute_variables(self, tau: Sequence[int]) -> "Polynomial":
-        """Substitute x_i -> x_{tau(i)} in every monomial."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.coeffs.items():
-            e2 = [0] * self.n_vars
-            for i, d in enumerate(e):
-                e2[tau[i]] = d
-            out[tuple(e2)] = c
-        return Polynomial(self.n_vars, out)
-
     def variables_used(self) -> set[int]:
         return {i for e in self.coeffs for i, d in enumerate(e) if d}
-
-    def max_degree(self, i: int) -> int:
-        return max((e[i] for e in self.coeffs), default=0)
 
     def per_variable_degree_below(self, n: int) -> bool:
         return all(d < n for e in self.coeffs for d in e)

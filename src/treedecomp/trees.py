@@ -59,14 +59,6 @@ class FunctionalTree:
             row.sort()
         return adj
 
-    def undirected_edges(self) -> frozenset[tuple[int, int]]:
-        """The n-1 non-loop edges as sorted pairs."""
-        return frozenset(
-            (min(v, self.g[v]), max(v, self.g[v]))
-            for v in range(self.n)
-            if v != self.root
-        )
-
 
 def bfs(adj: Sequence[Sequence[int]], src: int) -> tuple[list[int], list[int]]:
     """Breadth-first order from src, neighbours in adjacency-list order.

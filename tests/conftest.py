@@ -24,6 +24,11 @@ from treedecomp.groupaction import EntryPermutation
 from treedecomp.polynomial import Polynomial, falling_factorial_coeffs
 
 
+def undirected_edges(t: trees.FunctionalTree) -> frozenset[tuple[int, int]]:
+    """The n-1 non-loop edges as sorted pairs."""
+    return frozenset((min(v, p), max(v, p)) for v, p in enumerate(t.g) if v != t.root)
+
+
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     """Edges of the labeled tree on Z_n with the given Prufer sequence."""
     deg = [1] * n
@@ -275,6 +280,25 @@ def unpruned_search(
     return found, nodes
 
 
+def poly_pow(p: Polynomial, k: int) -> Polynomial:
+    """p**k by k products, the oracle for polynomial.reduced_power."""
+    out = Polynomial.constant(p.n_vars, 1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def permute_variables(p: Polynomial, tau: Sequence[int]) -> Polynomial:
+    """p with x_i -> x_{tau(i)} substituted in every monomial."""
+    out = {}
+    for e, c in p.coeffs.items():
+        e2 = [0] * p.n_vars
+        for i, d in enumerate(e):
+            e2[tau[i]] = d
+        out[tuple(e2)] = c
+    return Polynomial(p.n_vars, out)
+
+
 def reduce_by_rewriting(p: Polynomial, n: int) -> Polynomial:
     """p modulo the falling factorials by rewriting x_i^n as x_i^n - x_i^(falling n).
 
@@ -433,6 +457,12 @@ def verify_rho(
     return RhoReport(
         ok=not duplicated, wrapped_labels=tuple(wrapped), duplicated=tuple(duplicated)
     )
+
+
+def column_entry_sets(ep: EntryPermutation) -> list[set[int]]:
+    """The entries of each column of the entry permutation's matrix."""
+    n = ep.n
+    return [{ep.sigma[n * i + j] for i in range(n)} for j in range(n)]
 
 
 def closure_by_bfs(generators: Sequence[EntryPermutation]) -> tuple[int, bool, bool]:
@@ -636,6 +666,39 @@ def host_edges(host: Host) -> set[tuple[int, int]]:
     return {(u, m + v) for u in range(m) for v in range(m)}
 
 
+def copies_by_tuple(d: Decomposition) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Decomposition.copies as it stood before it became a view: every copy
+    developed into one tuple, in (k, i) order. Copy (k, i) moves each end v
+    of base k to v + i within its block of m vertices, and K_{2nx+1} writes
+    each edge as (min, max)."""
+    m = decomposition._modulus(d.host)
+    copies = []
+    for base in d.bases:
+        for i in range(m):
+            turned = [(u - u % m + (u + i) % m, v - v % m + (v + i) % m) for u, v in base]
+            if d.host.kind == "k2n1":
+                turned = [(min(u, v), max(u, v)) for u, v in turned]
+            copies.append(tuple(sorted(turned)))
+    return tuple(copies)
+
+
+def decomposition_json_by_dumps(d: Decomposition) -> str:
+    """decomposition_to_json as it stood before it was written copy by copy:
+    one json.dumps of the whole structure, every copy as nested lists."""
+    m = decomposition._modulus(d.host)
+    return json.dumps(
+        {
+            "host": {"kind": d.host.kind, "n": d.host.n, "x": d.host.x},
+            "copies": [[[a, b] for a, b in copy] for copy in copies_by_tuple(d)],
+            "provenance": {
+                "tree": {"n": d.tree.n, "g": list(d.tree.g)},
+                "sigma": list(d.sigma),
+                "shifts": [[k, i] for k in range(len(d.bases)) for i in range(m)],
+            },
+        }
+    )
+
+
 def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
     """The edge-by-edge oracle for decomposition.verify_partition: a full
     shape check of every developed copy and the exact cover by a set of edge
@@ -643,7 +706,7 @@ def verify_partition_by_sets(d: Decomposition) -> PartitionReport:
     signature is compared with the source tree's, whose knn copies carry the
     loop-derived edge, a pendant at the root."""
     t = d.tree
-    edges = sorted(t.undirected_edges())
+    edges = sorted(undirected_edges(t))
     if d.host.kind == "knn":
         edges.append((t.root, t.n))
     classes: dict[tuple[int, ...], int] = {}

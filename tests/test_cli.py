@@ -374,6 +374,23 @@ class TestGroup:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == "error: the chain outgrew 20000000 entries\n"
 
+    def test_closure_of_a_repeated_generator_within_the_address_space(self, tmp_path):
+        # the transposition (1 2) on the entries of a 400 x 400 matrix, given
+        # 40 times: all 1,600 products of 160,000 entries held at once ran out
+        # of the address space with a MemoryError traceback
+        degree = 400 * 400
+        perm = tmp_path / "perm.json"
+        perm.write_text(json.dumps([0, 2, 1] + list(range(3, degree))))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "treedecomp.cli", "group", "closure",
+             *["--perm", str(perm)] * 40],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout) == {"order": 2, "cyclic": True, "closed": True}
+
     @pytest.mark.parametrize(
         "perm", ["[0, 0, 0, 0]", "[1, 0, 2, 3]", "[0, 1, 2]", "[0, 1.0, 2, 3]", '{"a": 1}']
     )

@@ -2,11 +2,14 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from conftest import (
     catalog,
+    copies_by_tuple,
     decomposition_from_json,
+    decomposition_json_by_dumps,
     host_edges,
     unorient,
     verify_partition_by_sets,
@@ -24,6 +27,7 @@ from treedecomp import (
     decomposition_to_json,
     find_beta,
     from_parent_map,
+    phi_set,
     verify_partition,
 )
 from treedecomp import decomposition
@@ -80,7 +84,7 @@ class TestDirectedKnn:
 
     def test_single_vertex(self):
         d = decompose_directed_knn(from_parent_map(1, [0]), (0,))
-        assert d.copies == (((0, 1),),)
+        assert tuple(d.copies) == (((0, 1),),)
 
     def test_star3(self):
         t = from_parent_map(3, [0, 0, 0])
@@ -294,15 +298,69 @@ def _tampered_bases(d: Decomposition):
         yield "base 1 replaced by base 0", _put(d, 1, bases[0])
 
 
-def _catalog_decompositions(n: int):
+def _catalog_decompositions(n: int, stretches=(1, 2)):
     for entry in catalog(n):
         t = entry.tree
         lab = find_beta(t, "first")
         yield decompose_directed_knn(t, lab)
         if n >= 2:
-            for x in (1, 2):
+            for x in stretches:
                 yield decompose_k2n1(t, lab, x)
                 yield decompose_knxnx(t, lab, x)
+
+
+class TestCopiesView:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_copies_equal_the_tuple_oracle(self, n):
+        for d in _catalog_decompositions(n, (1, 2, 3)):
+            want = copies_by_tuple(d)
+            assert tuple(d.copies) == want
+            assert len(d.copies) == len(want)
+            assert [d.copies[j] for j in range(-len(want), len(want))] == [*want, *want]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_json_equals_one_dumps_of_the_whole(self, n):
+        for d in _catalog_decompositions(n, (1, 2, 3)):
+            assert decomposition_to_json(d) == decomposition_json_by_dumps(d)
+
+    def test_sequence_protocol(self):
+        d = decompose_k2n1(FIGURE_TREE, find_beta(FIGURE_TREE, "first"), 2)
+        copies = d.copies
+        assert isinstance(copies, Sequence) and len(copies) == 2 * 13
+        assert copies[-1] == copies[25] and copies[-26] == copies[0]
+        for j in (26, -27, 10**30, -(10**30)):
+            with pytest.raises(IndexError):
+                copies[j]
+        assert copies.index(copies[14]) == 14 and copies[14] in copies
+        assert list(reversed(copies)) == list(copies)[::-1]
+
+    def test_equality_and_hash(self):
+        t = from_parent_map(5, [0, 0, 1, 1, 3])
+        sigmas = phi_set(t)[:2]
+        d1, d2, other = (decompose_knxnx(t, s, 2) for s in (sigmas[0], sigmas[0], sigmas[1]))
+        assert d1.copies is not d2.copies
+        assert d1.copies == d2.copies and hash(d1.copies) == hash(d2.copies)
+        assert d1.copies != other.copies and hash(d1.copies) != hash(other.copies)
+        # the view is not a tuple, so it never equals one
+        assert d1.copies != tuple(d1.copies)
+        assert d1.copies.__eq__(tuple(d1.copies)) is NotImplemented
+
+    def test_iterating_holds_one_copy_at_a_time(self):
+        # K_{2nx+1} from a 50-vertex path at x = 4: 1,572 copies of 49 edges,
+        # 77,028 edge tuples, 6.4 MB traced when they were held in one tuple
+        n = 50
+        t = from_parent_map(n, [0] + list(range(n - 1)))
+        d = decompose_k2n1(t, [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)], 4)
+        tracemalloc.start()
+        try:
+            edges = sum(len(c) for c in d.copies)
+            digest = hash(d.copies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = 2 * (n - 1) * 4 + 1
+        assert edges == m * (m - 1) // 2 and digest == hash(d.copies)
+        assert peak < 2**20, peak
 
 
 class TestVerifyPartitionOracle:

@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
-from conftest import catalog, closure_by_bfs
+from conftest import catalog, closure_by_bfs, column_entry_sets
 
 from treedecomp import (
     EntryPermutation,
@@ -21,6 +22,7 @@ from treedecomp import (
     verify_beta,
 )
 from treedecomp import groupaction, perms
+from treedecomp.groupaction import GroupSummary
 
 
 def diagonal_shift(entry: int, n: int) -> int:
@@ -294,6 +296,30 @@ class TestClosureBeyondElementLists:
         summary = closure(gens)
         assert summary.order == 15 and summary.closed_ok is False
 
+    def test_products_are_made_one_at_a_time(self):
+        # 16 disjoint transpositions of 2,500 entries: their 256 products
+        # would hold 5.1 MB of entry references at once (7.3 MB peak in all)
+        degree = 50 * 50
+        gens = [
+            EntryPermutation(perms.transposition(2 * i + 1, 2 * i + 2, degree)) for i in range(16)
+        ]
+        tracemalloc.start()
+        try:
+            summary = closure(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (summary.order, summary.cyclic, summary.closed_ok) == (2**16, False, True)
+        assert peak < 4 * 2**20, peak
+
+    def test_repeated_generators_count_once(self):
+        gens = [
+            EntryPermutation(perms.transposition(1, 2, 16)),
+            EntryPermutation(cycle(list(range(1, 16)), 16)),
+        ]
+        assert closure(gens * 3) == closure(gens)
+        assert closure([gens[1]] * 5) == GroupSummary(order=15, cyclic=True, closed_ok=True)
+
 
 class TestSigmaFromLabeledTree:
     def test_figure_tree_columns_match_copies(self):
@@ -302,7 +328,7 @@ class TestSigmaFromLabeledTree:
         ep = sigma_from_labeled_tree(t, lab)
         d = decompose_directed_knn(t, lab)
         copies_as_entries = [{4 * x + (y - 4) for x, y in c} for c in d.copies]
-        assert ep.column_entry_sets() == copies_as_entries
+        assert column_entry_sets(ep) == copies_as_entries
 
     def test_single_vertex(self):
         ep = sigma_from_labeled_tree(from_parent_map(1, [0]), (0,))
@@ -326,7 +352,7 @@ class TestSigmaFromLabeledTree:
                 copies = [
                     frozenset(n * x + (y - n) for x, y in c) for c in d.copies
                 ]
-                columns = [frozenset(c) for c in ep.column_entry_sets()]
+                columns = [frozenset(c) for c in column_entry_sets(ep)]
                 assert set(copies) == set(columns)
                 # column j is copy (j - root label) mod n: the first column
                 # is the rotation of the labeled tree that hits entry 0

@@ -7,7 +7,13 @@ import subprocess
 import sys
 
 import pytest
-from conftest import catalog, orbit_counts, prufer_codes, rooted_level_sequence_by_recursion
+from conftest import (
+    catalog,
+    orbit_counts,
+    prufer_codes,
+    rooted_level_sequence_by_recursion,
+    undirected_edges,
+)
 
 from treedecomp import (
     InvalidPermutation,
@@ -123,7 +129,7 @@ class TestBfs:
                 order, parent = trees.bfs(entry.tree.adjacency(), r)
                 t = from_parent_map(n, parent)
                 assert t.root == r
-                assert t.undirected_edges() == entry.tree.undirected_edges()
+                assert undirected_edges(t) == undirected_edges(entry.tree)
                 assert [t.depth[v] for v in order] == sorted(t.depth)
 
 
@@ -144,11 +150,11 @@ class TestReroot:
     def test_catalog_root_and_edges_preserved(self, n):
         for entry in catalog(n):
             t = entry.tree
-            edges = t.undirected_edges()
+            edges = undirected_edges(t)
             for r in range(n):
                 t2 = reroot(t, r)
                 assert t2.root == r
-                assert t2.undirected_edges() == edges
+                assert undirected_edges(t2) == edges
 
 
 class TestConjugate:
