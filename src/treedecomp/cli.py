@@ -7,6 +7,8 @@ included); 2 any other treedecomp error, bad JSON or an unreadable file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -174,7 +176,7 @@ CONFIG_KEYS = ("checks", "n", "x", "workers", "out")
 
 
 def run_campaign(config: dict, out_path: str | None = None, workers: int | None = None):
-    """Run the configured checks over the tree catalog; append JSONL records."""
+    """Run the configured checks over the tree catalog; append each JSONL record as it is made."""
     if not isinstance(config, dict):
         raise MalformedInput(f"campaign config must be a JSON object, got {config!r}")
     unknown = sorted(k for k in config if k not in CONFIG_KEYS)
@@ -216,16 +218,14 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
             )
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            records = pool.map(_campaign_record, tasks)
-    else:
-        records = [_campaign_record(task) for task in tasks]
-
-    if out_path:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+    records = []
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
+        pool = stack.enter_context(Pool(workers)) if workers > 1 else None
+        for record in (pool.imap if pool else map)(_campaign_record, tasks):
+            records.append(record)
+            if fh:
+                print(json.dumps(record), file=fh, flush=True)
 
     failures = sorted(
         {
@@ -292,19 +292,20 @@ def _labeling_arg(value: str | None, t: trees.FunctionalTree) -> lb.Labeling:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (output, ok), output a string or a JSON object
+# Command handlers: each returns (output, ok), output a JSON object or text parts
 # ---------------------------------------------------------------------------
 
 
 def _trees_enumerate(args):
     entries = trees.enumerate_free_trees(args.n)
     if args.format == "dot":
-        return "\n".join(trees.tree_to_dot(e.tree) for e in entries), True
+        # one digraph per tree, a blank line between two
+        return (("\n" if e.index else "") + trees.tree_to_dot(e.tree) for e in entries), True
     lines = (
         {"n": e.tree.n, "g": list(e.tree.g), "code": e.canonical_code.hex(), "index": e.index}
         for e in entries
     )
-    return "\n".join(map(json.dumps, lines)), True
+    return (json.dumps(line) + "\n" for line in lines), True
 
 
 def _label_find(args):
@@ -341,7 +342,7 @@ def _decompose(args):
     d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
     if args.format == "dot":
         return decomposition.decomposition_to_dot(d), True
-    return decomposition.decomposition_to_json(d), True
+    return itertools.chain(decomposition.decomposition_to_json(d), "\n"), True
 
 
 def _certificate_eval(args):
@@ -521,18 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; its output goes to --out or stdout."""
+    """Run one command; its output goes to --out or stdout as it is made, a JSON
+    object as one line. --out is opened after the first part, so a refusal leaves it."""
     args = build_parser().parse_args(argv)
     try:
         output, ok = args.handler(args)
-        text = output if isinstance(output, str) else json.dumps(output)
-        text = text if text.endswith("\n") else text + "\n"
+        parts = iter((json.dumps(output), "\n") if isinstance(output, dict) else output)
+        first = next(parts, "")
         out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(first)
+            fh.writelines(parts)
         return 0 if ok else 1
     except VerificationFailed as exc:
         sys.stderr.write(f"verification failed: {exc}\n")

@@ -29,7 +29,7 @@ import json
 from collections import abc
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
@@ -57,14 +57,8 @@ class Decomposition:
     sigma: tuple[int, ...]
 
     @property
-    def shifts(self) -> tuple[tuple[int, int], ...]:
-        """(k, i) for every copy, in the order of copies."""
-        m = _modulus(self.host)
-        return tuple((k, i) for k in range(len(self.bases)) for i in range(m))
-
-    @property
     def copies(self) -> Copies:
-        """Copy (k, i), base k turned by i, for every shift, in (k, i) order."""
+        """Copy j = km + i, base k turned by i, in (k, i) order."""
         return Copies(self.bases, _modulus(self.host), self.host.kind)
 
 
@@ -299,29 +293,32 @@ def check_export_size(host: Host, dot: bool, sizes: Sequence[int] | None = None)
         raise ResourceLimit(f"the {fmt} export needs {lines} edge lines, past the cap {EXPORT_CAP}")
 
 
-def decomposition_to_json(d: Decomposition) -> str:
-    """Every copy and its provenance, the copies written one at a time (json
-    writes a tuple as an array); ResourceLimit past EXPORT_CAP edges."""
+def decomposition_to_json(d: Decomposition) -> Iterator[str]:
+    """Every copy and its provenance as the parts of one JSON text: a head,
+    one part per copy (json writes a tuple as an array) and the provenance,
+    whose shift of copy j is (k, i) = divmod(j, m), one part per base. The
+    first part raises ResourceLimit past EXPORT_CAP edges."""
     check_export_size(d.host, False, [len(base) for base in d.bases])
     host = {"kind": d.host.kind, "n": d.host.n, "x": d.host.x}
-    prov = {"tree": {"n": d.tree.n, "g": d.tree.g}, "sigma": d.sigma, "shifts": d.shifts}
-    return (
-        f'{{"host": {json.dumps(host)}, "copies": ['
-        + ", ".join(map(json.dumps, d.copies))
-        + f'], "provenance": {json.dumps(prov)}}}'
-    )
+    yield f'{{"host": {json.dumps(host)}, "copies": ['
+    for j, copy in enumerate(d.copies):
+        yield (", " if j else "") + json.dumps(copy)
+    tree = json.dumps({"n": d.tree.n, "g": d.tree.g})
+    yield f'], "provenance": {{"tree": {tree}, "sigma": {json.dumps(d.sigma)}, "shifts": ['
+    m = _modulus(d.host)
+    for k in range(len(d.bases)):
+        yield (", " if k else "") + ", ".join(f"[{k}, {i}]" for i in range(m))
+    yield "]}}"
 
 
-def decomposition_to_dot(d: Decomposition) -> str:
-    """One frame per copy; edges of earlier copies are grayed out. C copies
-    of e edges take e*C*(C+1)/2 edge lines, and past EXPORT_CAP of them
-    ResourceLimit is raised before anything is written."""
+def decomposition_to_dot(d: Decomposition) -> Iterator[str]:
+    """One DOT frame per copy, each a part; edges of earlier copies are
+    grayed out. C copies of e edges take e*C*(C+1)/2 edge lines, and past
+    EXPORT_CAP of them the first part raises ResourceLimit."""
     check_export_size(d.host, True, [len(base) for base in d.bases])
     kind, arrow = ("digraph", "->") if d.host.kind == "knn" else ("graph", "--")
-    frames = []
-    gray: list[str] = []
+    gray = ""
     for idx, copy in enumerate(d.copies):
-        own = [f"  {a} {arrow} {b};" for a, b in copy]
-        frames.append("\n".join([f"{kind} frame_{idx} {{", *gray, *own, "}"]))
-        gray += [f"  {a} {arrow} {b} [color=lightgray];" for a, b in copy]
-    return "\n".join(frames) + "\n"
+        own = "".join(f"  {a} {arrow} {b};\n" for a, b in copy)
+        yield f"{kind} frame_{idx} {{\n{gray}{own}}}\n"
+        gray += "".join(f"  {a} {arrow} {b} [color=lightgray];\n" for a, b in copy)

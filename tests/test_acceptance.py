@@ -90,7 +90,7 @@ def test_criterion_03_figure4_reproduction():
     edges = [e for copy in d.copies for e in copy]
     assert len(edges) == len(set(edges)) == 16
     assert set(edges) == {(x, y) for x in range(4) for y in range(4, 8)}
-    frames = decomposition_to_dot(d).count("digraph frame_")
+    frames = "".join(decomposition_to_dot(d)).count("digraph frame_")
     assert frames == 4
     report(3, "4 copies tile Z_4 x {4..7} exactly; DOT export has 4 frames")
 

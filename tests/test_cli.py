@@ -479,6 +479,24 @@ class TestCampaign:
         run_campaign(config, out_path=str(out_path))
         assert len(out_path.read_text().strip().splitlines()) == 2
 
+    def test_records_made_before_a_failure_stay_in_the_file(self, monkeypatch, tmp_path):
+        config = {"checks": ["beta"], "n": [1, 5]}
+        _, whole = run_campaign(config)
+        made = []
+
+        def third_fails(task):
+            if len(made) == 2:
+                raise RuntimeError("third task")
+            made.append(task)
+            return _campaign_record(task)
+
+        monkeypatch.setattr(cli, "_campaign_record", third_fails)
+        out_path = tmp_path / "records.jsonl"
+        with pytest.raises(RuntimeError, match="third task"):
+            run_campaign(config, out_path=str(out_path))
+        written = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert _record_digest(written) == _record_digest(whole[:2])
+
     def test_workers_match_serial(self, tmp_path):
         config = {"checks": ["beta", "nonzero"], "n": [1, 5]}
         _, serial = run_campaign(config, workers=1)
@@ -580,7 +598,7 @@ class TestCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def imap(self, fn, tasks):
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(cli, "Pool", FakePool)
@@ -707,7 +725,7 @@ class TestExportRoundTrip:
     def test_decomposition(self):
         t = from_parent_map(4, [0, 3, 3, 0])
         d = decompose_directed_knn(t, (0, 1, 2, 3))
-        assert decomposition_from_json(decomposition_to_json(d)) == d
+        assert decomposition_from_json("".join(decomposition_to_json(d))) == d
 
     def test_bad_sigma_json(self):
         with pytest.raises(MalformedInput):
@@ -726,6 +744,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "trees", "enumerate", "--n", "1")
         assert code == (1 if error is VerificationFailed else 2)
         assert out == "" and err.endswith("boom\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trees", "enumerate", "--n", "19"],
+            ["decompose", "--tree", json.dumps({"n": 16, "g": [0] + list(range(15))}),
+             "--target", "k2n1", "--x", "8", "--format", "dot"],
+        ],
+        ids=["enumerate", "decompose"],
+    )
+    def test_refused_command_leaves_out_as_it_was(self, capsys, tmp_path, argv):
+        # enumerate_free_trees refuses n = 19 only when its first part is made
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"earlier output\n")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == "" and "cap" in err
+        assert path.read_bytes() == b"earlier output\n"
 
     def test_json_decode_error_exit_two(self, capsys):
         code, out, err = run(capsys, "campaign", "run", "--config", "{")

@@ -321,7 +321,7 @@ class TestCopiesView:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_json_equals_one_dumps_of_the_whole(self, n):
         for d in _catalog_decompositions(n, (1, 2, 3)):
-            assert decomposition_to_json(d) == decomposition_json_by_dumps(d)
+            assert "".join(decomposition_to_json(d)) == decomposition_json_by_dumps(d)
 
     def test_sequence_protocol(self):
         d = decompose_k2n1(FIGURE_TREE, find_beta(FIGURE_TREE, "first"), 2)
@@ -361,6 +361,28 @@ class TestCopiesView:
         m = 2 * (n - 1) * 4 + 1
         assert edges == m * (m - 1) // 2 and digest == hash(d.copies)
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize(
+        "export,g,x",
+        [
+            # 20,100 copies of one edge: 0.47 MB of JSON, 4.2 MB traced when joined
+            (decomposition_to_json, [0, 0], 100),
+            # 122 frames of a 16-vertex path: 3.3 MB of DOT, 10.1 MB traced when joined
+            (decomposition_to_dot, [0] + list(range(15)), 2),
+        ],
+        ids=["json", "dot"],
+    )
+    def test_exports_are_consumed_part_by_part(self, export, g, x):
+        t = from_parent_map(len(g), g)
+        d = decompose_k2n1(t, find_beta(t, "first"), x)
+        tracemalloc.start()
+        try:
+            length = sum(len(part) for part in export(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == len("".join(export(d)))
+        assert peak < length // 10, (peak, length)
 
 
 class TestVerifyPartitionOracle:
@@ -473,7 +495,7 @@ class TestVerifyPartitionOracle:
         for one in (True, 1.0):
             base = [(one if a == 1 else a, b) for a, b in d.bases[0]]
             assert not verify_partition(_put(d, 0, base)).ok
-        bad = json.loads(decomposition_to_json(d))
+        bad = json.loads("".join(decomposition_to_json(d)))
         m = _side(d.host)
         bad["copies"][0][0] = [[1], {"a": 2}]
         bad["copies"][m][0] = ["x", 3]
@@ -503,17 +525,17 @@ class TestSerialization:
     def test_json_round_trip(self):
         t = from_parent_map(3, [0, 0, 1])
         d = decompose_k2n1(t, find_beta(t, "first"), 2)
-        assert decomposition_from_json(decomposition_to_json(d)) == d
+        assert decomposition_from_json("".join(decomposition_to_json(d))) == d
 
     def test_json_schema(self):
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
-        obj = json.loads(decomposition_to_json(d))
+        obj = json.loads("".join(decomposition_to_json(d)))
         assert obj["host"] == {"kind": "knn", "n": 4, "x": 1}
         assert obj["copies"][0] == [[0, 4], [0, 7], [1, 7], [2, 7]]
 
     def test_dot_frames_gray_previous(self):
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
-        dot = decomposition_to_dot(d)
+        dot = "".join(decomposition_to_dot(d))
         assert dot.count("digraph frame_") == 4
         assert dot.count("[color=lightgray]") == 4 + 8 + 12
 
@@ -521,19 +543,19 @@ class TestSerialization:
         # 4 frames of 4 edges draw 4 + 8 + 12 + 16 = 40 edge lines
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
         monkeypatch.setattr(decomposition, "EXPORT_CAP", 40)
-        assert decomposition_to_dot(d).count(" -> ") == 40
+        assert "".join(decomposition_to_dot(d)).count(" -> ") == 40
         monkeypatch.setattr(decomposition, "EXPORT_CAP", 39)
         with pytest.raises(ResourceLimit, match="40 edge lines"):
-            decomposition_to_dot(d)
+            "".join(decomposition_to_dot(d))
 
     def test_json_cap(self, monkeypatch):
         # 4 copies of 4 edges list 16 edges
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
         monkeypatch.setattr(decomposition, "EXPORT_CAP", 16)
-        assert sum(map(len, json.loads(decomposition_to_json(d))["copies"])) == 16
+        assert sum(map(len, json.loads("".join(decomposition_to_json(d)))["copies"])) == 16
         monkeypatch.setattr(decomposition, "EXPORT_CAP", 15)
         with pytest.raises(ResourceLimit, match="JSON export needs 16 edge lines"):
-            decomposition_to_json(d)
+            "".join(decomposition_to_json(d))
 
     @pytest.mark.parametrize("x", [1, 2, 3])
     def test_host_alone_counts_the_written_lines(self, monkeypatch, x):
@@ -546,8 +568,8 @@ class TestSerialization:
         for d in builds:
             arrow = " -> " if d.host.kind == "knn" else " -- "
             monkeypatch.setattr(decomposition, "EXPORT_CAP", 10**9)
-            dot = decomposition_to_dot(d).count(arrow)
-            listed = sum(map(len, json.loads(decomposition_to_json(d))["copies"]))
+            dot = "".join(decomposition_to_dot(d)).count(arrow)
+            listed = sum(map(len, json.loads("".join(decomposition_to_json(d)))["copies"]))
             for lines, is_dot in ((dot, True), (listed, False)):
                 monkeypatch.setattr(decomposition, "EXPORT_CAP", lines)
                 decomposition.check_export_size(d.host, is_dot)
@@ -563,10 +585,10 @@ class TestSerialization:
         d = _put(d, 1, d.bases[1][:1])
         lines = 4 * sum(range(18, 35)) + sum(range(1, 18))
         monkeypatch.setattr(decomposition, "EXPORT_CAP", lines)
-        assert decomposition_to_dot(d).count(" -- ") == lines
+        assert "".join(decomposition_to_dot(d)).count(" -- ") == lines
         monkeypatch.setattr(decomposition, "EXPORT_CAP", lines - 1)
         with pytest.raises(ResourceLimit, match=f"DOT export needs {lines} edge lines"):
-            decomposition_to_dot(d)
+            "".join(decomposition_to_dot(d))
 
     def test_bad_json(self):
         with pytest.raises(MalformedInput):
@@ -588,7 +610,7 @@ class TestSerialization:
         # a host no decompose_* function writes is malformed input, not
         # a TypeError inside verify_partition
         t = from_parent_map(3, [0, 0, 1])
-        obj = json.loads(decomposition_to_json(decompose_k2n1(t, find_beta(t), 2)))
+        obj = json.loads("".join(decomposition_to_json(decompose_k2n1(t, find_beta(t), 2))))
         obj["host"] = host
         with pytest.raises(MalformedInput):
             decomposition_from_json(json.dumps(obj))
@@ -614,7 +636,7 @@ def _catalog_decomposition_digest() -> str:
                     for build in (decompose_k2n1, decompose_knxnx)
                 ]
             for d in ds:
-                h.update(decomposition_to_json(d).encode() + b"\n")
+                h.update("".join(decomposition_to_json(d)).encode() + b"\n")
     return h.hexdigest()
 
 
