@@ -525,15 +525,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; its output goes to --out or stdout as it is made, a JSON
     object as one line. --out is opened after the first part, so a refusal leaves it."""
     args = build_parser().parse_args(argv)
+    code = 2  # a handler cut short by a closed pipe exits as any I/O error does
     try:
         output, ok = args.handler(args)
+        code = 0 if ok else 1
         parts = iter((json.dumps(output), "\n") if isinstance(output, dict) else output)
         first = next(parts, "")
         out = getattr(args, "out", None)
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(first)
             fh.writelines(parts)
-        return 0 if ok else 1
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`); devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except VerificationFailed as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return 1

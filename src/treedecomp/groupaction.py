@@ -68,7 +68,7 @@ def sigma_from_first_column(first_column: Sequence[int]) -> EntryPermutation:
         r, c = divmod(entry, n)
         for j in range(n):
             sigma[row[i0 + j] + j] = row[r + j] + col[c + j]
-    if sorted(sigma) != list(range(n * n)):
+    if not perms.is_perm(sigma):
         raise NotBijective(
             "induced entry map repeats an index (first column differences collide)"
         )

@@ -1,7 +1,7 @@
 """Search for and verify oriented beta-labelings, graceful and rho labelings.
 
-A relabeling sigma of a functional tree g induces h = sigma.g.sigma^{-1} and
-one signed edge label per vertex,
+A relabeling sigma of a functional tree g induces h = sigma.g.sigma^{-1}
+(trees.conjugate) and one signed edge label per vertex,
 
     signed[w] = (-1)**depth_h(w) * (h(w) - w),
 
@@ -32,7 +32,6 @@ class Labeling:
     """A verified beta-labeling: built by verify_beta/find_beta only."""
 
     sigma: tuple[int, ...]
-    h: tuple[int, ...]
     signed_labels: tuple[int, ...]
 
 
@@ -58,13 +57,12 @@ def verify_beta(
     one sort decides, and the report is built only on failure."""
     n, g = t.n, t.g
     sigma = perms.check_perm(sigma, n)
-    signed, h = [0] * n, [0] * n
+    signed = [0] * n
     for v, d in enumerate(t.depth):
         s, p = sigma[v], sigma[g[v]]
-        h[s] = p
         signed[s] = s - p if d & 1 else p - s
-    if sorted(signed) == list(range(n)):
-        return Labeling(sigma=sigma, h=tuple(h), signed_labels=tuple(signed))
+    if perms.is_perm(signed):
+        return Labeling(sigma=sigma, signed_labels=tuple(signed))
     counts = Counter(signed)
     return BetaFailure(
         sigma=sigma,
@@ -135,12 +133,8 @@ def _plan(t: trees.FunctionalTree) -> _Plan:
     checked at the node that places order[i], those whose parent comes
     before i and whose first leaf does not; all_leaves[i], their leaves.
     """
-    n, g, root = t.n, t.g, t.root
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(g):
-        kids[p].append(v)
-    kids[root].remove(root)  # the root's loop
-    order = [root]
+    n, kids = t.n, trees.children(t.g, t.root)
+    order = [t.root]
     for v in order:
         order += [u for u in kids[v] if kids[u]]
     inner = len(order)

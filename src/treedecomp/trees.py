@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import perms
@@ -49,15 +50,22 @@ class FunctionalTree:
         return all(gv == self.root for gv in self.g)
 
     def adjacency(self) -> list[list[int]]:
-        """Undirected adjacency lists of the underlying simple tree."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
+        """Undirected adjacency lists of the underlying simple tree, ascending."""
+        adj = children(self.g, self.root)
+        for v, row in enumerate(adj):
             if v != self.root:
-                adj[v].append(self.g[v])
-                adj[self.g[v]].append(v)
-        for row in adj:
-            row.sort()
+                row.append(self.g[v])
+                row.sort()
         return adj
+
+
+def children(g: Sequence[int], root: int) -> list[list[int]]:
+    """Each vertex's children under g in ascending order, without root's loop."""
+    kids: list[list[int]] = [[] for _ in g]
+    for v, p in enumerate(g):
+        kids[p].append(v)
+    kids[root].remove(root)
+    return kids
 
 
 def bfs(adj: Sequence[Sequence[int]], src: int) -> tuple[list[int], list[int]]:
@@ -96,11 +104,7 @@ def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
         raise NotAFunctionalTree(f"parent map has fixed points {fixed}, expected one")
     root = fixed[0]
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != root:
-            children[g[v]].append(v)
-    order = bfs(children, root)[0]
+    order = bfs(children(g, root), root)[0]
     if len(order) != n:
         raise NotAFunctionalTree(
             f"{n - len(order)} vertices never reach the fixed point {root}"
@@ -141,14 +145,9 @@ def leaves(t: FunctionalTree) -> list[int]:
 
 
 def sibling_leaf_pairs(t: FunctionalTree) -> list[tuple[int, int]]:
-    """All pairs of leaves sharing a parent, as (smaller, larger)."""
-    lf = leaves(t)
-    return [
-        (a, b)
-        for i, a in enumerate(lf)
-        for b in lf[i + 1 :]
-        if t.g[a] == t.g[b]
-    ]
+    """All pairs of leaves sharing a parent, as (smaller, larger), ascending."""
+    kids = children(t.g, t.root)
+    return sorted(p for row in kids for p in combinations([u for u in row if not kids[u]], 2))
 
 
 def collapse_leaf_siblings(t: FunctionalTree) -> FunctionalTree:
@@ -276,12 +275,7 @@ def _tree_code(adj: list[list[int]]) -> bytes | None:
 def canonical_code(t: FunctionalTree) -> bytes:
     """Isomorphism-complete code: the centroid-rooted canonical level sequence,
     for bicentroidal trees the lexicographically smaller of the two rootings."""
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    for v, p in enumerate(t.g):
-        if v != p:
-            adj[v].append(p)
-            adj[p].append(v)
-    return _tree_code(adj)
+    return _tree_code(t.adjacency())
 
 
 def canonical_code_of_edges(edges: Sequence[tuple[int, int]]) -> bytes:

@@ -29,6 +29,17 @@ def undirected_edges(t: trees.FunctionalTree) -> frozenset[tuple[int, int]]:
     return frozenset((min(v, p), max(v, p)) for v, p in enumerate(t.g) if v != t.root)
 
 
+def adjacency_by_edges(t: trees.FunctionalTree) -> list[list[int]]:
+    """FunctionalTree.adjacency built from the undirected edge list."""
+    return [sorted(row) for row in _adjacency(t.n, undirected_edges(t))]
+
+
+def sibling_leaf_pairs_by_scan(t: trees.FunctionalTree) -> list[tuple[int, int]]:
+    """trees.sibling_leaf_pairs by an O(L^2) scan of the ascending leaves."""
+    lf = trees.leaves(t)
+    return [(a, b) for i, a in enumerate(lf) for b in lf[i + 1 :] if t.g[a] == t.g[b]]
+
+
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     """Edges of the labeled tree on Z_n with the given Prufer sequence."""
     deg = [1] * n

@@ -762,6 +762,23 @@ class TestExitCodes:
         assert code == 2 and out == "" and "cap" in err
         assert path.read_bytes() == b"earlier output\n"
 
+    def test_reader_that_stops_early_ends_the_run_quietly(self):
+        # the reader takes one of the 7,741 lines and closes both pipes, so
+        # the writer meets a broken pipe mid-stream; it exits with the
+        # command's own code and writes nothing to stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with subprocess.Popen(
+            [sys.executable, "-m", "treedecomp.cli", "trees", "enumerate", "--n", "15"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert json.loads(first)["n"] == 15
+        assert code == 0 and err == b""
+
     def test_json_decode_error_exit_two(self, capsys):
         code, out, err = run(capsys, "campaign", "run", "--config", "{")
         assert code == 2 and out == "" and err.count("\n") == 1

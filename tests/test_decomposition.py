@@ -21,6 +21,7 @@ from treedecomp import (
     MalformedInput,
     ResourceLimit,
     VerificationFailed,
+    conjugate,
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
@@ -510,7 +511,7 @@ class TestLabelSetFacts:
         # the top signed label joins labels 0 and n-1
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            h = from_parent_map(n, lab.h)
+            h = conjugate(entry.tree, lab.sigma)
             a_side = {v for v in range(n) if h.depth[v] % 2 == 0}
             b_side = set(range(n)) - a_side
             assert 0 in a_side and max(a_side) <= n - 2 or n == 1
@@ -518,7 +519,7 @@ class TestLabelSetFacts:
             top = [v for v in range(n) if lab.signed_labels[v] == n - 1]
             assert len(top) == 1
             v = top[0]
-            assert {v, lab.h[v]} == {0, n - 1}
+            assert {v, h.g[v]} == {0, n - 1}
 
 
 class TestSerialization:

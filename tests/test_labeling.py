@@ -39,7 +39,7 @@ class TestVerifyBeta:
         t = from_parent_map(4, [0, 0, 1, 1])
         result = verify_beta(t, [0, 3, 2, 1])
         assert isinstance(result, Labeling)
-        assert result.h == (0, 3, 3, 0)
+        assert conjugate(t, result.sigma).g == (0, 3, 3, 0)
         assert set(result.signed_labels) == {0, 1, 2, 3}
 
     def test_star_identity(self):
@@ -82,10 +82,10 @@ class TestVerifyBeta:
         for n in range(1, 8):
             for entry in catalog(n):
                 lab = find_beta(entry.tree, "first")
-                h_tree = from_parent_map(n, lab.h)
+                h_tree = conjugate(entry.tree, lab.sigma)
                 for v in range(n):
                     sign = 1 if h_tree.depth[v] % 2 == 0 else -1
-                    assert lab.h[v] == v + sign * lab.signed_labels[v]
+                    assert h_tree.g[v] == v + sign * lab.signed_labels[v]
 
 
 class TestFindBeta:
@@ -516,21 +516,21 @@ class TestBipartitionConsistency:
         # positive-sign endpoint always carries the smaller label
         for entry in catalog(n):
             lab = find_beta(entry.tree, "first")
-            h_tree = from_parent_map(n, lab.h)
+            h_tree = conjugate(entry.tree, lab.sigma)
             for v in range(n):
                 if v == h_tree.root:
                     continue
                 if h_tree.depth[v] % 2 == 0:
-                    assert v < lab.h[v]
+                    assert v < h_tree.g[v]
                 else:
-                    assert lab.h[v] < v
+                    assert h_tree.g[v] < v
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_label_zero_in_positive_partition(self, n):
         for entry in catalog(n):
             for sigma in phi_set(entry.tree)[:50]:
                 lab = verify_beta(entry.tree, sigma)
-                h_tree = from_parent_map(n, lab.h)
+                h_tree = conjugate(entry.tree, lab.sigma)
                 assert h_tree.depth[0] % 2 == 0
 
 

@@ -8,10 +8,12 @@ import sys
 
 import pytest
 from conftest import (
+    adjacency_by_edges,
     catalog,
     orbit_counts,
     prufer_codes,
     rooted_level_sequence_by_recursion,
+    sibling_leaf_pairs_by_scan,
     undirected_edges,
 )
 
@@ -217,6 +219,41 @@ class TestLeaves:
         for entry in catalog(n):
             t = entry.tree
             assert trees.leaves(t) == [v for v in range(n) if t.is_leaf(v)], t.g
+
+
+def relabeled_catalog(n: int):
+    """Every catalog tree on n vertices as numbered, reversed (v -> n-1-v)
+    and under one seeded shuffle of Z_n."""
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    for entry in catalog(n):
+        for sigma in (range(n), range(n - 1, -1, -1), shuffled):
+            yield conjugate(entry.tree, sigma)
+
+
+class TestChildrenTable:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_children_match_a_scan_of_g(self, n):
+        for t in relabeled_catalog(n):
+            scan = [[u for u in range(n) if u != t.root and t.g[u] == v] for v in range(n)]
+            assert trees.children(t.g, t.root) == scan, t.g
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sibling_leaf_pairs_match_the_scan(self, n):
+        # the same pairs in the same order
+        for t in relabeled_catalog(n):
+            assert trees.sibling_leaf_pairs(t) == sibling_leaf_pairs_by_scan(t), t.g
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_adjacency_matches_the_edge_list(self, n):
+        for t in relabeled_catalog(n):
+            assert t.adjacency() == adjacency_by_edges(t), t.g
+
+    def test_one_and_two_vertices(self):
+        one, two = from_parent_map(1, [0]), from_parent_map(2, [1, 1])
+        assert trees.children(one.g, one.root) == [[]] and one.adjacency() == [[]]
+        assert trees.children(two.g, two.root) == [[], [0]] and two.adjacency() == [[1], [0]]
+        assert trees.sibling_leaf_pairs(one) == trees.sibling_leaf_pairs(two) == []
 
 
 class TestNormalize:
