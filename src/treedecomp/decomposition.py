@@ -20,7 +20,11 @@ size m:
 So the m turns of a base edge cover its class once, and the turns of the
 bases tile the host exactly when the base edges hit each class exactly once.
 A turn is a bijection of the host's vertices, so every turn of a base is a
-copy of the tree exactly when the base is.
+copy of the tree exactly when the base is. The labeling names a witness: the
+builder places v at sigma(v), or at sigma(v) + kn on the odd side, so a base
+that is the tree's image under that injective map is a copy, checked in
+O(n). The general check, which renumbers a base and compares canonical
+codes, runs only on a base placed otherwise.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ class Copies(abc.Sequence):
         return len(self._bases) * self._m
 
     def __getitem__(self, j: int) -> tuple[tuple[int, int], ...]:
-        size = len(self)
+        from operator import index  # TypeError on a float or slice index
+        j, size = index(j), len(self)
         if not -size <= j < size:
             raise IndexError(f"copy {j} of {size}")
         k, i = divmod(j % size, self._m)
@@ -214,6 +219,21 @@ def _copy_is_tree_of_shape(
     return None
 
 
+def _placed_by_sigma(d: Decomposition, k: int, m: int, right: int) -> bool:
+    """Whether base k is the image of the tree's edges, and on K_{n,n} of
+    the root's pendant, under the injective map that sends an even-depth v
+    to sigma(v) and an odd-depth v (the pendant as sigma(root)) to
+    right + (sigma(v) + kn) mod m. The caller vouches for sigma."""
+    t, s, shift = d.tree, d.sigma, k * d.host.n
+    at = [s[v] if dep % 2 == 0 else right + (s[v] + shift) % m for v, dep in enumerate(t.depth)]
+    edges = [(at[v], at[p]) for v, p in enumerate(t.g) if v != p]
+    if d.host.kind == "knn":
+        at.append(right + (s[t.root] + shift) % m)
+        edges.append((at[t.root], at[-1]))
+    placed = sorted((a, b) if a < b else (b, a) for a, b in edges)
+    return bool(edges) and len(set(at)) == len(at) and placed == list(d.bases[k])
+
+
 def verify_partition(d: Decomposition) -> PartitionReport:
     """Whether the turns of d's bases tile the host by copies of the source
     tree, by the difference lemma in the module docstring.
@@ -222,35 +242,39 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     - every vertex must be an int (type(v) is int, so True is not 1) inside
       the host: in Z_m on K_{2nx+1}, and on the bipartite hosts a left end
       in 0..m-1 and a right end in m..2m-1; witness (k, edge);
-    - the full shape check: vertex-injective, connected, with the source
-      tree's canonical code; witness (k,).
+    - the shape: a base that d.sigma places as the builder does (see
+      _placed_by_sigma) is a copy of the tree by that witness map; any other
+      base gets the full check, vertex-injective, connected and with the
+      source tree's canonical code, coded only then; witness (k,).
     Then the base edges' difference classes must be each class exactly
     once; the witness lists up to three missing and three repeated classes.
     The classes seen are held in a set the size of the base edges, so a
     host of any m is answered without allocating anything of size m.
     """
-    host = d.host
-    if host.kind == "knn":
-        # Copies carry the loop-derived edge, so the reference shape is the
-        # source tree plus a pendant at the root.
-        t = d.tree
-        expected_code = trees.canonical_code_of_edges(
-            [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
-        )
-    else:
-        expected_code = trees.canonical_code(d.tree)
+    host, t, s = d.host, d.tree, d.sigma
     m = _modulus(host)
     count = len(d.bases) * m
     right = 0 if host.kind == "k2n1" else m
+    vouched = type(s) in (tuple, list) and all(type(a) is int for a in s)
+    vouched = vouched and sorted(s) == list(range(t.n))
+    expected_code = None
     seen: set[int] = set()
     repeated = []
     for k, base in enumerate(d.bases):
         for u, v in base:
             if not (type(u) is type(v) is int and 0 <= u < m and right <= v < right + m):
                 return PartitionReport(False, "vertex outside the host", (k, (u, v)), count)
-        shape_problem = _copy_is_tree_of_shape(base, expected_code)
-        if shape_problem is not None:
-            return PartitionReport(False, shape_problem, (k,), count)
+        if not (vouched and _placed_by_sigma(d, k, m, right)):
+            if expected_code is None and host.kind == "knn":
+                # Copies on K_{n,n} carry the loop-derived edge, so there the
+                # reference shape is the source tree plus a pendant at the root.
+                pendant = [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
+                expected_code = trees.canonical_code_of_edges(pendant)
+            elif expected_code is None:
+                expected_code = trees.canonical_code(t)
+            shape_problem = _copy_is_tree_of_shape(base, expected_code)
+            if shape_problem is not None:
+                return PartitionReport(False, shape_problem, (k,), count)
         for u, v in base:
             c = (v - u) % m
             if host.kind == "k2n1":

@@ -335,6 +335,14 @@ class TestCopiesView:
         assert copies.index(copies[14]) == 14 and copies[14] in copies
         assert list(reversed(copies)) == list(copies)[::-1]
 
+    def test_non_integer_index_is_a_type_error(self, monkeypatch):
+        # read through operator.index before any copy is developed
+        copies = decompose_k2n1(FIGURE_TREE, find_beta(FIGURE_TREE, "first"), 2).copies
+        monkeypatch.setattr(decomposition, "_rotate", None)
+        for j in (1.0, slice(0, 2), "1", None):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                copies[j]
+
     def test_equality_and_hash(self):
         t = from_parent_map(5, [0, 0, 1, 1, 3])
         sigmas = phi_set(t)[:2]
@@ -386,6 +394,19 @@ class TestCopiesView:
         assert peak < length // 10, (peak, length)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The bases that verify_partition hands to the full shape check."""
+    seen = []
+    real = decomposition._copy_is_tree_of_shape
+    monkeypatch.setattr(
+        decomposition,
+        "_copy_is_tree_of_shape",
+        lambda copy, code: seen.append(copy) or real(copy, code),
+    )
+    return seen
+
+
 class TestVerifyPartitionOracle:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reports_equal_the_set_oracle(self, n):
@@ -432,24 +453,44 @@ class TestVerifyPartitionOracle:
             assert verify_partition(bad) == want
             assert verify_partition_by_sets(bad) == want
 
-    def test_one_full_shape_check_per_stretch(self, monkeypatch):
-        calls = []
-        real = decomposition._copy_is_tree_of_shape
-        monkeypatch.setattr(
-            decomposition,
-            "_copy_is_tree_of_shape",
-            lambda copy, code: calls.append(copy) or real(copy, code),
-        )
+    def test_shape_coded_only_for_a_base_placed_otherwise(self, calls):
+        # A built base is the tree's image under the map its labeling names,
+        # so no shape is coded; a base renamed within each part (here base 0
+        # turned by 1, which tiles the host as well) gets the full check once.
         t = catalog(6)[2].tree
         lab = find_beta(t, "first")
         for x in (1, 2, 3):
-            for build in (decompose_k2n1, decompose_knxnx):
+            calls.clear()
+            ds = [decompose_directed_knn(t, lab)]
+            ds += [decompose_k2n1(t, lab, x), decompose_knxnx(t, lab, x)]
+            assert all(verify_partition(d).ok for d in ds) and calls == []
+            for d in ds:
+                renamed = _put(d, 0, d.copies[1])
+                assert renamed.bases[0] != d.bases[0]
                 calls.clear()
-                d = build(t, lab, x)
-                assert calls == list(d.bases)
-                calls.clear()
-                assert verify_partition(d).ok
-                assert len(calls) == x
+                report = verify_partition(renamed)
+                assert calls == [renamed.bases[0]]
+                assert report == verify_partition_by_sets(renamed) == verify_partition(d)
+
+    def test_a_placement_is_a_witness_only_when_sigma_and_the_map_are_sound(self, calls):
+        path, one = from_parent_map(3, [0, 0, 1]), from_parent_map(1, [0])
+        # at k = 1, sigma = (2, 0, 1) places the path as base 1 here, but
+        # sends vertices 0 and 1 both to 2: a loop, no copy
+        bases = (((0, 2), (1, 2)), ((1, 2), (2, 2)))
+        d = Decomposition(host=Host("k2n1", 2, 2), bases=bases, tree=path, sigma=(2, 0, 1))
+        problem = "copy is not vertex-injective: 2 vertices, 2 edges"
+        assert verify_partition(d) == PartitionReport(False, problem, (1,), 18)
+        # a one-vertex tree's base has no edges to be its image
+        d = Decomposition(host=Host("k2n1", 0, 1), bases=((),), tree=one, sigma=(0,))
+        problem = "copy is not vertex-injective: 0 vertices, 0 edges"
+        assert verify_partition(d) == PartitionReport(False, problem, (0,), 1)
+        # sigma = (0, 0, 1) is no permutation, though at k = 1 it places the
+        # path injectively, as base 1 here: both bases get the full check
+        bases = (((0, 2), (1, 2)), ((0, 2), (1, 2)))
+        d = Decomposition(host=Host("k2n1", 2, 2), bases=bases, tree=path, sigma=(0, 0, 1))
+        calls.clear()
+        assert verify_partition(d).problem == "copies do not tile the host edge set"
+        assert calls == list(bases)
 
     def test_host_larger_than_its_copies(self):
         # The classes seen are held in a set the size of the base edges, so

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedecomp import (
+    Decomposition,
     Labeling,
     canonical_code,
     check_allones_identity,
@@ -139,6 +140,39 @@ def test_decompositions_pass_and_equal_the_set_oracle(t, x):
     for d in ds:
         report = verify_partition(d)
         assert report.ok and report == verify_partition_by_sets(d), d.host
+
+
+@TIER1
+@given(labeled_trees(), st.integers(1, 3), st.data())
+def test_sigma_and_renamed_bases_meet_the_set_oracle(t, x, data):
+    # the shape check trusts a base placed by d.sigma only when sigma is a
+    # permutation of Z_n made of ints; a tampered sigma or a base renamed by
+    # a bijection of each host part raises nothing and gets the oracle's
+    # verdict, its whole report when both pass
+    lab = find_beta(t)
+    ds = [decompose_directed_knn(t, lab)]
+    if t.n >= 2:
+        ds += [decompose_k2n1(t, lab, x), decompose_knxnx(t, lab, x)]
+    s = lab.sigma
+    tampered = [s[:-1], s + (t.n,), s[:-1] + (str(s[-1]),)]
+    if t.n >= 2:
+        tampered.append(s[1:2] + s[1:])
+    for d in ds:
+        for sigma in tampered:
+            bad = Decomposition(host=d.host, bases=d.bases, tree=d.tree, sigma=sigma)
+            assert verify_partition(bad) == verify_partition_by_sets(bad), (d.host, sigma)
+        m = len(d.copies) // len(d.bases)
+        left = data.draw(st.permutations(range(m)))
+        right = data.draw(st.permutations(range(m, 2 * m)))
+        k = data.draw(st.integers(0, len(d.bases) - 1))
+        named = ((left[u], right[v - m] if v >= m else left[v]) for u, v in d.bases[k])
+        base = tuple(sorted((a, b) if a < b else (b, a) for a, b in named))
+        renamed = Decomposition(
+            host=d.host, bases=d.bases[:k] + (base,) + d.bases[k + 1:], tree=d.tree, sigma=s
+        )
+        report, want = verify_partition(renamed), verify_partition_by_sets(renamed)
+        assert report.ok == want.ok and (report == want or not want.ok), (d.host, base)
+        assert "shape" not in str(report.problem) and "injective" not in str(report.problem)
 
 
 @TIER1
