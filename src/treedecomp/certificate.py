@@ -79,9 +79,12 @@ def certificate_magnitude_check(phi: lb.PhiOrbits) -> MagnitudeReport:
 
 
 def nonvanishing_by_sweep(phi: lb.PhiOrbits) -> tuple[int, ...] | None:
-    """The first representative with a nonzero certificate, or None. The
-    certificate is nonzero exactly on Phi, so None means it vanishes on the
-    whole lattice."""
+    """The first representative with a nonzero certificate, or None. It
+    sweeps nothing: every representative passed verify_beta and the
+    certificate is nonzero exactly on Phi, so this checks "Phi is nonempty",
+    kept as a claim of its own because the certificate's value at the
+    witness, which the nonzero record carries, is evaluated exactly here.
+    perfbench wraps it by name, so the name stays."""
     t = phi.tree
     return next((f for f in phi.reps if eval_certificate(t, f) != 0), None)
 

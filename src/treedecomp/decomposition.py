@@ -20,11 +20,12 @@ size m:
 So the m turns of a base edge cover its class once, and the turns of the
 bases tile the host exactly when the base edges hit each class exactly once.
 A turn is a bijection of the host's vertices, so every turn of a base is a
-copy of the tree exactly when the base is. The labeling names a witness: the
-builder places v at sigma(v), or at sigma(v) + kn on the odd side, so a base
-that is the tree's image under that injective map is a copy, checked in
-O(n). The general check, which renumbers a base and compares canonical
-codes, runs only on a base placed otherwise.
+copy of the tree exactly when the base is. Base k is the image of the
+source shape (the tree's edges, and on directed K_{n,n} a root pendant for
+its loop) under one placement, v to sigma(v) or to sigma(v) + kn on the odd
+side, and the verifier takes a base that is that image under an injective
+map as a copy, in O(n). The general check, which renumbers a base and
+compares canonical codes, runs only on a base placed otherwise.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ from typing import Iterator, Sequence
 
 from . import trees
 from .errors import MalformedInput, ResourceLimit, VerificationFailed
-from .labeling import Labeling, as_labeling, labeled_pairs
+from .labeling import Labeling, as_labeling
 
 EXPORT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
 class Host:
-    """Host graph descriptor. kind: knn (directed), k2n1, or knxnx."""
+    """Host graph descriptor. kind: knn (directed), k2n1, or knxnx; n: the
+    source shape's edge count, the tree's n - 1 edges and on directed
+    K_{n,n} the root pendant; x: the number of stretches."""
 
     kind: str
     n: int
@@ -127,32 +130,41 @@ def _rotate(copy, s: int, m: int, kind: str) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(turned))
 
 
-def _build(
-    t: trees.FunctionalTree, lab: Labeling | Sequence[int], host: Host
-) -> Decomposition:
-    """The x base copies of the labeled tree, one per stretch k.
+def _source_edges(t: trees.FunctionalTree, kind: str) -> list[tuple[int, int]]:
+    """Every copy's shape: the tree's edges (v, g(v)), on knn with the pendant (root, n)."""
+    edges = [(v, p) for v, p in enumerate(t.g) if v != p]
+    if kind == "knn":
+        edges.append((t.root, t.n))
+    return edges
 
-    The tree is read as its labeled_pairs; only directed K_{n,n} keeps the
-    loop-derived pair (sigma(r), sigma(r)). Base k moves a pair (a, b) to
-    (a, b+kn) mod m, with n = host.n, and places it in the host: as (u, m+v)
-    on the bipartite hosts (m = n on K_{n,n}, nx on K_{nx,nx}), as (min, max)
-    on K_{2nx+1} (m = 2nx+1). An even-end label is below n <= m, so (u, m+v)
-    is already (min, max), the one order written. The result is checked by
-    verify_partition before it is returned.
-    """
-    if host.kind != "knn" and t.n < 2:
-        raise MalformedInput("tree must have at least one edge")
+
+def _placed(t: trees.FunctionalTree, sigma: Sequence[int], host: Host, k: int, edges):
+    """Base k's vertex map and the sorted (min, max) image of edges under
+    it: an even-depth v goes to sigma(v), an odd-depth v (the pendant as
+    the root) to right + (sigma(v) + kn) mod m, n = host.n, right = 0 on
+    K_{2nx+1} and m on the bipartite hosts."""
     m = _modulus(host)
+    right, shift = (0 if host.kind == "k2n1" else m), k * host.n
+    at = [a if d % 2 == 0 else right + (a + shift) % m for a, d in zip(sigma, t.depth)]
+    if host.kind == "knn":
+        at.append(right + (sigma[t.root] + shift) % m)
+    image = [(a, b) if (a := at[u]) < (b := at[v]) else (b, a) for u, v in edges]
+    return at, sorted(image)
+
+
+def _build(
+    t: trees.FunctionalTree, lab: Labeling | Sequence[int], kind: str, x: int
+) -> Decomposition:
+    """Base k, one per stretch k < x, is the source shape placed by _placed;
+    verify_partition checks the result before it is returned."""
+    edges = _source_edges(t, kind)
+    if not edges:
+        raise MalformedInput("tree must have at least one edge")
+    host = Host(kind, len(edges), x)
+    _modulus(host)  # refuses x < 1 before the labeling is read
     lab = as_labeling(t, lab)
-    pairs = labeled_pairs(t, lab.sigma)
-    if host.kind != "knn":
-        del pairs[t.root]
-    right = 0 if host.kind == "k2n1" else m
-    bases = []
-    for k in range(host.x):
-        placed = [(a, right + (b + k * host.n) % m) for a, b in pairs]
-        bases.append(tuple(sorted((a, c) if a < c else (c, a) for a, c in placed)))
-    d = Decomposition(host=host, bases=tuple(bases), tree=t, sigma=lab.sigma)
+    bases = tuple(tuple(_placed(t, lab.sigma, host, k, edges)[1]) for k in range(x))
+    d = Decomposition(host=host, bases=bases, tree=t, sigma=lab.sigma)
     report = verify_partition(d)
     if not report.ok:
         raise VerificationFailed(f"{report.problem}; witness {report.witness}")
@@ -167,7 +179,7 @@ def decompose_directed_knn(
     Copy i sends (x, n+y) to ((x+i) mod n, n + (y-n+i) mod n); the frames of
     one full rotation cover Z_n x {n..2n-1} exactly once.
     """
-    return _build(t, lab, Host("knn", t.n, 1))
+    return _build(t, lab, "knn", 1)
 
 
 def decompose_k2n1(
@@ -179,7 +191,7 @@ def decompose_k2n1(
     label b at b+kn+i, mod 2nx+1. The stretch k spreads the edge differences
     over 1..nx, and the rotation i walks each difference class around Z_m.
     """
-    return _build(t, lab, Host("k2n1", t.n - 1, x))
+    return _build(t, lab, "k2n1", x)
 
 
 def decompose_knxnx(
@@ -190,7 +202,7 @@ def decompose_knxnx(
     Copy (k, s) places an even-partition label a on the left at a+s and an
     odd-partition label b on the right at b+kn+s, mod nx.
     """
-    return _build(t, lab, Host("knxnx", t.n - 1, x))
+    return _build(t, lab, "knxnx", x)
 
 
 @dataclass(frozen=True)
@@ -219,21 +231,6 @@ def _copy_is_tree_of_shape(
     return None
 
 
-def _placed_by_sigma(d: Decomposition, k: int, m: int, right: int) -> bool:
-    """Whether base k is the image of the tree's edges, and on K_{n,n} of
-    the root's pendant, under the injective map that sends an even-depth v
-    to sigma(v) and an odd-depth v (the pendant as sigma(root)) to
-    right + (sigma(v) + kn) mod m. The caller vouches for sigma."""
-    t, s, shift = d.tree, d.sigma, k * d.host.n
-    at = [s[v] if dep % 2 == 0 else right + (s[v] + shift) % m for v, dep in enumerate(t.depth)]
-    edges = [(at[v], at[p]) for v, p in enumerate(t.g) if v != p]
-    if d.host.kind == "knn":
-        at.append(right + (s[t.root] + shift) % m)
-        edges.append((at[t.root], at[-1]))
-    placed = sorted((a, b) if a < b else (b, a) for a, b in edges)
-    return bool(edges) and len(set(at)) == len(at) and placed == list(d.bases[k])
-
-
 def verify_partition(d: Decomposition) -> PartitionReport:
     """Whether the turns of d's bases tile the host by copies of the source
     tree, by the difference lemma in the module docstring.
@@ -242,10 +239,10 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     - every vertex must be an int (type(v) is int, so True is not 1) inside
       the host: in Z_m on K_{2nx+1}, and on the bipartite hosts a left end
       in 0..m-1 and a right end in m..2m-1; witness (k, edge);
-    - the shape: a base that d.sigma places as the builder does (see
-      _placed_by_sigma) is a copy of the tree by that witness map; any other
-      base gets the full check, vertex-injective, connected and with the
-      source tree's canonical code, coded only then; witness (k,).
+    - the shape: a base that is the source shape's image under the map
+      d.sigma names (_placed), injective, is a copy by that witness map;
+      any other base gets the full check, vertex-injective, connected and
+      with the source shape's canonical code, coded only then; witness (k,).
     Then the base edges' difference classes must be each class exactly
     once; the witness lists up to three missing and three repeated classes.
     The classes seen are held in a set the size of the base edges, so a
@@ -257,6 +254,7 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     right = 0 if host.kind == "k2n1" else m
     vouched = type(s) in (tuple, list) and all(type(a) is int for a in s)
     vouched = vouched and sorted(s) == list(range(t.n))
+    edges = _source_edges(t, host.kind)
     expected_code = None
     seen: set[int] = set()
     repeated = []
@@ -264,14 +262,10 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         for u, v in base:
             if not (type(u) is type(v) is int and 0 <= u < m and right <= v < right + m):
                 return PartitionReport(False, "vertex outside the host", (k, (u, v)), count)
-        if not (vouched and _placed_by_sigma(d, k, m, right)):
-            if expected_code is None and host.kind == "knn":
-                # Copies on K_{n,n} carry the loop-derived edge, so there the
-                # reference shape is the source tree plus a pendant at the root.
-                pendant = [(v, t.n if p == v else p) for v, p in enumerate(t.g)]
-                expected_code = trees.canonical_code_of_edges(pendant)
-            elif expected_code is None:
-                expected_code = trees.canonical_code(t)
+        at, image = _placed(t, s, host, k, edges) if vouched and edges else ((), None)
+        if image != list(base) or len(set(at)) != len(at):
+            if expected_code is None:
+                expected_code = trees.canonical_code_of_edges(edges)
             shape_problem = _copy_is_tree_of_shape(base, expected_code)
             if shape_problem is not None:
                 return PartitionReport(False, shape_problem, (k,), count)
@@ -300,12 +294,11 @@ def verify_partition(d: Decomposition) -> PartitionReport:
 def check_export_size(host: Host, dot: bool, sizes: Sequence[int] | None = None) -> None:
     """ResourceLimit past EXPORT_CAP edge lines, counted before any copy is
     developed: from the bases' sizes e_k when given, else from the host
-    alone, whose x bases have host.n edges each (the tree's edges, on
-    directed K_{n,n} with the loop's pair). JSON writes each copy once, and
-    DOT frame j redraws copies 0..j, so copy j = km + i is written C - j
-    times, C = xm: base k's m copies take e_k (m (C - km) - m (m - 1) / 2)
-    lines. Only the sums of e_k and k e_k enter, so nothing of size x is
-    formed."""
+    alone, whose x bases have host.n edges each, the source shape's. JSON
+    writes each copy once, and DOT frame j redraws copies 0..j, so copy
+    j = km + i is written C - j times, C = xm: base k's m copies take
+    e_k (m (C - km) - m (m - 1) / 2) lines. Only the sums of e_k and k e_k
+    enter, so nothing of size x is formed."""
     m = _modulus(host)
     if sizes is None:
         x, edges, k_edges = host.x, host.n * host.x, host.n * host.x * (host.x - 1) // 2

@@ -246,11 +246,6 @@ def _subtree_codes(adj: list[list[int]], root: int) -> list[bytes]:
     return codes
 
 
-def _rooted_level_sequence(adj: list[list[int]], root: int) -> bytes:
-    """Canonical preorder depth sequence; children sorted descending."""
-    return _subtree_codes(adj, root)[root]
-
-
 def _tree_code(adj: list[list[int]]) -> bytes | None:
     """canonical_code of the tree with these adjacency lists, or None when a
     BFS from 0 misses a vertex. Its subtree sizes locate the centroids: walk
@@ -269,7 +264,7 @@ def _tree_code(adj: list[list[int]]) -> bytes | None:
         if not heavy or 2 * size[heavy[0]] == n:
             break
         c = heavy[0]
-    return min(_rooted_level_sequence(adj, r) for r in [c] + heavy)
+    return min(_subtree_codes(adj, r)[r] for r in [c] + heavy)
 
 
 def canonical_code(t: FunctionalTree) -> bytes:

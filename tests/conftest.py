@@ -677,6 +677,26 @@ def host_edges(host: Host) -> set[tuple[int, int]]:
     return {(u, m + v) for u in range(m) for v in range(m)}
 
 
+def bases_by_labeled_pairs(
+    t: trees.FunctionalTree, sigma: Sequence[int], host: Host
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The x bases as the builder placed them from labeling.labeled_pairs:
+    the root's loop pair (sigma(r), sigma(r)) is kept only on directed
+    K_{n,n}, and base k places each pair (a, b) at (a, right + (b + kn) mod
+    m), right = 0 on K_{2nx+1} and m on the bipartite hosts, each edge
+    written (min, max) and the base sorted."""
+    m = decomposition._modulus(host)
+    right = 0 if host.kind == "k2n1" else m
+    pairs = labeling.labeled_pairs(t, sigma)
+    if host.kind != "knn":
+        del pairs[t.root]
+    bases = []
+    for k in range(host.x):
+        placed = [(a, right + (b + k * host.n) % m) for a, b in pairs]
+        bases.append(tuple(sorted((min(a, c), max(a, c)) for a, c in placed)))
+    return tuple(bases)
+
+
 def copies_by_tuple(d: Decomposition) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Decomposition.copies as it stood before it became a view: every copy
     developed into one tuple, in (k, i) order. Copy (k, i) moves each end v

@@ -1,10 +1,12 @@
 """Property tests on random labeled trees, decoded from Prufer sequences."""
 
 from collections import Counter
+from unittest import mock
 
 from conftest import (
     allones_dense,
     apportion_dense_report,
+    bases_by_labeled_pairs,
     prufer_decode,
     relabeled_dense,
     undirected_edges,
@@ -24,6 +26,7 @@ from treedecomp import (
     decompose_directed_knn,
     decompose_k2n1,
     decompose_knxnx,
+    decomposition,
     eval_certificate,
     find_beta,
     from_parent_map,
@@ -132,14 +135,18 @@ def test_search_agrees_with_the_unpruned_search(t):
 def test_decompositions_pass_and_equal_the_set_oracle(t, x):
     # the difference-lemma verifier and the edge-by-edge oracle, which codes
     # no shape, give the same report on every decomposition built from the
-    # search's labeling
+    # search's labeling; every built base is the labeled pairs' placement
+    # and is witnessed by it, so none reaches the general shape check
     lab = find_beta(t)
-    ds = [decompose_directed_knn(t, lab)]
-    if t.n >= 2:
-        ds += [decompose_k2n1(t, lab, x), decompose_knxnx(t, lab, x)]
+    coded = AssertionError("a built base reached the general shape check")
+    with mock.patch.object(decomposition, "_copy_is_tree_of_shape", side_effect=coded):
+        ds = [decompose_directed_knn(t, lab)]
+        if t.n >= 2:
+            ds += [decompose_k2n1(t, lab, x), decompose_knxnx(t, lab, x)]
     for d in ds:
         report = verify_partition(d)
         assert report.ok and report == verify_partition_by_sets(d), d.host
+        assert d.bases == bases_by_labeled_pairs(t, lab.sigma, d.host), d.host
 
 
 @TIER1

@@ -369,7 +369,7 @@ class TestEnumeration:
     def test_rooted_generator_yields_canonical_sequences(self, n):
         for seq in trees._rooted_level_sequences(n):
             adj = trees.tree_from_level_sequence(seq).adjacency()
-            assert trees._rooted_level_sequence(adj, 0) == seq
+            assert trees._subtree_codes(adj, 0)[0] == seq
 
     def test_import_does_not_load_networkx(self):
         src = os.path.dirname(os.path.dirname(trees.__file__))
@@ -386,7 +386,7 @@ class TestEnumeration:
             adj = entry.tree.adjacency()
             for root in range(n):
                 want = bytes(rooted_level_sequence_by_recursion(adj, root))
-                assert trees._rooted_level_sequence(adj, root) == want
+                assert trees._subtree_codes(adj, root)[root] == want
 
     def test_cap(self):
         with pytest.raises(ResourceLimit):
@@ -435,7 +435,7 @@ class TestDeepTrees:
 
     def test_escape_layout(self):
         adj = self.PATH.adjacency()
-        code = trees._rooted_level_sequence(adj, 0)
+        code = trees._subtree_codes(adj, 0)[0]
         assert code[:255] == bytes(range(255))
         assert code[255:265] == b"\xff\x00\x00\x00\xff\xff\x00\x00\x01\x00"
         assert len(code) == 255 + 5 * (self.N - 255)
