@@ -19,7 +19,8 @@ from typing import Sequence
 from . import __version__, apportionment, certificate, decomposition, groupaction
 from . import labeling as lb
 from . import trees
-from .errors import MalformedInput, ResourceLimit, TreeDecompError, VerificationFailed
+from .errors import (MalformedInput, PreconditionViolated, ResourceLimit, TreeDecompError,
+                     VerificationFailed)
 
 
 def sigma_from_json(value: str) -> tuple[int, ...]:
@@ -41,22 +42,21 @@ def sigma_from_json(value: str) -> tuple[int, ...]:
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-def _knn(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
-    decomposition.decompose_directed_knn(t, lab)
-    return {}
+# Each builder is looked up in decomposition at each call, as a patch of
+# that module attribute (a timing span, say) is then seen.
+DECOMPOSERS = {
+    "knn": lambda t, lab, x: decomposition.decompose_directed_knn(t, lab),
+    "k2n1": lambda t, lab, x: decomposition.decompose_k2n1(t, lab, x),
+    "knxnx": lambda t, lab, x: decomposition.decompose_knxnx(t, lab, x),
+}
 
 
-def _for_each_x(builder: str):
-    """A check that builds one decomposition per campaign x, with the named
-    builder looked up in decomposition at each call, as a patch of that
-    module attribute (a timing span, say) is then seen."""
+def _decomposes(kind: str):
+    """A check that builds kind's decomposition once per campaign x, once on knn."""
 
     def check(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
-        if t.n < 2:
-            raise ResourceLimit("tree has no edges")
-        build = getattr(decomposition, builder)
-        for x in xs:
-            build(t, lab, x)
+        for x in xs[:1] if kind == "knn" else xs:
+            DECOMPOSERS[kind](t, lab, x)
         return {}
 
     return check
@@ -74,7 +74,7 @@ def _nonzero(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) 
 
 def _invariance(t: trees.FunctionalTree, lab: lb.Labeling, xs: Sequence[int], phi) -> dict:
     if not trees.sibling_leaf_pairs(t):
-        raise ResourceLimit("no sibling-leaf pair")
+        raise PreconditionViolated("no sibling-leaf pair")
     return {"pass": certificate.check_transposition_invariance(phi()).ok}
 
 
@@ -103,9 +103,9 @@ CHECKS = {
     "phi": lambda t, lab, xs, phi: {
         "phi_size": sum(1 for _ in phi().members()), "orbits": len(phi().reps)
     },
-    "knn": _knn,
-    "k2n1": _for_each_x("decompose_k2n1"),
-    "knxnx": _for_each_x("decompose_knxnx"),
+    "knn": _decomposes("knn"),
+    "k2n1": _decomposes("k2n1"),
+    "knxnx": _decomposes("knxnx"),
     "magnitude": _magnitude,
     "nonzero": _nonzero,
     "invariance": _invariance,
@@ -121,7 +121,7 @@ def _attempt(fn, *args):
         return fn(*args), None
     except VerificationFailed as exc:
         return None, {"pass": False, "residual": None, "detail": str(exc)}
-    except ResourceLimit as exc:
+    except (ResourceLimit, PreconditionViolated) as exc:  # a cap, or a tree it cannot take
         return None, {"pass": None, "skipped": True, "reason": str(exc)}
 
 
@@ -197,11 +197,11 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     x_values = _span(config.get("x", [1, 1]))
     if x_values[0] < 1:
         raise MalformedInput(f"x must be at least 1, got {x_values[0]}")
-    # decompose's own bound, on the span's top host: the largest tree has
-    # top - 1 edges, and the export size grows with the edges and with x
+    # decompose's own bound, on the span's top host: the export size grows
+    # with the tree's vertices and with x
     for kind in ("k2n1", "knxnx"):
         if kind in checks:
-            decomposition.check_export_size(decomposition.Host(kind, top - 1, x_values[-1]), False)
+            decomposition.check_export_size(decomposition.host_for(kind, top, x_values[-1]), False)
     workers = workers if workers is not None else config.get("workers", 1)
     if type(workers) is not int or workers < 1:
         raise MalformedInput(f"workers must be a positive int, got {workers!r}")
@@ -332,11 +332,9 @@ def _label_phi(args):
 
 
 def _decompose(args):
-    if args.target == "knn" and args.x != 1:
-        raise MalformedInput(f"--x must be 1 for knn (directed K_{{n,n}}), got {args.x}")
     t = _tree_arg(args.tree)
     # refused past the cap before a labeling is searched or a base is built
-    host = decomposition.Host(args.target, t.n if args.target == "knn" else t.n - 1, args.x)
+    host = decomposition.host_for(args.target, t.n, args.x)
     decomposition.check_export_size(host, args.format == "dot")
     # The constructor runs verify_partition and raises when it fails.
     d = DECOMPOSERS[args.target](t, _labeling_arg(args.sigma, t), args.x)
@@ -423,13 +421,6 @@ def _campaign_run(args):
     config = _json_arg(args.config)
     summary, _records = run_campaign(config, out_path=args.records, workers=args.workers)
     return summary, summary["all_pass"]
-
-
-DECOMPOSERS = {
-    "knn": lambda t, lab, x: decomposition.decompose_directed_knn(t, lab),
-    "k2n1": decomposition.decompose_k2n1,
-    "knxnx": decomposition.decompose_knxnx,
-}
 
 
 def _leaf(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:

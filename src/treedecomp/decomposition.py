@@ -37,7 +37,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from . import trees
-from .errors import MalformedInput, ResourceLimit, VerificationFailed
+from .errors import MalformedInput, PreconditionViolated, ResourceLimit, VerificationFailed
 from .labeling import Labeling, as_labeling
 
 EXPORT_CAP = 2_000_000
@@ -46,12 +46,20 @@ EXPORT_CAP = 2_000_000
 @dataclass(frozen=True)
 class Host:
     """Host graph descriptor. kind: knn (directed), k2n1, or knxnx; n: the
-    source shape's edge count, the tree's n - 1 edges and on directed
-    K_{n,n} the root pendant; x: the number of stretches."""
+    source shape's edge count (host_for), the tree's n - 1 edges and on
+    directed K_{n,n} the root pendant; x: the number of stretches."""
 
     kind: str
     n: int
     x: int
+
+
+def host_for(kind: str, vertices: int, x: int) -> Host:
+    """The host of a tree on `vertices` vertices at x stretches, sized by
+    its source shape's edge count; MalformedInput for x != 1 on knn."""
+    if kind == "knn" and x != 1:
+        raise MalformedInput(f"x must be 1 for knn (directed K_{{n,n}}), got {x}")
+    return Host(kind, vertices - 1 + (kind == "knn"), x)
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,8 @@ def _build(
     verify_partition checks the result before it is returned."""
     edges = _source_edges(t, kind)
     if not edges:
-        raise MalformedInput("tree must have at least one edge")
-    host = Host(kind, len(edges), x)
+        raise PreconditionViolated("tree has no edges")
+    host = host_for(kind, t.n, x)
     _modulus(host)  # refuses x < 1 before the labeling is read
     lab = as_labeling(t, lab)
     bases = tuple(tuple(_placed(t, lab.sigma, host, k, edges)[1]) for k in range(x))

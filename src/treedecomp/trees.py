@@ -68,21 +68,23 @@ def children(g: Sequence[int], root: int) -> list[list[int]]:
     return kids
 
 
-def bfs(adj: Sequence[Sequence[int]], src: int) -> tuple[list[int], list[int]]:
+def bfs(adj: Sequence[Sequence[int]], src: int) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first order from src, neighbours in adjacency-list order.
 
-    Also returns each vertex's BFS parent: parent[src] = src, and -1 for the
-    vertices src does not reach (which are absent from the order).
+    Also returns each vertex's BFS parent and depth: parent[src] = src, and
+    parent -1 and depth 0 for the vertices src does not reach (which are
+    absent from the order).
     """
-    parent = [-1] * len(adj)
+    parent, depth = [-1] * len(adj), [0] * len(adj)
     parent[src] = src
     order = [src]
     for v in order:
+        d = depth[v] + 1
         for u in adj[v]:
             if parent[u] < 0:
-                parent[u] = v
+                parent[u], depth[u] = v, d
                 order.append(u)
-    return order, parent
+    return order, parent, depth
 
 
 def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
@@ -104,14 +106,11 @@ def from_parent_map(n: int, g: Sequence[int]) -> FunctionalTree:
         raise NotAFunctionalTree(f"parent map has fixed points {fixed}, expected one")
     root = fixed[0]
 
-    order = bfs(children(g, root), root)[0]
+    order, _, depth = bfs(children(g, root), root)
     if len(order) != n:
         raise NotAFunctionalTree(
             f"{n - len(order)} vertices never reach the fixed point {root}"
         )
-    depth = [0] * n
-    for v in order[1:]:
-        depth[v] = depth[g[v]] + 1
     return FunctionalTree(n=n, g=g, root=root, depth=tuple(depth))
 
 
@@ -194,10 +193,7 @@ def normalize_for_collapse(t: FunctionalTree) -> FunctionalTree:
 
     adj = t.adjacency()
     ell = min(v for v in range(t.n) if len(adj[v]) == 1)
-    order, parent = bfs(adj, ell)
-    dist = [0] * t.n
-    for v in order[1:]:
-        dist[v] = dist[parent[v]] + 1
+    dist = bfs(adj, ell)[2]
     even = [v for v in range(t.n) if v != ell and dist[v] % 2 == 0]
     internal = [v for v in even if len(adj[v]) >= 2]
     r = min(internal) if internal else min(even)
@@ -227,10 +223,7 @@ def _subtree_codes(adj: list[list[int]], root: int) -> list[bytes]:
     descending. Two siblings' subtrees are isomorphic iff their codes match.
     A leaf's code is its depth byte and a vertex with one child prefixes
     that child's code, so only a vertex with two or more children sorts."""
-    order, parent = bfs(adj, root)
-    depth = [0] * len(adj)
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    order, parent, depth = bfs(adj, root)
     subs: list[list[bytes]] = [[] for _ in adj]
     codes = [b""] * len(adj)
     for v in reversed(order):  # children before parents; the root comes last
@@ -252,7 +245,7 @@ def _tree_code(adj: list[list[int]]) -> bytes | None:
     into the child holding over half the vertices until none does; a child
     holding exactly half is the second centroid."""
     n = len(adj)
-    order, parent = bfs(adj, 0)
+    order, parent, _ = bfs(adj, 0)
     if len(order) < n:
         return None
     size = [1] * n

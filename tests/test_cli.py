@@ -651,19 +651,21 @@ class TestCampaign:
 
     def test_decomposition_checks_call_the_module_builders(self, monkeypatch):
         # a patch of decomposition.decompose_k2n1 (a timing span) sees the
-        # campaign's builds, one per x
+        # campaign's builds, one per x, and directed K_{n,n}'s one build
         calls = []
-        for name in ("decompose_k2n1", "decompose_knxnx"):
+        for name in ("decompose_directed_knn", "decompose_k2n1", "decompose_knxnx"):
             build = getattr(decomposition, name)
 
-            def counted(t, lab, x, name=name, build=build):
-                calls.append((name, x))
-                return build(t, lab, x)
+            def counted(t, lab, *x, name=name, build=build):
+                calls.append((name, *x))
+                return build(t, lab, *x)
 
             monkeypatch.setattr(decomposition, name, counted)
-        record = _campaign_record((4, [0, 0, 1, 1], "00", ["k2n1", "knxnx"], [1, 2]))
+        checks = ["knn", "k2n1", "knxnx"]
+        record = _campaign_record((4, [0, 0, 1, 1], "00", checks, [1, 2]))
         assert all(res["pass"] for res in record["checks"].values())
         assert calls == [
+            ("decompose_directed_knn",),
             ("decompose_k2n1", 1), ("decompose_k2n1", 2),
             ("decompose_knxnx", 1), ("decompose_knxnx", 2),
         ]
@@ -673,6 +675,10 @@ class TestCampaign:
         summary, records = run_campaign({"checks": ["invariance"], "n": 2})
         assert summary["skipped"] == 1
         assert records[0]["checks"]["invariance"]["pass"] is None
+        # the one-vertex tree has no edges, and the builders refuse it
+        summary, records = run_campaign({"checks": ["k2n1", "knxnx"], "n": 1})
+        assert summary["skipped"] == 2
+        assert [res["reason"] for res in records[0]["checks"].values()] == ["tree has no edges"] * 2
 
 
 ALL_CHECKS = [

@@ -19,6 +19,7 @@ from treedecomp import (
     Decomposition,
     Host,
     MalformedInput,
+    PreconditionViolated,
     ResourceLimit,
     VerificationFailed,
     conjugate,
@@ -137,7 +138,7 @@ class TestK2n1:
         assert verify_partition(d).ok
 
     def test_requires_edge_and_positive_x(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(PreconditionViolated):
             decompose_k2n1(from_parent_map(1, [0]), (0,), 1)
         t = from_parent_map(2, [0, 0])
         with pytest.raises(MalformedInput):

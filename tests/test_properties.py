@@ -37,6 +37,7 @@ from treedecomp import (
     verify_beta,
     verify_partition,
 )
+from treedecomp.decomposition import _source_edges, host_for
 from treedecomp.trees import bfs, canonical_code_of_edges, tree_from_level_sequence
 
 # The same examples on every run, few enough for tier-1.
@@ -147,6 +148,10 @@ def test_decompositions_pass_and_equal_the_set_oracle(t, x):
         report = verify_partition(d)
         assert report.ok and report == verify_partition_by_sets(d), d.host
         assert d.bases == bases_by_labeled_pairs(t, lab.sigma, d.host), d.host
+        # host_for states the source shape's edge count; _source_edges lists them
+        kind = d.host.kind
+        assert d.host == host_for(kind, t.n, 1 if kind == "knn" else x), d.host
+        assert d.host.n == len(_source_edges(t, kind)), d.host
 
 
 @TIER1

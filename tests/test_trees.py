@@ -120,7 +120,7 @@ class TestFromParentMap:
 class TestBfs:
     def test_order_and_parents(self):
         adj = [[1, 2], [0, 3], [0], [1], []]
-        order, parent = trees.bfs(adj, 0)
+        order, parent, _ = trees.bfs(adj, 0)
         assert order == [0, 1, 2, 3]
         assert parent == [0, 0, 0, 1, -1]
 
@@ -128,7 +128,7 @@ class TestBfs:
     def test_parents_are_the_tree_rooted_at_src(self, n):
         for entry in catalog(n):
             for r in range(n):
-                order, parent = trees.bfs(entry.tree.adjacency(), r)
+                order, parent, _ = trees.bfs(entry.tree.adjacency(), r)
                 t = from_parent_map(n, parent)
                 assert t.root == r
                 assert undirected_edges(t) == undirected_edges(entry.tree)
