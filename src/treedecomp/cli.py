@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -141,13 +142,7 @@ def _campaign_record(task) -> dict:
     # Without a labeling (above the search cap, or none found) every check
     # records the search's outcome.
     lab, failed = _attempt(_labeling_arg, None, t)
-    orbits = []  # the tree's PhiOrbits, searched on the first call of phi()
-
-    def phi() -> lb.PhiOrbits:
-        if not orbits:
-            orbits.append(lb.phi_orbits(t))
-        return orbits[0]
-
+    phi = functools.cache(lambda: lb.phi_orbits(t))  # searched once; a raise is not cached
     return {
         "tree_code": code_hex,
         "n": n,

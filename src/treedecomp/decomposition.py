@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from . import trees
+from . import perms, trees
 from .errors import MalformedInput, PreconditionViolated, ResourceLimit, VerificationFailed
 from .labeling import Labeling, as_labeling
 
@@ -45,20 +45,32 @@ EXPORT_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class Host:
-    """Host graph descriptor. kind: knn (directed), k2n1, or knxnx; n: the
-    source shape's edge count (host_for), the tree's n - 1 edges and on
-    directed K_{n,n} the root pendant; x: the number of stretches."""
+    """Host graph descriptor, checked when made: kind is knn (directed
+    K_{n,n}, x = 1), k2n1 or knxnx; n is the source shape's edge count
+    (host_for); x >= 1 is the number of stretches."""
 
     kind: str
     n: int
     x: int
 
+    def __post_init__(self):
+        if self.kind == "knn" and self.x != 1:
+            raise MalformedInput(f"x must be 1 for knn (directed K_{{n,n}}), got {self.x}")
+        if self.x < 1:
+            raise MalformedInput(f"x must be positive, got {self.x}")
+        if self.kind not in ("knn", "k2n1", "knxnx"):
+            raise MalformedInput(f"unknown host kind {self.kind!r}")
+
+    @property
+    def m(self) -> int:
+        """The rotation modulus: n on K_{n,n}, nx on K_{nx,nx}, 2nx+1 on K_{2nx+1}."""
+        nx = self.n * self.x
+        return self.n if self.kind == "knn" else nx if self.kind == "knxnx" else 2 * nx + 1
+
 
 def host_for(kind: str, vertices: int, x: int) -> Host:
     """The host of a tree on `vertices` vertices at x stretches, sized by
-    its source shape's edge count; MalformedInput for x != 1 on knn."""
-    if kind == "knn" and x != 1:
-        raise MalformedInput(f"x must be 1 for knn (directed K_{{n,n}}), got {x}")
+    its source shape's edge count: the tree's edges, on knn with the root pendant."""
     return Host(kind, vertices - 1 + (kind == "knn"), x)
 
 
@@ -74,7 +86,7 @@ class Decomposition:
     @property
     def copies(self) -> Copies:
         """Copy j = km + i, base k turned by i, in (k, i) order."""
-        return Copies(self.bases, _modulus(self.host), self.host.kind)
+        return Copies(self.bases, self.host.m, self.host.kind)
 
 
 class Copies(abc.Sequence):
@@ -110,19 +122,6 @@ class Copies(abc.Sequence):
         return hash(tuple(hash(c) for c in self))
 
 
-def _modulus(host: Host) -> int:
-    """The rotation modulus m: n on K_{n,n}, nx on K_{nx,nx}, 2nx+1 on K_{2nx+1}."""
-    if host.x < 1:
-        raise MalformedInput(f"x must be positive, got {host.x}")
-    if host.kind == "knn":
-        return host.n
-    if host.kind == "knxnx":
-        return host.n * host.x
-    if host.kind == "k2n1":
-        return 2 * host.n * host.x + 1
-    raise MalformedInput(f"unknown host kind {host.kind!r}")
-
-
 def _rotate(copy, s: int, m: int, kind: str) -> tuple[tuple[int, int], ...]:
     """The host rotation by s applied to a copy, as a sorted edge tuple.
 
@@ -151,7 +150,7 @@ def _placed(t: trees.FunctionalTree, sigma: Sequence[int], host: Host, k: int, e
     it: an even-depth v goes to sigma(v), an odd-depth v (the pendant as
     the root) to right + (sigma(v) + kn) mod m, n = host.n, right = 0 on
     K_{2nx+1} and m on the bipartite hosts."""
-    m = _modulus(host)
+    m = host.m
     right, shift = (0 if host.kind == "k2n1" else m), k * host.n
     at = [a if d % 2 == 0 else right + (a + shift) % m for a, d in zip(sigma, t.depth)]
     if host.kind == "knn":
@@ -168,8 +167,7 @@ def _build(
     edges = _source_edges(t, kind)
     if not edges:
         raise PreconditionViolated("tree has no edges")
-    host = host_for(kind, t.n, x)
-    _modulus(host)  # refuses x < 1 before the labeling is read
+    host = host_for(kind, t.n, x)  # refuses a bad x before the labeling is read
     lab = as_labeling(t, lab)
     bases = tuple(tuple(_placed(t, lab.sigma, host, k, edges)[1]) for k in range(x))
     d = Decomposition(host=host, bases=bases, tree=t, sigma=lab.sigma)
@@ -251,17 +249,17 @@ def verify_partition(d: Decomposition) -> PartitionReport:
       d.sigma names (_placed), injective, is a copy by that witness map;
       any other base gets the full check, vertex-injective, connected and
       with the source shape's canonical code, coded only then; witness (k,).
-    Then the base edges' difference classes must be each class exactly
-    once; the witness lists up to three missing and three repeated classes.
+    Then the difference classes, noted in the range check's pass, must be
+    each class once; witness: up to three missing and three repeated ones.
     The classes seen are held in a set the size of the base edges, so a
     host of any m is answered without allocating anything of size m.
     """
     host, t, s = d.host, d.tree, d.sigma
-    m = _modulus(host)
+    m, fold = host.m, host.kind == "k2n1"
     count = len(d.bases) * m
-    right = 0 if host.kind == "k2n1" else m
+    right = 0 if fold else m
     vouched = type(s) in (tuple, list) and all(type(a) is int for a in s)
-    vouched = vouched and sorted(s) == list(range(t.n))
+    vouched = vouched and len(s) == t.n and perms.is_perm(s)
     edges = _source_edges(t, host.kind)
     expected_code = None
     seen: set[int] = set()
@@ -270,6 +268,11 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         for u, v in base:
             if not (type(u) is type(v) is int and 0 <= u < m and right <= v < right + m):
                 return PartitionReport(False, "vertex outside the host", (k, (u, v)), count)
+            c = (v - u) % m
+            c = min(c, m - c) if fold else c
+            if c in seen:
+                repeated.append(c)
+            seen.add(c)
         at, image = _placed(t, s, host, k, edges) if vouched and edges else ((), None)
         if image != list(base) or len(set(at)) != len(at):
             if expected_code is None:
@@ -277,15 +280,8 @@ def verify_partition(d: Decomposition) -> PartitionReport:
             shape_problem = _copy_is_tree_of_shape(base, expected_code)
             if shape_problem is not None:
                 return PartitionReport(False, shape_problem, (k,), count)
-        for u, v in base:
-            c = (v - u) % m
-            if host.kind == "k2n1":
-                c = min(c, m - c)
-            if c in seen:
-                repeated.append(c)
-            seen.add(c)
 
-    classes = range(1, (m + 1) // 2) if host.kind == "k2n1" else range(m)
+    classes = range(1, (m + 1) // 2) if fold else range(m)
     if repeated or len(seen) != len(classes):
         missing = list(islice((c for c in classes if c not in seen), 3))
         return PartitionReport(
@@ -307,7 +303,7 @@ def check_export_size(host: Host, dot: bool, sizes: Sequence[int] | None = None)
     j = km + i is written C - j times, C = xm: base k's m copies take
     e_k (m (C - km) - m (m - 1) / 2) lines. Only the sums of e_k and k e_k
     enter, so nothing of size x is formed."""
-    m = _modulus(host)
+    m = host.m
     if sizes is None:
         x, edges, k_edges = host.x, host.n * host.x, host.n * host.x * (host.x - 1) // 2
     else:
@@ -328,11 +324,10 @@ def decomposition_to_json(d: Decomposition) -> Iterator[str]:
     yield f'{{"host": {json.dumps(host)}, "copies": ['
     for j, copy in enumerate(d.copies):
         yield (", " if j else "") + json.dumps(copy)
-    tree = json.dumps({"n": d.tree.n, "g": d.tree.g})
+    tree = trees.tree_to_json(d.tree)
     yield f'], "provenance": {{"tree": {tree}, "sigma": {json.dumps(d.sigma)}, "shifts": ['
-    m = _modulus(d.host)
     for k in range(len(d.bases)):
-        yield (", " if k else "") + ", ".join(f"[{k}, {i}]" for i in range(m))
+        yield (", " if k else "") + ", ".join(f"[{k}, {i}]" for i in range(d.host.m))
     yield "]}}"
 
 

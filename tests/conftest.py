@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from treedecomp import apportionment, certificate, decomposition, labeling, perms, trees
+from treedecomp import apportionment, certificate, labeling, perms, trees
 from treedecomp.decomposition import (
     Decomposition,
     Host,
@@ -671,7 +671,7 @@ def _copy_shape_problem(copy, expected: tuple[int, ...], classes: dict) -> str |
 
 def host_edges(host: Host) -> set[tuple[int, int]]:
     """The full edge set of the host graph."""
-    m = decomposition._modulus(host)
+    m = host.m
     if host.kind == "k2n1":
         return {(u, v) for u in range(m) for v in range(u + 1, m)}
     return {(u, m + v) for u in range(m) for v in range(m)}
@@ -685,7 +685,7 @@ def bases_by_labeled_pairs(
     K_{n,n}, and base k places each pair (a, b) at (a, right + (b + kn) mod
     m), right = 0 on K_{2nx+1} and m on the bipartite hosts, each edge
     written (min, max) and the base sorted."""
-    m = decomposition._modulus(host)
+    m = host.m
     right = 0 if host.kind == "k2n1" else m
     pairs = labeling.labeled_pairs(t, sigma)
     if host.kind != "knn":
@@ -702,7 +702,7 @@ def copies_by_tuple(d: Decomposition) -> tuple[tuple[tuple[int, int], ...], ...]
     developed into one tuple, in (k, i) order. Copy (k, i) moves each end v
     of base k to v + i within its block of m vertices, and K_{2nx+1} writes
     each edge as (min, max)."""
-    m = decomposition._modulus(d.host)
+    m = d.host.m
     copies = []
     for base in d.bases:
         for i in range(m):
@@ -716,7 +716,7 @@ def copies_by_tuple(d: Decomposition) -> tuple[tuple[tuple[int, int], ...], ...]
 def decomposition_json_by_dumps(d: Decomposition) -> str:
     """decomposition_to_json as it stood before it was written copy by copy:
     one json.dumps of the whole structure, every copy as nested lists."""
-    m = decomposition._modulus(d.host)
+    m = d.host.m
     return json.dumps(
         {
             "host": {"kind": d.host.kind, "n": d.host.n, "x": d.host.x},

@@ -658,9 +658,20 @@ class TestSerialization:
         with pytest.raises(MalformedInput):
             decomposition_from_json(json.dumps(obj))
 
-    def test_unknown_host(self):
-        with pytest.raises(MalformedInput):
-            host_edges(Host("mystery", 2, 1))
+    @pytest.mark.parametrize(
+        "kind, n, x", [("mystery", 2, 1), ("k2n1", 3, 0), ("knn", 3, 2), ("knn", 3, 0)]
+    )
+    def test_unknown_host(self, kind, n, x):
+        # a host refuses when it is made, with the message decompose prints;
+        # knn's x is checked first, so ("knn", 3, 0) gets the knn message
+        message = {
+            "mystery": "unknown host kind 'mystery'",
+            "k2n1": f"x must be positive, got {x}",
+            "knn": f"x must be 1 for knn (directed K_{{n,n}}), got {x}",
+        }[kind]
+        with pytest.raises(MalformedInput) as exc:
+            Host(kind, n, x)
+        assert str(exc.value) == message
 
 
 def _catalog_decomposition_digest() -> str:

@@ -372,13 +372,16 @@ class TestEnumeration:
             assert trees._subtree_codes(adj, 0)[0] == seq
 
     def test_import_does_not_load_networkx(self):
+        # the cold import that perfbench's setup_s times loads no dependency,
+        # nor the CLI and what only the CLI needs
         src = os.path.dirname(os.path.dirname(trees.__file__))
-        probe = "import sys, treedecomp; print('networkx' in sys.modules)"
+        heavy = ("networkx", "numpy", "treedecomp.cli", "multiprocessing", "argparse")
+        probe = f"import sys, treedecomp; print([m for m in {heavy!r} if m in sys.modules])"
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_level_sequence_matches_recursion_at_every_root(self, n):
