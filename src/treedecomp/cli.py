@@ -193,9 +193,9 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
     if x_values[0] < 1:
         raise MalformedInput(f"x must be at least 1, got {x_values[0]}")
     # decompose's own bound, on the span's top host: the export size grows
-    # with the tree's vertices and with x
+    # with the tree's vertices and with x; a top below 1 is its catalog's to refuse
     for kind in ("k2n1", "knxnx"):
-        if kind in checks:
+        if kind in checks and top >= 1:
             decomposition.check_export_size(decomposition.host_for(kind, top, x_values[-1]), False)
     workers = workers if workers is not None else config.get("workers", 1)
     if type(workers) is not int or workers < 1:
@@ -205,40 +205,30 @@ def run_campaign(config: dict, out_path: str | None = None, workers: int | None 
         # open() would take an int (or bool) as a file descriptor
         raise MalformedInput(f"out must be a path, got {out_path!r}")
 
-    tasks = []
-    for n in n_values:
-        for entry in trees.enumerate_free_trees(n):
-            tasks.append(
-                (n, list(entry.tree.g), entry.canonical_code.hex(), checks, x_values)
-            )
-
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    records = []
+    tasks = (
+        (n, list(entry.tree.g), entry.canonical_code.hex(), checks, x_values)
+        for n in n_values
+        for entry in trees.enumerate_free_trees(n)
+    )
+    # one task per usable worker is read ahead, the rest as records are made
+    head = list(itertools.islice(tasks, min(workers, os.cpu_count() or 1)))
+    workers = len(head)
+    records, failures, skipped = [], set(), 0
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
         pool = stack.enter_context(Pool(workers)) if workers > 1 else None
-        for record in (pool.imap if pool else map)(_campaign_record, tasks):
+        for record in (pool.imap if pool else map)(_campaign_record, itertools.chain(head, tasks)):
             records.append(record)
             if fh:
                 print(json.dumps(record), file=fh, flush=True)
+            for res in record["checks"].values():
+                if res.get("pass") is False:
+                    failures.add(record["tree_code"])
+                skipped += bool(res.get("skipped"))
 
-    failures = sorted(
-        {
-            r["tree_code"]
-            for r in records
-            for res in r["checks"].values()
-            if res.get("pass") is False
-        }
-    )
-    skipped = sum(
-        1
-        for r in records
-        for res in r["checks"].values()
-        if res.get("skipped")
-    )
     summary = {
         "records": len(records),
-        "failures": failures,
+        "failures": sorted(failures),
         "skipped": skipped,
         "all_pass": not failures,
         "toolchain_version": __version__,

@@ -46,8 +46,8 @@ EXPORT_CAP = 2_000_000
 @dataclass(frozen=True)
 class Host:
     """Host graph descriptor, checked when made: kind is knn (directed
-    K_{n,n}, x = 1), k2n1 or knxnx; n is the source shape's edge count
-    (host_for); x >= 1 is the number of stretches."""
+    K_{n,n}, x = 1), k2n1 or knxnx; n >= 0 (1 on knn) is the source shape's
+    edge count (host_for); x >= 1 is the number of stretches."""
 
     kind: str
     n: int
@@ -60,6 +60,9 @@ class Host:
             raise MalformedInput(f"x must be positive, got {self.x}")
         if self.kind not in ("knn", "k2n1", "knxnx"):
             raise MalformedInput(f"unknown host kind {self.kind!r}")
+        least = 1 if self.kind == "knn" else 0  # knn's shape holds the root pendant
+        if self.n < least:
+            raise MalformedInput(f"n must be at least {least}, got {self.n}")
 
     @property
     def m(self) -> int:
@@ -327,7 +330,7 @@ def decomposition_to_json(d: Decomposition) -> Iterator[str]:
     tree = trees.tree_to_json(d.tree)
     yield f'], "provenance": {{"tree": {tree}, "sigma": {json.dumps(d.sigma)}, "shifts": ['
     for k in range(len(d.bases)):
-        yield (", " if k else "") + ", ".join(f"[{k}, {i}]" for i in range(d.host.m))
+        yield (", " if k and d.host.m else "") + ", ".join(f"[{k}, {i}]" for i in range(d.host.m))
     yield "]}}"
 
 

@@ -782,12 +782,6 @@ def decomposition_from_json(text: str) -> Decomposition:
         sigma = tuple(prov["sigma"])
     except (TypeError, KeyError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise MalformedInput(f"bad decomposition JSON: {exc}") from exc
-    if (
-        host.kind not in ("knn", "k2n1", "knxnx")
-        or type(host.n) is not int
-        or type(host.x) is not int
-        or host.n < 1
-        or host.x < 1
-    ):
+    if type(host.n) is not int or type(host.x) is not int or host.n < 1:
         raise MalformedInput(f"bad decomposition host: {host}")
     return Decomposition(host=host, bases=bases, tree=tree, sigma=sigma)

@@ -606,6 +606,26 @@ class TestCampaign:
         want = sum(1 for k in cli._span(n) for _ in trees.enumerate_free_trees(k))
         assert summary["records"] == want and asked == sizes
 
+    def test_catalog_is_read_as_records_are_made(self, monkeypatch):
+        enumerate_free_trees, make_record = trees.enumerate_free_trees, cli._campaign_record
+        read, seen = [0], []
+
+        def counted(n):
+            for entry in enumerate_free_trees(n):
+                read[0] += 1
+                yield entry
+
+        def noted(task):
+            seen.append(read[0])
+            return make_record(task)
+
+        monkeypatch.setattr(trees, "enumerate_free_trees", counted)
+        monkeypatch.setattr(cli, "_campaign_record", noted)
+        summary, _ = run_campaign({"checks": ["beta"], "n": [1, 6]}, workers=1)
+        # the k-th record (from 1) is made with at most k + 1 entries read
+        assert summary["records"] == len(seen) == 14
+        assert all(count <= k + 1 for k, count in enumerate(seen, 1)), seen
+
     def test_record_above_search_cap_is_skipped(self):
         # A 17-vertex path is over find_beta's cap; the record still comes back.
         record = _campaign_record((17, [0] + list(range(16)), "00", ["beta", "knn"], [1]))

@@ -576,6 +576,12 @@ class TestSerialization:
         assert obj["host"] == {"kind": "knn", "n": 4, "x": 1}
         assert obj["copies"][0] == [[0, 4], [0, 7], [1, 7], [2, 7]]
 
+    def test_json_with_no_rotations_parses(self):
+        # m = 0 on a one-vertex shape: two bases and no shift of either
+        d = Decomposition(Host("knxnx", 0, 2), ((), ()), from_parent_map(1, [0]), (0,))
+        obj = json.loads("".join(decomposition_to_json(d)))
+        assert obj["copies"] == [] and obj["provenance"]["shifts"] == []
+
     def test_dot_frames_gray_previous(self):
         d = decompose_directed_knn(FIGURE_TREE, IDENTITY4)
         dot = "".join(decomposition_to_dot(d))
@@ -659,16 +665,30 @@ class TestSerialization:
             decomposition_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize(
-        "kind, n, x", [("mystery", 2, 1), ("k2n1", 3, 0), ("knn", 3, 2), ("knn", 3, 0)]
+        "kind, n, x",
+        [
+            ("mystery", 2, 1),
+            ("k2n1", 3, 0),
+            ("knn", 3, 2),
+            ("knn", 3, 0),
+            ("knn", 0, 1),
+            ("k2n1", -1, 1),
+            ("knxnx", -2, 1),
+        ],
     )
     def test_unknown_host(self, kind, n, x):
         # a host refuses when it is made, with the message decompose prints;
-        # knn's x is checked first, so ("knn", 3, 0) gets the knn message
-        message = {
-            "mystery": "unknown host kind 'mystery'",
-            "k2n1": f"x must be positive, got {x}",
-            "knn": f"x must be 1 for knn (directed K_{{n,n}}), got {x}",
-        }[kind]
+        # knn's x is checked first, so ("knn", 3, 0) gets the knn message.
+        # n, checked last, counts a shape's edges: knn's holds the root pendant
+        if x == 1 and n < 1:
+            least = int(kind == "knn")
+            message = f"n must be at least {least}, got {n}"
+        else:
+            message = {
+                "mystery": "unknown host kind 'mystery'",
+                "k2n1": f"x must be positive, got {x}",
+                "knn": f"x must be 1 for knn (directed K_{{n,n}}), got {x}",
+            }[kind]
         with pytest.raises(MalformedInput) as exc:
             Host(kind, n, x)
         assert str(exc.value) == message
